@@ -14,11 +14,10 @@ from .reward import (DegenerateDistanceError, RewardConfig, StepObservation,
                      compute_reward, reward_terms)
 from .scoring import (HeuristicParams, InputOutOfRangeError, NegativeDistanceError,
                       NoFrontiersError, ScoreBreakdown, distance_score, heuristic,
-                      occupancy_score, score_segments, select_waypoint)
+                      occupancy_score, score_segments)
 from .explorer import (OUTCOME_COMPLETE, OUTCOME_STALLED, OUTCOME_TICK_LIMIT,
                        Decision, RunLimits, RunRecord, RunResult, SelectorKind,
-                       aggregate_results, compare_selectors, rank_segments,
-                       run_exploration, select_baseline)
+                       aggregate_results, rank_segments, run_exploration)
 from .mapgen import TIERS, generate_map, pick_start
 
 __version__ = "0.1.0"

@@ -1,7 +1,7 @@
 """Command line interface: run experiments, inspect scores, compute rewards.
 
 Subcommands:
-  run      execute every (map, selector, seed) run and write artifacts
+  run      execute every (map, seed, selector) run and write artifacts
   compare  same runs, aggregated into one Table-style CSV plus a summary
   score    print the per-segment score table for a map/belief snapshot
   reward   turn JSON step observations into reward CSV lines
@@ -21,14 +21,13 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from .config import DEFAULT_CONFIG, ConfigError, ExperimentConfig, load_config
-from .explorer import (OUTCOME_COMPLETE, RunResult, aggregate_results,
-                       run_exploration)
+from .explorer import (OUTCOME_COMPLETE, RunResult, SelectorKind,
+                       aggregate_results, rank_segments, run_exploration)
 from .frontier import cluster_segments, detect_frontiers
-from .gridmap import Pose, load_belief, load_map_file
+from .gridmap import MapError, Pose, load_belief, load_map_file
 from .mapgen import pick_start
 from .render import run_svg
 from .reward import RewardConfig, StepObservation, compute_reward, reward_terms
-from .scoring import score_segments
 
 SAMPLES_CSV_HEADER = ["t", "x", "y", "cumulative_distance", "exploration_rate"]
 AGGREGATE_CSV_HEADER = [
@@ -93,7 +92,12 @@ def _execute_run(spec):
     return RunResult(map_name, selector, seed, start, record)
 
 
-def _all_runs(cfg: ExperimentConfig, jobs: int) -> list[RunResult]:
+def run_all(cfg: ExperimentConfig, jobs: int = 1) -> list[RunResult]:
+    """Run every (map, seed, selector) combination, in that nesting order.
+
+    Each seed picks the start pose on each map. jobs > 1 spreads the runs
+    over worker processes; the results and their order stay the same.
+    """
     bits = (cfg.params, cfg.lidar, cfg.kinematics, cfg.limits,
             cfg.min_segment_size, cfg.cost_weight, cfg.goal_relax_radius)
     specs = [(name, truth, selector, seed, bits)
@@ -108,7 +112,7 @@ def _all_runs(cfg: ExperimentConfig, jobs: int) -> list[RunResult]:
 
 def cmd_run(cfg: ExperimentConfig, jobs: int) -> int:
     os.makedirs(cfg.outdir, exist_ok=True)
-    results = _all_runs(cfg, jobs)
+    results = run_all(cfg, jobs)
     all_complete = True
     for r in results:
         _write_artifacts(cfg.outdir, r, cfg.emit)
@@ -123,7 +127,7 @@ def cmd_run(cfg: ExperimentConfig, jobs: int) -> int:
 
 def cmd_compare(cfg: ExperimentConfig, jobs: int) -> int:
     os.makedirs(cfg.outdir, exist_ok=True)
-    results = _all_runs(cfg, jobs)
+    results = run_all(cfg, jobs)
     rows = aggregate_results(results, by_map=True)
     with open(os.path.join(cfg.outdir, "aggregate.csv"), "w") as f:
         f.write(aggregate_csv(rows))
@@ -137,7 +141,7 @@ def cmd_compare(cfg: ExperimentConfig, jobs: int) -> int:
 
 def cmd_score(cfg: ExperimentConfig, map_path, belief_path, pose_text) -> int:
     truth = load_map_file(map_path, cfg.inflation)
-    with open(belief_path) as f:
+    with open(belief_path, "rb") as f:
         belief = load_belief(f.read(), cfg.inflation)
     if belief.states.shape != truth.states.shape:
         print("error: belief and map dimensions differ", file=sys.stderr)
@@ -153,13 +157,13 @@ def cmd_score(cfg: ExperimentConfig, map_path, belief_path, pose_text) -> int:
     if not segments:
         print("no frontiers", file=sys.stderr)
         return 3
-    breakdowns = score_segments(segments, robot, belief, cfg.params)
-    best = min(breakdowns, key=lambda b: (b.h, b.d, b.segment_id))
+    ranked, breakdowns = rank_segments(SelectorKind("heuristic"), segments,
+                                       robot, belief, cfg.params)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(SCORE_CSV_HEADER)
     for b in breakdowns:
         writer.writerow([b.segment_id, repr(b.d), repr(b.D), repr(b.O), repr(b.h),
-                         str(b.segment_id == best.segment_id).lower()])
+                         str(b.segment_id == ranked[0]).lower()])
     return 0
 
 
@@ -236,6 +240,9 @@ def main(argv=None) -> int:
             return cmd_reward(cfg.reward, sys.stdin)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
+        return 1
+    except MapError as e:
+        print(f"map error: {e}", file=sys.stderr)
         return 1
     except OSError as e:
         print(f"io error: {e}", file=sys.stderr)

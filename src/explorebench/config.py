@@ -8,11 +8,13 @@ the offending section and key.
 from __future__ import annotations
 
 import configparser
+import math
 import os
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 from .explorer import RunLimits, SelectorKind
-from .gridmap import InflationParams, LidarModel, OccupancyGrid, Pose, load_map_file
+from .gridmap import (InflationParams, LidarModel, MapError, OccupancyGrid, Pose,
+                      load_map_file)
 from .mapgen import TIERS, generate_map
 from .navigator import KinematicState
 from .reward import RewardConfig
@@ -126,6 +128,20 @@ def _get(parser, section, key, cast, check=None):
     return value
 
 
+def _section(parser, section, cls, **fixed):
+    """Build cls from the section's keys, one per field with a default.
+
+    Each value is cast to the type of its field's default; fields without
+    a default take their value from fixed.
+    """
+    kwargs = {f.name: _get(parser, section, f.name, type(f.default))
+              for f in fields(cls) if f.default is not MISSING}
+    try:
+        return cls(**fixed, **kwargs)
+    except (ValueError, ArithmeticError, MapError) as e:
+        raise ConfigError(f"[{section}] {e}") from None
+
+
 def _load_maps(parser, inflation):
     files = _get(parser, "maps", "files", str).split()
     if files:
@@ -141,7 +157,8 @@ def _load_maps(parser, inflation):
         return maps
     spec = _get(parser, "maps", "generate", str).split()
     map_seed = _get(parser, "maps", "map_seed", int)
-    resolution = _get(parser, "maps", "resolution", float, lambda v: v > 0)
+    resolution = _get(parser, "maps", "resolution", float,
+                      lambda v: math.isfinite(v) and v > 0)
     maps = []
     for item in spec:
         try:
@@ -172,43 +189,13 @@ def parse_config(text: str, need_maps: bool = True) -> ExperimentConfig:
     except configparser.Error as e:
         raise ConfigError(f"config parse error: {e}") from None
 
-    try:
-        inflation = InflationParams(
-            _get(parser, "inflation", "inscribed_radius", float),
-            _get(parser, "inflation", "inflation_radius", float),
-            _get(parser, "inflation", "decay_rate", float),
-        )
-        params = HeuristicParams(
-            _get(parser, "heuristic", "alpha", float),
-            _get(parser, "heuristic", "beta", float),
-            _get(parser, "heuristic", "gamma", float),
-            _get(parser, "heuristic", "af_scale", float),
-            _get(parser, "heuristic", "exp_arg_cap", float),
-        )
-        lidar = LidarModel(
-            _get(parser, "lidar", "beam_count", int),
-            _get(parser, "lidar", "max_range", float),
-            _get(parser, "lidar", "angular_span", float),
-        )
-        kinematics = KinematicState(
-            Pose(0.0, 0.0, 0.0),
-            _get(parser, "kinematics", "v_max", float),
-            _get(parser, "kinematics", "w_max", float),
-            _get(parser, "kinematics", "dt", float),
-        )
-        reward = RewardConfig(
-            _get(parser, "reward", "max_linear", float),
-            _get(parser, "reward", "collision_threshold", float),
-            _get(parser, "reward", "goal_threshold", float),
-            _get(parser, "reward", "include_r_linear", bool),
-            _get(parser, "reward", "distance_term_form", str),
-        )
-        limits = RunLimits(
-            _get(parser, "limits", "max_ticks", int),
-            _get(parser, "limits", "expr_target", float),
-        )
-    except (ValueError, ArithmeticError) as e:
-        raise ConfigError(str(e)) from None
+    inflation = _section(parser, "inflation", InflationParams)
+    params = _section(parser, "heuristic", HeuristicParams)
+    lidar = _section(parser, "lidar", LidarModel)
+    kinematics = _section(parser, "kinematics", KinematicState,
+                          pose=Pose(0.0, 0.0, 0.0))
+    reward = _section(parser, "reward", RewardConfig)
+    limits = _section(parser, "limits", RunLimits)
 
     selector_specs = _get(parser, "selectors", "selectors", str).split()
     if not selector_specs:

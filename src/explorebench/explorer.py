@@ -1,18 +1,19 @@
-"""The closed exploration loop, baseline selectors, and the benchmark harness.
+"""The closed exploration loop, frontier ranking, and run aggregation.
 
 Each tick reveals the world through the simulated scanner, samples the
 coverage metric, and advances the robot along its current path. Waypoint
 selection is event driven: the loop re-scores frontiers only when the
 current path is consumed, invalidated by newly revealed obstacles, or its
 target segment disappears from the frontier mask. Runs are pure functions
-of their inputs; repeated runs produce identical records.
+of their inputs; repeated runs produce identical records. The run
+matrix over maps, seeds and selectors lives in cli.run_all.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -81,10 +82,7 @@ class Decision:
             "tick": self.tick,
             "chosen": self.chosen,
             "target": [self.target[0], self.target[1]],
-            "scores": [
-                {"segment_id": s.segment_id, "d": s.d, "D": s.D, "O": s.O, "h": s.h}
-                for s in self.scores
-            ],
+            "scores": [asdict(s) for s in self.scores],
         }
 
 
@@ -117,14 +115,8 @@ class RunRecord:
     def to_json(self) -> dict:
         return {
             "selector": self.selector.label(),
-            "params": {
-                "alpha": self.params.alpha,
-                "beta": self.params.beta,
-                "gamma": self.params.gamma,
-                "af_scale": self.params.af_scale,
-                "exp_arg_cap": self.params.exp_arg_cap,
-            },
-            "start": {"x": self.start.x, "y": self.start.y, "theta": self.start.theta},
+            "params": asdict(self.params),
+            "start": asdict(self.start),
             "outcome": self.outcome,
             "totals": {
                 "distance": self.total_distance,
@@ -144,8 +136,13 @@ def rank_segments(selector: SelectorKind, segments: list[FrontierSegment],
                   ) -> tuple[list[int], list[ScoreBreakdown]]:
     """Order segment indices by the selector's preference (best first).
 
-    Score breakdowns are computed for every policy so run logs stay
-    comparable across selectors; only the heuristic policy ranks by them.
+    heuristic ranks by ascending combined score h, nearest by distance d,
+    largest by descending frontier length; ties break toward the smaller
+    distance, then toward the earlier segment in canonical order. random
+    is a shuffle seeded by the selector seed, the segment count and the
+    robot cell. Score breakdowns are computed for every policy so run logs
+    stay comparable across selectors; only the heuristic policy ranks by
+    them. Raises NoFrontiersError on an empty list.
     """
     if not segments:
         raise NoFrontiersError("no frontier segments to select from")
@@ -166,14 +163,6 @@ def rank_segments(selector: SelectorKind, segments: list[FrontierSegment],
     return [b.segment_id for b in order], breakdowns
 
 
-def select_baseline(selector: SelectorKind, segments: list[FrontierSegment],
-                    robot: Pose, belief: OccupancyGrid,
-                    params: HeuristicParams) -> FrontierSegment:
-    """The selector's top choice (NoFrontiersError on an empty list)."""
-    ranked, _ = rank_segments(selector, segments, robot, belief, params)
-    return segments[ranked[0]]
-
-
 def _path_cells_valid(belief, waypoints, robot_cell):
     for x, y in waypoints:
         i, j = belief.world_to_cell(x, y)
@@ -187,7 +176,7 @@ def _path_cells_valid(belief, waypoints, robot_cell):
 def run_exploration(truth: OccupancyGrid, start: Pose, selector: SelectorKind,
                     params: HeuristicParams, lidar: LidarModel,
                     kin: KinematicState, limits: RunLimits,
-                    min_segment_size: int = 3, cost_weight: float = 3.0,
+                    min_segment_size: int = 1, cost_weight: float = 3.0,
                     goal_relax_radius: int = 5) -> RunRecord:
     """Explore the truth map from start until done, stalled, or out of ticks."""
     reachable = reachable_free_mask(truth, start)
@@ -268,7 +257,7 @@ def run_exploration(truth: OccupancyGrid, start: Pose, selector: SelectorKind,
 
 
 # ---------------------------------------------------------------------------
-# Benchmark harness
+# Run results and aggregation
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -278,32 +267,6 @@ class RunResult:
     seed: int
     start: Pose
     record: RunRecord
-
-
-def compare_selectors(maps: list[tuple[str, OccupancyGrid]],
-                      selectors: list[SelectorKind], params: HeuristicParams,
-                      seeds: list[int], lidar: LidarModel, kin: KinematicState,
-                      limits: RunLimits, start_for=None,
-                      **run_kwargs) -> list[RunResult]:
-    """Run every (map, selector, seed) combination.
-
-    start_for(truth, seed) supplies the start pose per map and seed; the
-    default uses the seeded free-cell pick from mapgen.
-    """
-    if not maps or not selectors or not seeds:
-        raise ValueError("maps, selectors and seeds must all be non-empty")
-    if start_for is None:
-        from .mapgen import pick_start
-        start_for = pick_start
-    results = []
-    for map_name, truth in maps:
-        for seed in seeds:
-            start = start_for(truth, seed)
-            for selector in selectors:
-                record = run_exploration(truth, start, selector, params, lidar,
-                                         kin, limits, **run_kwargs)
-                results.append(RunResult(map_name, selector, seed, start, record))
-    return results
 
 
 def aggregate_results(results: list[RunResult],

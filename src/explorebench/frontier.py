@@ -68,7 +68,7 @@ def detect_frontiers(belief: OccupancyGrid) -> FrontierMask:
 
 
 def cluster_segments(mask: FrontierMask, belief: OccupancyGrid,
-                     min_size: int = 3) -> list[FrontierSegment]:
+                     min_size: int = 1) -> list[FrontierSegment]:
     """Group marked cells into 8-connected segments of at least min_size cells.
 
     The result is sorted by (centroid y, centroid x) so segment indices are

@@ -125,6 +125,8 @@ class OccupancyGrid:
     inflation: InflationParams = field(default_factory=InflationParams)
 
     def __post_init__(self):
+        if not math.isfinite(self.resolution):
+            raise MalformedMapError(f"resolution must be finite, got {self.resolution}")
         if self.resolution <= 0.0:
             raise ZeroResolutionError(f"resolution must be > 0, got {self.resolution}")
         if self.states.shape != (self.height, self.width):
@@ -159,10 +161,6 @@ class OccupancyGrid:
         return (self.origin[0] + (i + 0.5) * self.resolution,
                 self.origin[1] + (j + 0.5) * self.resolution)
 
-    def state_counts(self) -> dict[int, int]:
-        return {s: int(np.count_nonzero(self.states == s))
-                for s in (UNKNOWN, FREE, OCCUPIED)}
-
 
 # ---------------------------------------------------------------------------
 # Map I/O
@@ -175,7 +173,12 @@ class OccupancyGrid:
 # Resolution and threshold arrive out of band (sidecar "key = value" text).
 # ---------------------------------------------------------------------------
 
-def _parse_ascii(content: str, allow_unknown: bool):
+def _parse_ascii(content: str | bytes, allow_unknown: bool):
+    if isinstance(content, bytes):
+        try:
+            content = content.decode("ascii")
+        except UnicodeDecodeError as e:
+            raise MalformedMapError(f"map is not ASCII text: {e}") from None
     lines = [ln for ln in content.splitlines() if ln.strip() != ""]
     if not lines:
         raise MalformedMapError("empty map content")
@@ -189,8 +192,6 @@ def _parse_ascii(content: str, allow_unknown: bool):
         raise MalformedMapError(f"bad header numbers: {e}") from None
     if width <= 0 or height <= 0:
         raise MalformedMapError(f"bad dimensions {width}x{height}")
-    if resolution <= 0.0:
-        raise ZeroResolutionError(f"resolution must be > 0, got {resolution}")
     rows = lines[1:]
     if len(rows) != height:
         raise MalformedMapError(f"expected {height} rows, got {len(rows)}")
@@ -206,10 +207,10 @@ def _parse_ascii(content: str, allow_unknown: bool):
                 states[j, i] = lut[ch]
             except KeyError:
                 raise MalformedMapError(f"illegal character {ch!r} at row {j} col {i}") from None
-    return width, height, resolution, states
+    return resolution, states
 
 
-def _parse_pgm(data: bytes, resolution: float, occupied_threshold: int):
+def _parse_pgm(data: bytes, occupied_threshold: int):
     # P5 header: magic, width, height, maxval, separated by whitespace and
     # optional '#' comments, then one binary byte per pixel.
     pos = 0
@@ -243,8 +244,6 @@ def _parse_pgm(data: bytes, resolution: float, occupied_threshold: int):
         raise MalformedMapError(f"bad dimensions {width}x{height}")
     if maxval != 255:
         raise MalformedMapError(f"PGM maxval must be 255, got {maxval}")
-    if resolution <= 0.0:
-        raise ZeroResolutionError(f"resolution must be > 0, got {resolution}")
     pos += 1  # single whitespace after maxval
     pixels = data[pos : pos + width * height]
     if len(pixels) != width * height:
@@ -252,8 +251,19 @@ def _parse_pgm(data: bytes, resolution: float, occupied_threshold: int):
             f"PGM payload has {len(pixels)} bytes, expected {width * height}"
         )
     raw = np.frombuffer(pixels, dtype=np.uint8).reshape(height, width)
-    states = np.where(raw <= occupied_threshold, OCCUPIED, FREE).astype(np.uint8)
-    return width, height, resolution, states
+    return np.where(raw <= occupied_threshold, OCCUPIED, FREE).astype(np.uint8)
+
+
+def grid_from_states(states: np.ndarray, resolution: float,
+                     inflation: InflationParams | None = None) -> OccupancyGrid:
+    """Wrap a (height, width) state array in a grid with inflated costs."""
+    inflation = inflation or InflationParams()
+    height, width = states.shape
+    grid = OccupancyGrid(width, height, resolution, states, np.zeros_like(states),
+                         inflation=inflation)
+    inflate(grid, inflation.inscribed_radius, inflation.inflation_radius,
+            inflation.decay_rate)
+    return grid
 
 
 def load_map(source, fmt: str = "ascii", *, resolution: float | None = None,
@@ -261,36 +271,26 @@ def load_map(source, fmt: str = "ascii", *, resolution: float | None = None,
              inflation: InflationParams | None = None) -> OccupancyGrid:
     """Parse a ground-truth map (no Unknown cells) and inflate its costs.
 
-    fmt="ascii" takes the text content; fmt="pgm" takes the raw bytes plus
-    a resolution (from the sidecar) and the occupied byte threshold.
+    fmt="ascii" takes the text content (str, or bytes holding ASCII);
+    fmt="pgm" takes the raw bytes plus a resolution (from the sidecar) and
+    the occupied byte threshold.
     """
     if fmt == "ascii":
-        if isinstance(source, bytes):
-            source = source.decode("ascii")
-        width, height, res, states = _parse_ascii(source, allow_unknown=False)
+        resolution, states = _parse_ascii(source, allow_unknown=False)
     elif fmt == "pgm":
         if resolution is None:
             raise MalformedMapError("pgm maps need an explicit resolution")
-        width, height, res, states = _parse_pgm(source, resolution, occupied_threshold)
+        states = _parse_pgm(source, occupied_threshold)
     else:
         raise MalformedMapError(f"unknown map format {fmt!r}")
-    inflation = inflation or InflationParams()
-    costs = np.zeros((height, width), dtype=np.uint8)
-    grid = OccupancyGrid(width, height, res, states, costs, inflation=inflation)
-    inflate(grid, inflation.inscribed_radius, inflation.inflation_radius,
-            inflation.decay_rate)
-    return grid
+    return grid_from_states(states, resolution, inflation)
 
 
-def load_belief(content: str, inflation: InflationParams | None = None) -> OccupancyGrid:
+def load_belief(content: str | bytes,
+                inflation: InflationParams | None = None) -> OccupancyGrid:
     """Parse a belief snapshot in the ASCII format, with '?' for Unknown."""
-    width, height, res, states = _parse_ascii(content, allow_unknown=True)
-    inflation = inflation or InflationParams()
-    costs = np.zeros((height, width), dtype=np.uint8)
-    grid = OccupancyGrid(width, height, res, states, costs, inflation=inflation)
-    inflate(grid, inflation.inscribed_radius, inflation.inflation_radius,
-            inflation.decay_rate)
-    return grid
+    resolution, states = _parse_ascii(content, allow_unknown=True)
+    return grid_from_states(states, resolution, inflation)
 
 
 def load_map_file(path, inflation: InflationParams | None = None) -> OccupancyGrid:
@@ -300,10 +300,12 @@ def load_map_file(path, inflation: InflationParams | None = None) -> OccupancyGr
     and optionally 'occupied_threshold = <byte>' lines.
     """
     path = str(path)
-    if path.endswith(".pgm"):
-        with open(path, "rb") as f:
-            data = f.read()
-        meta = {"occupied_threshold": "50"}
+    with open(path, "rb") as f:
+        data = f.read()
+    if not path.endswith(".pgm"):
+        return load_map(data, "ascii", inflation=inflation)
+    meta = {"occupied_threshold": "50"}
+    try:
         with open(path + ".txt") as f:
             for line in f:
                 line = line.split("#", 1)[0].strip()
@@ -315,11 +317,12 @@ def load_map_file(path, inflation: InflationParams | None = None) -> OccupancyGr
                 meta[key] = value
         if "resolution" not in meta:
             raise MalformedMapError(f"sidecar for {path} lacks 'resolution'")
-        return load_map(data, "pgm", resolution=float(meta["resolution"]),
-                        occupied_threshold=int(meta["occupied_threshold"]),
-                        inflation=inflation)
-    with open(path) as f:
-        return load_map(f.read(), "ascii", inflation=inflation)
+        resolution = float(meta["resolution"])
+        threshold = int(meta["occupied_threshold"])
+    except ValueError as e:
+        raise MalformedMapError(f"sidecar for {path}: {e}") from None
+    return load_map(data, "pgm", resolution=resolution,
+                    occupied_threshold=threshold, inflation=inflation)
 
 
 def to_ascii(grid: OccupancyGrid) -> str:
@@ -364,11 +367,6 @@ def inflate(grid: OccupancyGrid, inscribed_radius: float, inflation_radius: floa
     (d - inscribed_radius))), everything farther is 0. Unknown cells keep
     the COST_UNKNOWN marker. Distances are Euclidean between cell centers.
     """
-    if not (0.0 < inscribed_radius <= inflation_radius):
-        raise InvalidRadiiError(
-            f"need 0 < inscribed_radius <= inflation_radius, got "
-            f"{inscribed_radius} and {inflation_radius}"
-        )
     grid.inflation = InflationParams(inscribed_radius, inflation_radius, decay_rate)
     grid.costs[...] = _inflation_costs(
         grid.states, grid.resolution, inscribed_radius, inflation_radius, decay_rate

@@ -14,7 +14,8 @@ import random
 import numpy as np
 from scipy import ndimage
 
-from .gridmap import FREE, OCCUPIED, InflationParams, OccupancyGrid, Pose, inflate
+from .gridmap import (FREE, OCCUPIED, InflationParams, OccupancyGrid, Pose,
+                      grid_from_states)
 
 TIERS = ("low", "medium", "high")
 
@@ -104,12 +105,7 @@ def generate_map(tier: str, seed: int, resolution: float = 0.25,
             break
     else:
         raise RuntimeError(f"could not generate a connected {tier} map for seed {seed}")
-    inflation = inflation or InflationParams()
-    costs = np.zeros_like(occ)
-    grid = OccupancyGrid(width, height, resolution, occ, costs, inflation=inflation)
-    inflate(grid, inflation.inscribed_radius, inflation.inflation_radius,
-            inflation.decay_rate)
-    return grid
+    return grid_from_states(occ, resolution, inflation)
 
 
 def pick_start(truth: OccupancyGrid, seed: int) -> Pose:

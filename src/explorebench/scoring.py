@@ -1,4 +1,4 @@
-"""Waypoint scoring: distance score, occupancy score, and combined selection.
+"""Waypoint scoring: distance score, occupancy score, and their blend.
 
 The distance score squashes robot-to-centroid distance into [0, 1) with
 three regimes: a short-range region pinned near 0 (nearby candidates are
@@ -10,8 +10,9 @@ encloses a segment and discounts long frontiers through a hyperbolic
 secant of their length. Unknown-dominated disks score near 0, open or
 wall-adjacent disks score high.
 
-The combined score is the convex blend h = D * gamma + O * (1 - gamma),
-and the next waypoint is the segment minimizing h.
+The combined score is the convex blend h = D * gamma + O * (1 - gamma).
+explorer.rank_segments orders segments by it; the next waypoint is the
+segment minimizing h.
 """
 
 from __future__ import annotations
@@ -169,18 +170,3 @@ def score_segments(segments: list[FrontierSegment], robot: Pose,
         breakdowns.append(ScoreBreakdown(idx, d, D, O, heuristic(D, O, params)))
     return breakdowns
 
-
-def select_waypoint(segments: list[FrontierSegment], robot: Pose,
-                    belief: OccupancyGrid, params: HeuristicParams,
-                    ) -> tuple[FrontierSegment, list[ScoreBreakdown]]:
-    """Pick the segment with minimal combined score.
-
-    Ties break toward the smaller distance, then toward the earlier segment
-    in canonical order. Raises NoFrontiersError on an empty list, which the
-    exploration loop reads as completion.
-    """
-    if not segments:
-        raise NoFrontiersError("no frontier segments to select from")
-    breakdowns = score_segments(segments, robot, belief, params)
-    best = min(breakdowns, key=lambda b: (b.h, b.d, b.segment_id))
-    return segments[best.segment_id], breakdowns

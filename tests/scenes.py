@@ -53,7 +53,7 @@ def frontier_type_scenes() -> dict[str, tuple[OccupancyGrid, Pose]]:
 
     # Door-gap: as open-wide, plus free cells and a facing wall visible
     # through the gap (those free cells form a two-cell fragment that the
-    # default min_size filter drops, but they enrich the disk).
+    # min_size = 3 filter drops, but they enrich the disk).
     states = np.full((29, 29), FREE, dtype=np.uint8)
     states[12, :] = OCCUPIED
     states[12, 12:18] = FREE

@@ -14,7 +14,7 @@ import pytest
 
 from explorebench.cli import main
 from explorebench.explorer import (OUTCOME_COMPLETE, RunLimits, SelectorKind,
-                                   run_exploration)
+                                   rank_segments, run_exploration)
 from explorebench.frontier import (FrontierSegment, cluster_segments,
                                    detect_frontiers)
 from explorebench.gridmap import (FREE, OCCUPIED, UNKNOWN, LidarModel,
@@ -23,7 +23,7 @@ from explorebench.mapgen import generate_map, pick_start
 from explorebench.navigator import KinematicState
 from explorebench.reward import RewardConfig, StepObservation, compute_reward
 from explorebench.scoring import (HeuristicParams, distance_score, heuristic,
-                                  occupancy_score, select_waypoint)
+                                  occupancy_score)
 from scenes import case_study_scene, frontier_type_scenes
 
 BENCH_PARAMS = HeuristicParams(alpha=3.0, beta=5.0, gamma=0.5)
@@ -177,7 +177,9 @@ def test_criterion_5_case_study_selection():
     segments = cluster_segments(detect_frontiers(belief), belief, 3)
     assert len(segments) == 2
     params = HeuristicParams(alpha=8.0, beta=5.0, gamma=0.5)
-    chosen, breakdowns = select_waypoint(segments, robot, belief, params)
+    ranked, breakdowns = rank_segments(SelectorKind("heuristic"), segments,
+                                       robot, belief, params)
+    chosen = segments[ranked[0]]
     sizes = {len(s.cells) for s in segments}
     assert sizes == {4, 12}
     assert len(chosen.cells) == 12, "expected the enclosed pocket ring"

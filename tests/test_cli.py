@@ -1,3 +1,4 @@
+import inspect
 import json
 import xml.etree.ElementTree as ET
 
@@ -5,7 +6,13 @@ import pytest
 
 from explorebench.cli import main
 from explorebench.config import DEFAULT_CONFIG, ConfigError, parse_config
-from explorebench.gridmap import load_belief, to_ascii
+from explorebench.explorer import RunLimits, run_exploration
+from explorebench.frontier import cluster_segments
+from explorebench.gridmap import (InflationParams, LidarModel, Pose,
+                                  load_belief, to_ascii)
+from explorebench.navigator import KinematicState, plan_path
+from explorebench.reward import RewardConfig
+from explorebench.scoring import HeuristicParams
 from scenes import case_study_scene
 
 TINY_ROOM = "11 11 0.25\n" + "\n".join(
@@ -49,6 +56,23 @@ class TestConfig:
                         "[limits]", "[run]"):
             assert section in DEFAULT_CONFIG
 
+    def test_defaults_match_code_defaults(self):
+        cfg = parse_config("", need_maps=False)
+        assert cfg.inflation == InflationParams()
+        assert cfg.params == HeuristicParams()
+        assert cfg.lidar == LidarModel()
+        assert cfg.kinematics == KinematicState(Pose(0.0, 0.0, 0.0))
+        assert cfg.reward == RewardConfig()
+        assert cfg.limits == RunLimits()
+        run_kw = inspect.signature(run_exploration).parameters
+        plan_kw = inspect.signature(plan_path).parameters
+        min_size = inspect.signature(cluster_segments).parameters["min_size"]
+        assert (run_kw["min_segment_size"].default == min_size.default
+                == cfg.min_segment_size)
+        for name in ("cost_weight", "goal_relax_radius"):
+            assert (run_kw[name].default == plan_kw[name].default
+                    == getattr(cfg, name))
+
     @pytest.mark.parametrize("text,needle", [
         ("[selectors]\nselectors =\n", "[selectors] selectors"),
         ("[selectors]\nselectors = warp\n", "[selectors] selectors"),
@@ -57,6 +81,8 @@ class TestConfig:
         ("[heuristic]\ngamma = 0.9\n", "gamma"),
         ("[maps]\nfiles = /no/such/map.txt\n", "/no/such/map.txt"),
         ("[lidar]\nbeam_count = zero\n", "[lidar] beam_count"),
+        ("[maps]\ngenerate =\n", "[maps] generate"),
+        ("[inflation]\ninscribed_radius = 0\n", "inscribed_radius"),
     ])
     def test_errors_name_offending_field(self, text, needle):
         with pytest.raises(ConfigError) as err:
@@ -199,6 +225,17 @@ class TestCmdScore:
 
     def test_missing_flags(self, capsys):
         assert main(["score", "--map", "x"]) == 1
+
+    def test_malformed_map_or_belief_exit_1(self, tmp_path, capsys):
+        good = tmp_path / "good.txt"
+        good.write_text(TINY_ROOM)
+        bad = tmp_path / "bad.txt"
+        bad.write_text("3 3 nan\n...\n...\n...\n")
+        for map_path, belief_path in ((bad, good), (good, bad)):
+            rc = main(["score", "--map", str(map_path), "--belief",
+                       str(belief_path), "--pose", "0.5,0.5,0"])
+            assert rc == 1
+            assert "map error" in capsys.readouterr().err
 
     def test_dimension_mismatch_exit_1(self, tmp_path, capsys):
         map_path = tmp_path / "truth.txt"

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from conftest import grid_from_rows
-from explorebench.cli import record_json, samples_csv
+from explorebench.cli import record_json, run_all, samples_csv
+from explorebench.config import parse_config
 from explorebench.explorer import (OUTCOME_COMPLETE, RunLimits, SelectorKind,
-                                   aggregate_results, compare_selectors,
-                                   rank_segments, run_exploration,
-                                   select_baseline)
+                                   aggregate_results, rank_segments,
+                                   run_exploration)
 from explorebench.frontier import FrontierSegment
 from explorebench.gridmap import (UNKNOWN, LidarModel, Pose,
                                   reachable_free_mask)
@@ -49,27 +49,28 @@ class TestBaselines:
     def _belief(self):
         return grid_from_rows(["." * 24] * 8, inflate_costs=False)
 
+    def _top(self, kind, segments):
+        ranked, _ = rank_segments(kind, segments, Pose(0, 0), self._belief(),
+                                  PARAMS)
+        return segments[ranked[0]]
+
     def test_nearest_picks_smaller_distance(self):
-        chosen = select_baseline(SelectorKind("nearest"), self._segments(),
-                                 Pose(0, 0), self._belief(), PARAMS)
+        chosen = self._top(SelectorKind("nearest"), self._segments())
         assert chosen.centroid == (2.0, 0.0)
 
     def test_largest_picks_longer(self):
-        chosen = select_baseline(SelectorKind("largest"), self._segments(),
-                                 Pose(0, 0), self._belief(), PARAMS)
+        chosen = self._top(SelectorKind("largest"), self._segments())
         assert chosen.centroid == (5.0, 0.0)
 
     def test_random_is_deterministic(self):
         kind = SelectorKind("random", 7)
         segments = self._segments()
-        a = select_baseline(kind, segments, Pose(0, 0), self._belief(), PARAMS)
-        b = select_baseline(kind, segments, Pose(0, 0), self._belief(), PARAMS)
-        assert a is b
+        assert self._top(kind, segments) is self._top(kind, segments)
 
     def test_empty_raises(self):
         with pytest.raises(NoFrontiersError):
-            select_baseline(SelectorKind("nearest"), [], Pose(0, 0),
-                            self._belief(), PARAMS)
+            rank_segments(SelectorKind("nearest"), [], Pose(0, 0),
+                          self._belief(), PARAMS)
 
     def test_rank_covers_all_segments(self):
         for kind in ("heuristic", "nearest", "largest"):
@@ -222,7 +223,12 @@ class TestRunExploration:
 
 
 class TestCompare:
-    def _maps(self):
+    def _results(self, selectors, seeds):
+        # The same settings as PARAMS, LIDAR, KIN and LIMITS above.
+        cfg = parse_config(f"[selectors]\nselectors = {selectors}\n"
+                           "[heuristic]\nmin_segment_size = 1\n"
+                           "[limits]\nmax_ticks = 3000\n"
+                           f"[run]\nseeds = {seeds}\n", need_maps=False)
         rows = [
             "############",
             "#..........#",
@@ -230,12 +236,11 @@ class TestCompare:
             "#..........#",
             "############",
         ]
-        return [("tiny", grid_from_rows(rows))]
+        cfg.maps = [("tiny", grid_from_rows(rows))]
+        return run_all(cfg)
 
     def test_singleton_aggregate_equals_run(self):
-        results = compare_selectors(self._maps(), [SelectorKind("nearest")],
-                                    PARAMS, [3], LIDAR, KIN, LIMITS,
-                                    min_segment_size=1)
+        results = self._results("nearest", "3")
         assert len(results) == 1
         rows = aggregate_results(results)
         assert len(rows) == 1
@@ -249,18 +254,12 @@ class TestCompare:
         assert row["expr_mean"] == rec.final_rate
 
     def test_repeatable(self):
-        args = (self._maps(), [SelectorKind("heuristic")], PARAMS, [1, 2],
-                LIDAR, KIN, LIMITS)
-        rows_a = aggregate_results(compare_selectors(*args, min_segment_size=1))
-        rows_b = aggregate_results(compare_selectors(*args, min_segment_size=1))
+        rows_a = aggregate_results(self._results("heuristic", "1 2"))
+        rows_b = aggregate_results(self._results("heuristic", "1 2"))
         assert rows_a == rows_b
 
     def test_aggregate_statistics(self):
-        results = compare_selectors(self._maps(),
-                                    [SelectorKind("nearest"),
-                                     SelectorKind("heuristic")],
-                                    PARAMS, [1, 2, 3], LIDAR, KIN, LIMITS,
-                                    min_segment_size=1)
+        results = self._results("nearest heuristic", "1 2 3")
         rows = aggregate_results(results)
         assert len(rows) == 2
         for row in rows:
@@ -269,10 +268,3 @@ class TestCompare:
             assert row["runs"] == 3
             assert row["dist_mean"] == pytest.approx(float(np.mean(group)))
             assert row["dist_std"] == pytest.approx(float(np.std(group)))
-
-    def test_empty_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            compare_selectors([], [SelectorKind("nearest")], PARAMS, [1],
-                              LIDAR, KIN, LIMITS)
-        with pytest.raises(ValueError):
-            compare_selectors(self._maps(), [], PARAMS, [1], LIDAR, KIN, LIMITS)

@@ -57,6 +57,9 @@ class TestLoadMap:
         "3 3 0.5\n...\n.?.\n...\n",
         "3 3 0.5\n...\n.x.\n...\n",
         "0 3 0.5\n",
+        "3 3 nan\n...\n...\n...\n",
+        "3 3 inf\n...\n...\n...\n",
+        b"3 3 0.5\n...\n.\xff.\n...\n",
     ])
     def test_malformed_ascii(self, content):
         with pytest.raises(MalformedMapError):
@@ -87,6 +90,18 @@ class TestLoadMap:
         grid = load_map_file(pgm)
         assert grid.resolution == 0.1
         assert int((grid.states == OCCUPIED).sum()) == 2
+
+    @pytest.mark.parametrize("sidecar", [
+        "resolution = abc\n",
+        "resolution = nan\n",
+        "resolution = 0.1\noccupied_threshold = x\n",
+    ])
+    def test_malformed_sidecar(self, tmp_path, sidecar):
+        pgm = tmp_path / "world.pgm"
+        pgm.write_bytes(b"P5 2 2 255\n" + bytes([0, 255, 255, 0]))
+        (tmp_path / "world.pgm.txt").write_text(sidecar)
+        with pytest.raises(MalformedMapError):
+            load_map_file(pgm)
 
     def test_belief_roundtrip(self):
         text = "3 2 0.5\n.?#\n#?.\n"

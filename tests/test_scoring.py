@@ -7,10 +7,10 @@ from conftest import grid_from_rows
 from explorebench.frontier import FrontierSegment, cluster_segments, detect_frontiers
 from explorebench.gridmap import (COST_LETHAL, FREE, UNKNOWN, OccupancyGrid,
                                   Pose, remap_cost)
+from explorebench.explorer import SelectorKind, rank_segments
 from explorebench.scoring import (HeuristicParams, InputOutOfRangeError,
                                   NegativeDistanceError, NoFrontiersError,
-                                  distance_score, heuristic, occupancy_score,
-                                  select_waypoint)
+                                  distance_score, heuristic, occupancy_score)
 
 # Frozen golden values, computed with a 60-digit mpmath evaluator of
 # tanh(E * sigmoid(E * (1 - csch(d/alpha)))), E = exp(d/beta), before any
@@ -210,17 +210,25 @@ class TestParamsValidation:
             HeuristicParams(**kwargs)
 
 
+def heuristic_pick(segments, robot, belief, params):
+    """The heuristic policy's top segment and every segment's scores."""
+    ranked, breakdowns = rank_segments(SelectorKind("heuristic"), segments,
+                                       robot, belief, params)
+    return segments[ranked[0]], breakdowns
+
+
 class TestSelectWaypoint:
     def test_empty_raises(self):
         belief = grid_from_rows(["..."])
         with pytest.raises(NoFrontiersError):
-            select_waypoint([], Pose(0, 0), belief, HeuristicParams())
+            rank_segments(SelectorKind("heuristic"), [], Pose(0, 0), belief,
+                          HeuristicParams())
 
     def test_singleton(self):
         belief = grid_from_rows(["??", ".."])
         segments = cluster_segments(detect_frontiers(belief), belief, 1)
-        chosen, breakdowns = select_waypoint(segments, Pose(0.1, 0.4), belief,
-                                             HeuristicParams())
+        chosen, breakdowns = heuristic_pick(segments, Pose(0.1, 0.4), belief,
+                                            HeuristicParams())
         assert chosen is segments[0]
         assert len(breakdowns) == len(segments)
         for b in breakdowns:
@@ -238,8 +246,8 @@ class TestSelectWaypoint:
         segments = cluster_segments(detect_frontiers(belief), belief, 1)
         assert len(segments) == 2
         robot = Pose(*belief.cell_center(5, 2))
-        chosen, breakdowns = select_waypoint(segments, robot, belief,
-                                             HeuristicParams())
+        chosen, breakdowns = heuristic_pick(segments, robot, belief,
+                                            HeuristicParams())
         assert breakdowns[0].h == pytest.approx(breakdowns[1].h, rel=1e-12)
         assert breakdowns[0].d == pytest.approx(breakdowns[1].d, rel=1e-12)
         assert chosen is segments[0]
@@ -255,9 +263,8 @@ class TestSelectWaypoint:
                                    farthest_cell=(0, 0))
 
         far, near = seg(8.0), seg(3.0)
-        chosen, breakdowns = select_waypoint([far, near], Pose(0.0, 1.0),
-                                             belief,
-                                             HeuristicParams(gamma=0.0))
+        chosen, breakdowns = heuristic_pick([far, near], Pose(0.0, 1.0),
+                                            belief, HeuristicParams(gamma=0.0))
         assert breakdowns[0].h == breakdowns[1].h == 0.0
         assert chosen is near
 
@@ -267,6 +274,6 @@ class TestSelectWaypoint:
         belief, robot = case_study_scene()
         segments = cluster_segments(detect_frontiers(belief), belief, 3)
         params = HeuristicParams(alpha=8.0, beta=5.0, gamma=0.5)
-        chosen, breakdowns = select_waypoint(segments, robot, belief, params)
+        chosen, breakdowns = heuristic_pick(segments, robot, belief, params)
         by_h = min(breakdowns, key=lambda b: (b.h, b.d, b.segment_id))
         assert chosen is segments[by_h.segment_id]
