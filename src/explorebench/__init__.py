@@ -1,6 +1,6 @@
 """Deterministic frontier-exploration simulator and selector benchmark."""
 
-from .frontier import FrontierMask, FrontierSegment, cluster_segments, detect_frontiers
+from .frontier import FrontierSegment, cluster_segments, detect_frontiers
 from .gridmap import (COST_INSCRIBED, COST_LETHAL, COST_UNKNOWN, FREE, OCCUPIED,
                       UNKNOWN, InflationParams, InvalidRadiiError, LidarModel,
                       MalformedMapError, MapError, OccupancyGrid, Pose,

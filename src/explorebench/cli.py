@@ -20,7 +20,8 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-from .config import DEFAULT_CONFIG, ConfigError, ExperimentConfig, load_config
+from .config import (DEFAULT_CONFIG, ConfigError, ExperimentConfig, load_config,
+                     parse_config)
 from .explorer import (OUTCOME_COMPLETE, RunResult, SelectorKind,
                        aggregate_results, rank_segments, run_exploration)
 from .frontier import cluster_segments, detect_frontiers
@@ -30,12 +31,6 @@ from .render import run_svg
 from .reward import RewardConfig, StepObservation, compute_reward, reward_terms
 
 SAMPLES_CSV_HEADER = ["t", "x", "y", "cumulative_distance", "exploration_rate"]
-AGGREGATE_CSV_HEADER = [
-    "map", "selector", "runs", "complete",
-    "dist_mean", "dist_min", "dist_max", "dist_std",
-    "time_mean", "time_min", "time_max", "time_std",
-    "expr_mean", "expr_min", "expr_max", "expr_std",
-]
 SCORE_CSV_HEADER = ["segment_id", "d", "D", "O", "h", "chosen"]
 REWARD_CSV_HEADER = ["r_yaw", "r_linear", "r_angular", "r_distance",
                      "r_obstacle", "reward"]
@@ -52,11 +47,9 @@ def samples_csv(record) -> str:
 
 def aggregate_csv(rows) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(AGGREGATE_CSV_HEADER)
-    for row in rows:
-        writer.writerow([row["map"], row["selector"], row["runs"], row["complete"]]
-                        + [repr(row[k]) for k in AGGREGATE_CSV_HEADER[4:]])
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
     return buf.getvalue()
 
 
@@ -224,20 +217,17 @@ def main(argv=None) -> int:
             cfg = load_config(args.config)
             jobs = max(1, args.jobs)
             return cmd_run(cfg, jobs) if args.command == "run" else cmd_compare(cfg, jobs)
+        cfg = (load_config(args.config, need_maps=False) if args.config
+               else parse_config("", need_maps=False))
         if args.command == "score":
             if not (args.map_path and args.belief_path and args.pose):
                 print("error: score needs --map, --belief and --pose", file=sys.stderr)
                 return 1
-            cfg = (load_config(args.config, need_maps=False) if args.config
-                   else _default_cfg())
             return cmd_score(cfg, args.map_path, args.belief_path, args.pose)
-        if args.command == "reward":
-            cfg = (load_config(args.config, need_maps=False) if args.config
-                   else _default_cfg())
-            if args.input:
-                with open(args.input) as f:
-                    return cmd_reward(cfg.reward, f)
-            return cmd_reward(cfg.reward, sys.stdin)
+        if args.input:
+            with open(args.input) as f:
+                return cmd_reward(cfg.reward, f)
+        return cmd_reward(cfg.reward, sys.stdin)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
@@ -247,13 +237,6 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"io error: {e}", file=sys.stderr)
         return 1
-    return 0
-
-
-def _default_cfg() -> ExperimentConfig:
-    from .config import parse_config
-
-    return parse_config("", need_maps=False)
 
 
 if __name__ == "__main__":

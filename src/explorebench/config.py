@@ -1,8 +1,9 @@
 """Experiment configuration: one INI-style file drives every CLI command.
 
 Every knob has a default; `--print-defaults` emits the full annotated file
-so experiment configs stay reviewable artifacts. Validation errors name
-the offending section and key.
+so experiment configs stay reviewable artifacts. Its parameter keys and
+defaults are written from the parameter dataclasses. Unknown keys and
+non-finite numbers are rejected; errors name the offending section and key.
 """
 
 from __future__ import annotations
@@ -17,10 +18,25 @@ from .gridmap import (InflationParams, LidarModel, MapError, OccupancyGrid, Pose
                       load_map_file)
 from .mapgen import TIERS, generate_map
 from .navigator import KinematicState
-from .reward import RewardConfig
+from .reward import DISTANCE_FORMS, RewardConfig
 from .scoring import HeuristicParams
 
-DEFAULT_CONFIG = """\
+
+def _keys(cls, **notes) -> str:
+    """cls's defaulted fields as `key = value` lines, booleans in lower case;
+    notes[key] is written as a comment line above its key."""
+    lines = []
+    for f in fields(cls):
+        if f.default is MISSING:
+            continue
+        if f.name in notes:
+            lines.append(f"# {notes[f.name]}")
+        value = str(f.default).lower() if isinstance(f.default, bool) else f.default
+        lines.append(f"{f.name} = {value}")
+    return "\n".join(lines)
+
+
+DEFAULT_CONFIG = f"""\
 # explorebench experiment configuration (key = value, INI sections)
 
 [maps]
@@ -38,44 +54,28 @@ resolution = 0.25
 selectors = heuristic nearest
 
 [heuristic]
-alpha = 3.0
-beta = 5.0
-gamma = 0.5
-af_scale = 1.0
-exp_arg_cap = 30.0
+{_keys(HeuristicParams)}
 # Minimum frontier segment size in cells (1 disables filtering).
 min_segment_size = 1
 
 [lidar]
-beam_count = 360
-max_range = 2.5
-angular_span = 6.283185307179586
+{_keys(LidarModel)}
 
 [kinematics]
-v_max = 0.5
-w_max = 2.0
-dt = 0.25
+{_keys(KinematicState)}
 
 [inflation]
-inscribed_radius = 0.12
-inflation_radius = 0.6
-decay_rate = 4.0
+{_keys(InflationParams)}
 
 [planner]
 cost_weight = 3.0
 goal_relax_radius = 5
 
 [reward]
-max_linear = 0.26
-collision_threshold = 0.2
-goal_threshold = 0.3
-include_r_linear = false
-# paren_minus_one | literal
-distance_term_form = paren_minus_one
+{_keys(RewardConfig, distance_term_form=' | '.join(DISTANCE_FORMS))}
 
 [limits]
-max_ticks = 4000
-expr_target = 0.99
+{_keys(RunLimits)}
 
 [run]
 # One run per (map, selector, seed); the seed also picks the start pose.
@@ -84,6 +84,16 @@ outdir = out
 # Any of: csv json svg
 emit = csv json
 """
+
+
+def _defaults_parser() -> configparser.ConfigParser:
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    parser.read_string(DEFAULT_CONFIG)
+    return parser
+
+
+# Every (section, key) a config may set: those of DEFAULT_CONFIG.
+_KNOWN_KEYS = {(s, k) for s, keys in _defaults_parser().items() for k in keys}
 
 
 class ConfigError(Exception):
@@ -123,7 +133,7 @@ def _get(parser, section, key, cast, check=None):
             value = cast(raw)
     except ValueError as e:
         raise ConfigError(f"[{section}] {key}: {e}") from None
-    if check is not None and not check(value):
+    if cast is float and not math.isfinite(value) or check and not check(value):
         raise ConfigError(f"[{section}] {key}: invalid value {value!r}")
     return value
 
@@ -152,13 +162,12 @@ def _load_maps(parser, inflation):
             name = os.path.splitext(os.path.basename(path))[0]
             try:
                 maps.append((name, load_map_file(path, inflation)))
-            except Exception as e:
+            except (MapError, OSError) as e:
                 raise ConfigError(f"[maps] files: {path}: {e}") from None
         return maps
     spec = _get(parser, "maps", "generate", str).split()
     map_seed = _get(parser, "maps", "map_seed", int)
-    resolution = _get(parser, "maps", "resolution", float,
-                      lambda v: math.isfinite(v) and v > 0)
+    resolution = _get(parser, "maps", "resolution", float, lambda v: v > 0)
     maps = []
     for item in spec:
         try:
@@ -182,12 +191,15 @@ def parse_config(text: str, need_maps: bool = True) -> ExperimentConfig:
     need_maps=False skips loading or generating the map set (score and
     reward only consume parameter sections).
     """
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    parser.read_string(DEFAULT_CONFIG)
+    parser = _defaults_parser()
     try:
         parser.read_string(text)
     except configparser.Error as e:
         raise ConfigError(f"config parse error: {e}") from None
+    for section in parser:  # [DEFAULT] first, so its keys are named there
+        for key in parser[section]:
+            if (section, key) not in _KNOWN_KEYS:
+                raise ConfigError(f"[{section}] {key}: unknown key")
 
     inflation = _section(parser, "inflation", InflationParams)
     params = _section(parser, "heuristic", HeuristicParams)
@@ -241,5 +253,9 @@ def parse_config(text: str, need_maps: bool = True) -> ExperimentConfig:
 def load_config(path: str, need_maps: bool = True) -> ExperimentConfig:
     if not os.path.exists(path):
         raise ConfigError(f"config file {path} does not exist")
-    with open(path) as f:
-        return parse_config(f.read(), need_maps)
+    with open(path, "rb") as f:
+        try:
+            text = f.read().decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise ConfigError(f"config file {path} is not UTF-8: {e}") from None
+    return parse_config(text, need_maps)

@@ -77,14 +77,6 @@ class Decision:
     target: tuple[float, float]
     scores: list[ScoreBreakdown]
 
-    def to_json(self) -> dict:
-        return {
-            "tick": self.tick,
-            "chosen": self.chosen,
-            "target": [self.target[0], self.target[1]],
-            "scores": [asdict(s) for s in self.scores],
-        }
-
 
 @dataclass
 class RunRecord:
@@ -125,7 +117,7 @@ class RunRecord:
                 "ticks": len(self.samples) - 1 if self.samples else 0,
             },
             "samples": [list(s) for s in self.samples],
-            "decisions": [d.to_json() for d in self.decisions],
+            "decisions": [asdict(d) for d in self.decisions],
             "final_belief": (None if self.final_belief is None
                              else _grid_ascii(self.final_belief)),
         }
@@ -208,7 +200,7 @@ def run_exploration(truth: OccupancyGrid, start: Pose, selector: SelectorKind,
         robot_cell = belief.world_to_cell(state.pose.x, state.pose.y)
         if waypoints:
             vanished = (target_cells is not None
-                        and not mask.marks[target_cells[1], target_cells[0]].any())
+                        and not mask[target_cells[1], target_cells[0]].any())
             if (vanished or no_progress >= stuck_limit
                     or not _path_cells_valid(belief, waypoints, robot_cell)):
                 waypoints = []

@@ -1,6 +1,7 @@
 """Frontier detection and clustering on belief grids.
 
-A frontier cell is a Free belief cell with at least one Unknown 4-neighbor.
+A frontier cell is a Free belief cell with at least one Unknown 4-neighbor;
+detect_frontiers marks them in a bool array shaped like the belief states.
 Marked cells are grouped into 8-connected segments; each segment is
 summarized by the geometry the waypoint scorer consumes: world-space
 centroid, total length, and the radius that encloses its farthest cell.
@@ -16,13 +17,6 @@ from scipy import ndimage
 from .gridmap import FREE, UNKNOWN, OccupancyGrid
 
 _EIGHT_CONNECTED = np.ones((3, 3), dtype=bool)
-
-
-@dataclass(frozen=True)
-class FrontierMask:
-    width: int
-    height: int
-    marks: np.ndarray  # (height, width) bool
 
 
 @dataclass
@@ -54,7 +48,7 @@ class FrontierSegment:
         }
 
 
-def detect_frontiers(belief: OccupancyGrid) -> FrontierMask:
+def detect_frontiers(belief: OccupancyGrid) -> np.ndarray:
     """Mark Free cells that border Unknown space (4-connectivity)."""
     states = belief.states
     unknown = states == UNKNOWN
@@ -63,20 +57,20 @@ def detect_frontiers(belief: OccupancyGrid) -> FrontierMask:
     near_unknown[:, :-1] |= unknown[:, 1:]
     near_unknown[1:, :] |= unknown[:-1, :]
     near_unknown[:-1, :] |= unknown[1:, :]
-    marks = (states == FREE) & near_unknown
-    return FrontierMask(belief.width, belief.height, marks)
+    return (states == FREE) & near_unknown
 
 
-def cluster_segments(mask: FrontierMask, belief: OccupancyGrid,
+def cluster_segments(marks: np.ndarray, belief: OccupancyGrid,
                      min_size: int = 1) -> list[FrontierSegment]:
     """Group marked cells into 8-connected segments of at least min_size cells.
 
     The result is sorted by (centroid y, centroid x) so segment indices are
     stable regardless of label discovery order.
     """
-    if mask.marks.shape != belief.states.shape:
+    if marks.shape != belief.states.shape:
         raise ValueError("mask dimensions do not match belief grid")
-    labels, count = ndimage.label(mask.marks, structure=_EIGHT_CONNECTED)
+    width = belief.width
+    labels, count = ndimage.label(marks, structure=_EIGHT_CONNECTED)
     if count == 0:
         return []
     jj, ii = np.nonzero(labels)
@@ -94,7 +88,7 @@ def cluster_segments(mask: FrontierMask, belief: OccupancyGrid,
     d2 = (ii - mean_i[lab]) ** 2 + (jj - mean_j[lab]) ** 2
     max_d2 = np.full(count + 1, -1.0)
     np.maximum.at(max_d2, lab, d2)
-    flat = jj.astype(np.int64) * mask.width + ii
+    flat = jj.astype(np.int64) * width + ii
     far_flat = np.full(count + 1, np.iinfo(np.int64).max, dtype=np.int64)
     attains = d2 == max_d2[lab]
     np.minimum.at(far_flat, lab[attains], flat[attains])
@@ -114,8 +108,8 @@ def cluster_segments(mask: FrontierMask, belief: OccupancyGrid,
         centroid = (ox + (mean_i[label_id] + 0.5) * res,
                     oy + (mean_j[label_id] + 0.5) * res)
         radius = float(np.sqrt(max_d2[label_id]) * res)
-        fi = int(far_flat[label_id] % mask.width)
-        fj = int(far_flat[label_id] // mask.width)
+        fi = int(far_flat[label_id] % width)
+        fj = int(far_flat[label_id] // width)
         segments.append(FrontierSegment(
             cells=cells,
             centroid=centroid,
@@ -124,5 +118,5 @@ def cluster_segments(mask: FrontierMask, belief: OccupancyGrid,
             farthest_cell=(fi, fj),
         ))
     segments.sort(key=lambda s: (s.centroid[1], s.centroid[0],
-                                 int(s.cells[0][1]) * mask.width + int(s.cells[0][0])))
+                                 int(s.cells[0][1]) * width + int(s.cells[0][0])))
     return segments

@@ -52,7 +52,7 @@ def test_criterion_1_frontier_oracle_equivalence():
         states = rng.choice([UNKNOWN, FREE, OCCUPIED], size=(h, w),
                             p=[0.3, 0.5, 0.2]).astype(np.uint8)
         belief = OccupancyGrid(w, h, 0.25, states, np.zeros_like(states))
-        marks = detect_frontiers(belief).marks
+        marks = detect_frontiers(belief)
         for j in range(h):
             for i in range(w):
                 expected = states[j, i] == FREE and any(
@@ -334,8 +334,8 @@ def test_criterion_10_large_grid_performance():
     mask = detect_frontiers(belief)
     segments = cluster_segments(mask, belief, min_size=3)
     elapsed = time.perf_counter() - start
-    assert int(mask.marks.sum()) > 1000
+    assert int(mask.sum()) > 1000
     assert segments, "expected frontier segments on the reveal boundary"
     assert elapsed < 0.150
     report(10, f"1000x1000 detect+cluster in {elapsed * 1000:.1f}ms "
-               f"({len(segments)} segments, {int(mask.marks.sum())} cells)")
+               f"({len(segments)} segments, {int(mask.sum())} cells)")

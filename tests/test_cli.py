@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import json
 import xml.etree.ElementTree as ET
@@ -83,17 +84,45 @@ class TestConfig:
         ("[lidar]\nbeam_count = zero\n", "[lidar] beam_count"),
         ("[maps]\ngenerate =\n", "[maps] generate"),
         ("[inflation]\ninscribed_radius = 0\n", "inscribed_radius"),
+        ("[heuristic]\nalpha = nan\n", "[heuristic] alpha"),
+        ("[lidar]\nmax_range = nan\n", "[lidar] max_range"),
+        ("[kinematics]\ndt = inf\n", "[kinematics] dt"),
+        ("[inflation]\ndecay_rate = nan\n", "[inflation] decay_rate"),
+        ("[inflation]\ninflation_radius = inf\n", "[inflation] inflation_radius"),
+        ("[planner]\ncost_weight = inf\n", "[planner] cost_weight"),
+        ("[reward]\nmax_linear = nan\n", "[reward] max_linear"),
+        ("[heuristic]\ngama = 0.3\n", "[heuristic] gama"),
+        ("[bogus]\nx = 1\n", "[bogus]"),
     ])
     def test_errors_name_offending_field(self, text, needle):
         with pytest.raises(ConfigError) as err:
             parse_config(text)
         assert needle in str(err.value)
 
+    def test_malformed_map_file_names_path(self, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("3 3 0.25\n###\n#x#\n###\n")
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"[maps]\nfiles = {bad}\n")
+        assert str(bad) in str(err.value)
+
+    def test_non_utf8_config_exit_1(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(b"# caf\xff\n[run]\nseeds = 1\n")
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert "config error" in capsys.readouterr().err
+
 
 class TestPrintDefaults:
     def test_matches_default_config(self, capsys):
         assert main(["run", "--print-defaults"]) == 0
         assert capsys.readouterr().out == DEFAULT_CONFIG
+
+    def test_digest_pinned(self, capsys):
+        assert main(["run", "--print-defaults"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == ("45c2f617d3d5a2075414439833b7fa29"
+                          "896930e3e82b5a437e63a20d6e49e0be")
 
 
 class TestCmdRun:

@@ -28,18 +28,18 @@ def brute_force_marks(belief):
 class TestDetect:
     def test_all_free_no_frontier(self):
         belief = grid_from_rows(["...."] * 4)
-        assert not detect_frontiers(belief).marks.any()
+        assert not detect_frontiers(belief).any()
 
     def test_free_columns_against_unknown(self):
         belief = grid_from_rows(["..???"] * 5)
-        marks = detect_frontiers(belief).marks
+        marks = detect_frontiers(belief)
         expected = np.zeros((5, 5), dtype=bool)
         expected[:, 1] = True
         assert (marks == expected).all()
 
     def test_sealed_cell_not_frontier(self):
         belief = grid_from_rows(["?????", "?###?", "?#.#?", "?###?", "?????"])
-        assert not detect_frontiers(belief).marks.any()
+        assert not detect_frontiers(belief).any()
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -50,7 +50,7 @@ class TestDetect:
             st.sampled_from([UNKNOWN, FREE, 2]), min_size=w * h, max_size=w * h))
         states = np.array(cells, dtype=np.uint8).reshape(h, w)
         belief = OccupancyGrid(w, h, 0.25, states, np.zeros_like(states))
-        assert (detect_frontiers(belief).marks == brute_force_marks(belief)).all()
+        assert (detect_frontiers(belief) == brute_force_marks(belief)).all()
 
 
 class TestCluster:
@@ -122,7 +122,7 @@ class TestCluster:
             all_cells = set()
             for seg in cluster_segments(mask, belief, 1):
                 all_cells |= seg.cell_set()
-            marked = {(i, j) for j in range(h) for i in range(w) if mask.marks[j, i]}
+            marked = {(i, j) for j in range(h) for i in range(w) if mask[j, i]}
             assert all_cells == marked
 
     def test_canonical_order(self):
