@@ -16,6 +16,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -140,11 +141,13 @@ def cmd_score(cfg: ExperimentConfig, map_path, belief_path, pose_text) -> int:
         print("error: belief and map dimensions differ", file=sys.stderr)
         return 1
     try:
-        x, y, theta = (float(v) for v in pose_text.split(","))
+        pose = [float(v) for v in pose_text.split(",")]
     except ValueError:
+        pose = []
+    if len(pose) != 3 or not all(map(math.isfinite, pose)):
         print(f"error: bad pose {pose_text!r}, expected x,y,theta", file=sys.stderr)
         return 1
-    robot = Pose(x, y, theta)
+    robot = Pose(*pose)
     segments = cluster_segments(detect_frontiers(belief), belief,
                                 cfg.min_segment_size)
     if not segments:
@@ -225,9 +228,12 @@ def main(argv=None) -> int:
                 return 1
             return cmd_score(cfg, args.map_path, args.belief_path, args.pose)
         if args.input:
-            with open(args.input) as f:
+            with open(args.input, encoding="utf-8") as f:
                 return cmd_reward(cfg.reward, f)
         return cmd_reward(cfg.reward, sys.stdin)
+    except UnicodeDecodeError as e:
+        print(f"error: input is not UTF-8: {e}", file=sys.stderr)
+        return 1
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1

@@ -38,15 +38,6 @@ class FrontierSegment:
     def cell_set(self) -> set[tuple[int, int]]:
         return {(int(i), int(j)) for i, j in self.cells}
 
-    def to_json(self) -> dict:
-        return {
-            "cells": [[int(i), int(j)] for i, j in self.cells],
-            "centroid": [self.centroid[0], self.centroid[1]],
-            "length_af": self.length_af,
-            "radius_r": self.radius_r,
-            "farthest_cell": [int(self.farthest_cell[0]), int(self.farthest_cell[1])],
-        }
-
 
 def detect_frontiers(belief: OccupancyGrid) -> np.ndarray:
     """Mark Free cells that border Unknown space (4-connectivity)."""
@@ -64,58 +55,34 @@ def cluster_segments(marks: np.ndarray, belief: OccupancyGrid,
                      min_size: int = 1) -> list[FrontierSegment]:
     """Group marked cells into 8-connected segments of at least min_size cells.
 
-    The result is sorted by (centroid y, centroid x) so segment indices are
-    stable regardless of label discovery order.
+    Each segment's cells come in flat-index order, so farthest_cell is the
+    lowest flat index among the cells that attain radius_r. The result is
+    sorted by (centroid y, centroid x) so segment indices are stable
+    regardless of label discovery order.
     """
     if marks.shape != belief.states.shape:
         raise ValueError("mask dimensions do not match belief grid")
     width = belief.width
-    labels, count = ndimage.label(marks, structure=_EIGHT_CONNECTED)
-    if count == 0:
-        return []
-    jj, ii = np.nonzero(labels)
-    lab = labels[jj, ii]
-    sizes = np.bincount(lab, minlength=count + 1)
-
     res = belief.resolution
     ox, oy = belief.origin
-    cx_cells = np.bincount(lab, weights=ii, minlength=count + 1)
-    cy_cells = np.bincount(lab, weights=jj, minlength=count + 1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        mean_i = cx_cells / sizes
-        mean_j = cy_cells / sizes
-    # Squared center-to-centroid distance per marked cell, in cell units.
-    d2 = (ii - mean_i[lab]) ** 2 + (jj - mean_j[lab]) ** 2
-    max_d2 = np.full(count + 1, -1.0)
-    np.maximum.at(max_d2, lab, d2)
-    flat = jj.astype(np.int64) * width + ii
-    far_flat = np.full(count + 1, np.iinfo(np.int64).max, dtype=np.int64)
-    attains = d2 == max_d2[lab]
-    np.minimum.at(far_flat, lab[attains], flat[attains])
-
-    order = np.lexsort((flat, lab))
-    sorted_lab = lab[order]
-    boundaries = np.flatnonzero(np.diff(sorted_lab)) + 1
-    groups = np.split(order, boundaries)
-
+    labels, _ = ndimage.label(marks, structure=_EIGHT_CONNECTED)
+    jj, ii = np.nonzero(labels)
     segments = []
-    for group in groups:
-        label_id = lab[group[0]]
-        n = int(sizes[label_id])
+    for (members,) in ndimage.value_indices(labels[jj, ii]).values():
+        n = len(members)
         if n < min_size:
             continue
-        cells = np.column_stack((ii[group], jj[group])).astype(np.int64)
-        centroid = (ox + (mean_i[label_id] + 0.5) * res,
-                    oy + (mean_j[label_id] + 0.5) * res)
-        radius = float(np.sqrt(max_d2[label_id]) * res)
-        fi = int(far_flat[label_id] % width)
-        fj = int(far_flat[label_id] // width)
+        si, sj = ii[members], jj[members]
+        mean_i, mean_j = si.sum() / n, sj.sum() / n
+        # Squared center-to-centroid distance per cell, in cell units.
+        d2 = (si - mean_i) ** 2 + (sj - mean_j) ** 2
+        far = int(d2.argmax())
         segments.append(FrontierSegment(
-            cells=cells,
-            centroid=centroid,
+            cells=np.column_stack((si, sj)),
+            centroid=(ox + (mean_i + 0.5) * res, oy + (mean_j + 0.5) * res),
             length_af=n * res,
-            radius_r=radius,
-            farthest_cell=(fi, fj),
+            radius_r=float(np.sqrt(d2[far]) * res),
+            farthest_cell=(int(si[far]), int(sj[far])),
         ))
     segments.sort(key=lambda s: (s.centroid[1], s.centroid[0],
                                  int(s.cells[0][1]) * width + int(s.cells[0][0])))

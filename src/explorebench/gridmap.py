@@ -420,78 +420,59 @@ def remap_costs(costs: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _traverse_beams(grid, pose, angles, max_range):
-    """March every beam through the grid in lockstep (Amanatides-Woo walk).
+    """March every beam through the grid at once (Amanatides-Woo walk).
 
-    Each iteration steps every active beam across exactly one cell boundary,
-    choosing the x crossing on ties so that corner hits visit both adjacent
-    cells (supercover behavior: diagonal walls block diagonally passing
-    rays). A beam stops when it leaves the grid, enters an Occupied cell
-    (a hit), or its next boundary crossing lies beyond max_range.
+    Each beam crosses cell boundaries in order of its ray parameter t,
+    measured in cells. Per axis, the first K crossings (K = ceil(range) + 2,
+    or fewer when the grid ends sooner) are t0, t0 + delta, ... summed one
+    delta at a time, so they round like a running t += delta. A stable
+    sort of the x | y crossings merges them with the x crossing first on
+    ties, so corner hits visit both adjacent cells (supercover behavior:
+    diagonal walls block diagonally passing rays). A beam enters cells
+    until its next crossing lies beyond max_range, it leaves the grid, or
+    it enters an Occupied cell (a hit).
 
     Returns (visited_i, visited_j, hit_i, hit_j) where visited covers every
-    cell any beam entered (including hit cells) and hit_* hold per-beam hit
-    cell indices (-1 when the beam ended without a hit).
+    cell any beam entered (including hit cells), beam by beam after the
+    pose cell, and hit_* hold per-beam hit cell indices (-1 when the beam
+    ended without a hit).
     """
     n = len(angles)
     res = grid.resolution
-    gx = (pose.x - grid.origin[0]) / res
-    gy = (pose.y - grid.origin[1]) / res
-    dx = np.cos(angles)
-    dy = np.sin(angles)
+    g = np.array([(pose.x - grid.origin[0]) / res, (pose.y - grid.origin[1]) / res])
+    c = np.floor(g)
+    pi, pj = int(c[0]), int(c[1])
     range_cells = max_range / res
+    # Enough crossings per axis to pass max_range or to leave the grid.
+    k = math.ceil(min(range_cells, max(grid.width, grid.height))) + 2
 
-    ci = np.full(n, int(math.floor(gx)), dtype=np.int64)
-    cj = np.full(n, int(math.floor(gy)), dtype=np.int64)
-    step_i = np.where(dx > 0, 1, np.where(dx < 0, -1, 0))
-    step_j = np.where(dy > 0, 1, np.where(dy < 0, -1, 0))
-
+    d = np.stack((np.cos(angles), np.sin(angles)), axis=1)  # (beams, axis)
+    step = np.sign(d).astype(np.int64)
     with np.errstate(divide="ignore", invalid="ignore"):
-        inv_dx = np.where(dx != 0.0, 1.0 / dx, np.inf)
-        inv_dy = np.where(dy != 0.0, 1.0 / dy, np.inf)
-        # Parameter t measured in cells along the ray; next boundary crossings.
-        t_max_x = np.where(
-            dx > 0, (ci + 1 - gx) * inv_dx, np.where(dx < 0, (ci - gx) * inv_dx, np.inf)
-        )
-        t_max_y = np.where(
-            dy > 0, (cj + 1 - gy) * inv_dy, np.where(dy < 0, (cj - gy) * inv_dy, np.inf)
-        )
-    t_delta_x = np.abs(inv_dx)
-    t_delta_y = np.abs(inv_dy)
+        inv = np.where(d != 0.0, 1.0 / d, np.inf)
+        t0 = np.where(d > 0, (c + 1 - g) * inv, np.where(d < 0, (c - g) * inv, np.inf))
+    increments = np.repeat(np.abs(inv)[:, :, None], k, axis=2)
+    increments[:, :, 0] = t0
+    t = np.cumsum(increments, axis=2).reshape(n, 2 * k)
+    order = np.argsort(t, axis=1, kind="stable")
+    entry = np.take_along_axis(t, order, axis=1)
+    is_x = order < k
+    ci = pi + np.cumsum(np.where(is_x, step[:, :1], 0), axis=1)
+    cj = pj + np.cumsum(np.where(is_x, 0, step[:, 1:]), axis=1)
 
-    occupied = grid.states == OCCUPIED
-    active = np.ones(n, dtype=bool)
-    hit_i = np.full(n, -1, dtype=np.int64)
-    hit_j = np.full(n, -1, dtype=np.int64)
+    inside = ((entry <= range_cells) & (ci >= 0) & (ci < grid.width)
+              & (cj >= 0) & (cj < grid.height))
+    hits = np.zeros_like(inside)
+    hits[inside] = grid.states[cj[inside], ci[inside]] == OCCUPIED
+    seen = inside & (np.cumsum(hits, axis=1) - hits == 0)
+    rows = np.arange(n)
+    first = hits.argmax(axis=1)
+    hit = hits[rows, first]
+    hit_i = np.where(hit, ci[rows, first], -1)
+    hit_j = np.where(hit, cj[rows, first], -1)
     # The pose cell itself is always seen.
-    visited_i = [ci[:1].copy()]
-    visited_j = [cj[:1].copy()]
-
-    while active.any():
-        step_x = active & (t_max_x <= t_max_y)
-        step_y = active & ~step_x
-        entry_t = np.where(step_x, t_max_x, t_max_y)
-        ci = ci + np.where(step_x, step_i, 0)
-        cj = cj + np.where(step_y, step_j, 0)
-        t_max_x = t_max_x + np.where(step_x, t_delta_x, 0.0)
-        t_max_y = t_max_y + np.where(step_y, t_delta_y, 0.0)
-
-        out = active & (entry_t > range_cells)
-        active &= ~out
-        oob = active & ~((ci >= 0) & (ci < grid.width) & (cj >= 0) & (cj < grid.height))
-        active &= ~oob
-        if not active.any():
-            break
-        visited_i.append(ci[active].copy())
-        visited_j.append(cj[active].copy())
-        hits = active.copy()
-        hits[active] = occupied[cj[active], ci[active]]
-        if hits.any():
-            hit_i[hits] = ci[hits]
-            hit_j[hits] = cj[hits]
-            active &= ~hits
-
-    vi = np.concatenate(visited_i)
-    vj = np.concatenate(visited_j)
+    vi = np.concatenate(([pi], ci[seen]))
+    vj = np.concatenate(([pj], cj[seen]))
     return vi, vj, hit_i, hit_j
 
 

@@ -35,7 +35,6 @@ class PlannedPath:
 
     waypoints: list[tuple[float, float]]
     total_cost: float
-    total_length: float
 
 
 @dataclass
@@ -54,20 +53,19 @@ def traversable_mask(belief: OccupancyGrid) -> np.ndarray:
     return (belief.states == FREE) & (belief.costs < COST_INSCRIBED)
 
 
-def _nearest_traversable(belief, trav, gi, gj, radius):
-    """Closest traversable cell to (gi, gj) within a square search radius."""
-    best = None
-    for dj in range(-radius, radius + 1):
-        for di in range(-radius, radius + 1):
-            ni, nj = gi + di, gj + dj
-            if not belief.in_bounds(ni, nj) or not trav[nj, ni]:
-                continue
-            key = (di * di + dj * dj, nj * belief.width + ni)
-            if best is None or key < best[0]:
-                best = (key, ni, nj)
-    if best is None:
+def _nearest_traversable(trav, gi, gj, radius):
+    """Closest traversable cell to (gi, gj) within a square search radius.
+
+    Ties go to the lowest flat index: np.nonzero lists the window in
+    raster order and argmin keeps the first minimum.
+    """
+    i0, j0 = max(gi - radius, 0), max(gj - radius, 0)
+    i1, j1 = max(gi + radius + 1, 0), max(gj + radius + 1, 0)
+    wj, wi = np.nonzero(trav[j0:j1, i0:i1])
+    if len(wi) == 0:
         return None
-    return best[1], best[2]
+    k = int(np.argmin((wi + i0 - gi) ** 2 + (wj + j0 - gj) ** 2))
+    return int(wi[k]) + i0, int(wj[k]) + j0
 
 
 def plan_path(belief: OccupancyGrid, start: Pose, to_world: tuple[float, float],
@@ -91,7 +89,7 @@ def plan_path(belief: OccupancyGrid, start: Pose, to_world: tuple[float, float],
     gi = min(max(gi, 0), belief.width - 1)
     gj = min(max(gj, 0), belief.height - 1)
     if not trav[gj, gi]:
-        relaxed = _nearest_traversable(belief, trav, gi, gj, goal_relax_radius)
+        relaxed = _nearest_traversable(trav, gi, gj, goal_relax_radius)
         if relaxed is None:
             raise NoPathError("goal cell untraversable and no relaxation candidate")
         gi, gj = relaxed
@@ -139,10 +137,7 @@ def plan_path(belief: OccupancyGrid, start: Pose, to_world: tuple[float, float],
         cells.append(parent[cells[-1]])
     cells.reverse()
     waypoints = [belief.cell_center(i, j) for i, j in cells]
-    length = sum(
-        math.hypot(b[0] - a[0], b[1] - a[1]) for a, b in zip(cells, cells[1:])
-    ) * res
-    return PlannedPath(waypoints, g_cost[goal_key], length)
+    return PlannedPath(waypoints, g_cost[goal_key])
 
 
 def advance(state: KinematicState, waypoints: list[tuple[float, float]],

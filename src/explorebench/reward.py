@@ -10,7 +10,8 @@ published typesetting is ambiguous; see RewardConfig.distance_term_form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 DISTANCE_FORMS = ("paren_minus_one", "literal")
 
@@ -31,6 +32,10 @@ class StepObservation:
     action_angular: float   # commanded angular speed, rad/s
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.lidar_min < 0.0:
             raise ValueError(f"lidar_min must be >= 0, got {self.lidar_min}")
         if self.d_goal_init <= 0.0:

@@ -276,6 +276,17 @@ class TestCmdScore:
         assert rc == 1
         assert "dimensions" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("pose", ["nan,0,0", "inf,0,0", "1,-inf,0",
+                                      "1,1,nan", "1,1", "1,x,0"])
+    def test_bad_pose_exit_1(self, tmp_path, capsys, pose):
+        map_path, belief_path, _, cfg = self._write_scene(tmp_path)
+        rc = main(["score", "--config", str(cfg), "--map", str(map_path),
+                   "--belief", str(belief_path), "--pose", pose])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "bad pose" in captured.err
+        assert captured.out == ""
+
 
 class TestCmdReward:
     def test_csv_output(self, tmp_path, capsys):
@@ -302,6 +313,27 @@ class TestCmdReward:
                         '"goal_angle": 0, "action_linear": 0, "action_angular": 0}\n')
         assert main(["reward", "--input", str(path)]) == 1
         assert "line 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,value", [("lidar_min", "NaN"),
+                                             ("d_goal_init", "Infinity"),
+                                             ("goal_angle", "-Infinity")])
+    def test_non_finite_field_exit_1(self, tmp_path, capsys, field, value):
+        fields = {"lidar_min": "10.0", "d_goal_init": "5.0", "d_goal_now": "5.0",
+                  "goal_angle": "0.0", "action_linear": "0.26",
+                  "action_angular": "0.0"}
+        fields[field] = value
+        path = tmp_path / "obs.jsonl"
+        path.write_text("{" + ", ".join(f'"{k}": {v}' for k, v in fields.items())
+                        + "}\n")
+        assert main(["reward", "--input", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "line 1" in err and field in err
+
+    def test_non_utf8_input_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "obs.jsonl"
+        path.write_bytes(b'{"lidar_min": 10.0}\n\xff\n')
+        assert main(["reward", "--input", str(path)]) == 1
+        assert "error:" in capsys.readouterr().err
 
     def test_reads_stdin_by_default(self, capsys, monkeypatch):
         import io

@@ -25,6 +25,51 @@ def brute_force_marks(belief):
     return marks
 
 
+def oracle_segments(marks, resolution, origin, min_size):
+    """Scalar 8-connected flood fill with the documented segment geometry.
+
+    Each segment lists its cells in flat-index order; its centroid is the
+    mean cell center, radius_r the largest center distance and
+    farthest_cell the lowest flat index that attains it.
+    """
+    h, w = marks.shape
+    seen = set()
+    segments = []
+    for j in range(h):
+        for i in range(w):
+            if not marks[j, i] or (i, j) in seen:
+                continue
+            seen.add((i, j))
+            stack, cells = [(i, j)], []
+            while stack:
+                ci, cj = stack.pop()
+                cells.append((ci, cj))
+                for nj in range(max(cj - 1, 0), min(cj + 2, h)):
+                    for ni in range(max(ci - 1, 0), min(ci + 2, w)):
+                        if marks[nj, ni] and (ni, nj) not in seen:
+                            seen.add((ni, nj))
+                            stack.append((ni, nj))
+            n = len(cells)
+            if n < min_size:
+                continue
+            cells.sort(key=lambda c: c[1] * w + c[0])
+            mean_i = sum(c[0] for c in cells) / n
+            mean_j = sum(c[1] for c in cells) / n
+            d2 = [(ci - mean_i) * (ci - mean_i) + (cj - mean_j) * (cj - mean_j)
+                  for ci, cj in cells]
+            segments.append({
+                "cells": cells,
+                "centroid": (origin[0] + (mean_i + 0.5) * resolution,
+                             origin[1] + (mean_j + 0.5) * resolution),
+                "length_af": n * resolution,
+                "radius_r": math.sqrt(max(d2)) * resolution,
+                "farthest_cell": cells[d2.index(max(d2))],
+            })
+    segments.sort(key=lambda s: (s["centroid"][1], s["centroid"][0],
+                                 s["cells"][0][1] * w + s["cells"][0][0]))
+    return segments
+
+
 class TestDetect:
     def test_all_free_no_frontier(self):
         belief = grid_from_rows(["...."] * 4)
@@ -143,11 +188,26 @@ class TestCluster:
         with pytest.raises(ValueError):
             cluster_segments(detect_frontiers(a), b)
 
-    def test_json_serializable(self):
-        belief = grid_from_rows(["???", ".?.", "..."])
-        seg = cluster_segments(detect_frontiers(belief), belief, min_size=1)[0]
-        payload = seg.to_json()
-        assert set(payload) == {"cells", "centroid", "length_af", "radius_r",
-                                "farthest_cell"}
-        import json
-        json.dumps(payload)
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_flood_fill_oracle(self, data):
+        w = data.draw(st.integers(1, 28), label="width")
+        h = data.draw(st.integers(1, 28), label="height")
+        density = data.draw(st.sampled_from([0.1, 0.3, 0.6, 0.9]), label="density")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        marks = np.random.RandomState(seed).rand(h, w) < density
+        res = data.draw(st.floats(0.01, 2.0), label="res")
+        origin = (data.draw(st.floats(-50.0, 50.0), label="ox"),
+                  data.draw(st.floats(-50.0, 50.0), label="oy"))
+        min_size = data.draw(st.integers(1, 5), label="min_size")
+        states = np.zeros((h, w), dtype=np.uint8)
+        belief = OccupancyGrid(w, h, res, states, states.copy(), origin)
+        got = cluster_segments(marks, belief, min_size)
+        expected = oracle_segments(marks, res, origin, min_size)
+        assert len(got) == len(expected)
+        for seg, ref in zip(got, expected):
+            assert [tuple(c) for c in seg.cells.tolist()] == ref["cells"]
+            assert seg.centroid == ref["centroid"]
+            assert seg.length_af == ref["length_af"]
+            assert seg.radius_r == ref["radius_r"]
+            assert seg.farthest_cell == ref["farthest_cell"]

