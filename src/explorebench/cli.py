@@ -26,7 +26,7 @@ from .config import (DEFAULT_CONFIG, ConfigError, ExperimentConfig, load_config,
 from .explorer import (OUTCOME_COMPLETE, RunResult, SelectorKind,
                        aggregate_results, rank_segments, run_exploration)
 from .frontier import cluster_segments, detect_frontiers
-from .gridmap import MapError, Pose, load_belief, load_map_file
+from .gridmap import MapError, Pose, check_pose, load_belief, load_map_file
 from .mapgen import pick_start
 from .render import run_svg
 from .reward import RewardConfig, StepObservation, compute_reward, reward_terms
@@ -148,6 +148,7 @@ def cmd_score(cfg: ExperimentConfig, map_path, belief_path, pose_text) -> int:
         print(f"error: bad pose {pose_text!r}, expected x,y,theta", file=sys.stderr)
         return 1
     robot = Pose(*pose)
+    check_pose(truth, robot)
     segments = cluster_segments(detect_frontiers(belief), belief,
                                 cfg.min_segment_size)
     if not segments:

@@ -87,7 +87,8 @@ emit = csv json
 
 
 def _defaults_parser() -> configparser.ConfigParser:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",),
+                                       interpolation=None)
     parser.read_string(DEFAULT_CONFIG)
     return parser
 

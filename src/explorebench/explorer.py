@@ -168,8 +168,8 @@ def _path_cells_valid(belief, waypoints, robot_cell):
 def run_exploration(truth: OccupancyGrid, start: Pose, selector: SelectorKind,
                     params: HeuristicParams, lidar: LidarModel,
                     kin: KinematicState, limits: RunLimits,
-                    min_segment_size: int = 1, cost_weight: float = 3.0,
-                    goal_relax_radius: int = 5) -> RunRecord:
+                    min_segment_size: int, cost_weight: float,
+                    goal_relax_radius: int) -> RunRecord:
     """Explore the truth map from start until done, stalled, or out of ticks."""
     reachable = reachable_free_mask(truth, start)
     belief = OccupancyGrid.unknown(truth.width, truth.height, truth.resolution,

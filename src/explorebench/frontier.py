@@ -52,7 +52,7 @@ def detect_frontiers(belief: OccupancyGrid) -> np.ndarray:
 
 
 def cluster_segments(marks: np.ndarray, belief: OccupancyGrid,
-                     min_size: int = 1) -> list[FrontierSegment]:
+                     min_size: int) -> list[FrontierSegment]:
     """Group marked cells into 8-connected segments of at least min_size cells.
 
     Each segment's cells come in flat-index order, so farthest_cell is the

@@ -10,6 +10,7 @@ usual costmap convention: 0..252 decaying inflation, 253 inscribed,
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -170,8 +171,19 @@ class OccupancyGrid:
 # Row 0 of the text is grid row j = 0.
 #
 # PGM format: binary P5, maxval 255; byte <= occupied_threshold => Occupied.
-# Resolution and threshold arrive out of band (sidecar "key = value" text).
+# The header: optional whitespace and '#' comments (each to the end of its
+# line), the magic P5, then width, height and maxval, each after a gap that
+# opens with a whitespace byte and may hold comments, then exactly one
+# whitespace byte before the pixels. Resolution and threshold arrive out of
+# band (sidecar "key = value" text).
 # ---------------------------------------------------------------------------
+
+# The ASCII character of each state, indexed by UNKNOWN, FREE, OCCUPIED.
+_ASCII_CHARS = np.frombuffer(b"?.#", dtype=np.uint8)
+# The lookahead keeps a comment from ending before its newline.
+_PGM_GAP = rb"(?:\s|#[^\n]*(?![^\n]))*"
+_PGM_HEADER = re.compile(_PGM_GAP + rb"P5" + (rb"\s" + _PGM_GAP + rb"(\S+)") * 3 + rb"\s")
+
 
 def _parse_ascii(content: str | bytes, allow_unknown: bool):
     if isinstance(content, bytes):
@@ -195,57 +207,33 @@ def _parse_ascii(content: str | bytes, allow_unknown: bool):
     rows = lines[1:]
     if len(rows) != height:
         raise MalformedMapError(f"expected {height} rows, got {len(rows)}")
-    states = np.empty((height, width), dtype=np.uint8)
-    lut = {".": FREE, "#": OCCUPIED}
-    if allow_unknown:
-        lut["?"] = UNKNOWN
     for j, row in enumerate(rows):
         if len(row) != width:
             raise MalformedMapError(f"row {j} has {len(row)} chars, expected {width}")
-        for i, ch in enumerate(row):
-            try:
-                states[j, i] = lut[ch]
-            except KeyError:
-                raise MalformedMapError(f"illegal character {ch!r} at row {j} col {i}") from None
-    return resolution, states
+    # Code points of every cell, compared with each state's character.
+    codes = np.array(rows, dtype=f"U{width}").view(np.uint32).reshape(height, width)
+    match = codes[:, :, None] == _ASCII_CHARS
+    match[:, :, UNKNOWN] &= allow_unknown
+    illegal = ~match.any(axis=2)
+    if illegal.any():
+        j, i = divmod(int(illegal.argmax()), width)
+        raise MalformedMapError(f"illegal character {rows[j][i]!r} at row {j} col {i}")
+    return resolution, match.argmax(axis=2).astype(np.uint8)
 
 
 def _parse_pgm(data: bytes, occupied_threshold: int):
-    # P5 header: magic, width, height, maxval, separated by whitespace and
-    # optional '#' comments, then one binary byte per pixel.
-    pos = 0
-
-    def next_token():
-        nonlocal pos
-        while pos < len(data):
-            if data[pos : pos + 1].isspace():
-                pos += 1
-            elif data[pos : pos + 1] == b"#":
-                while pos < len(data) and data[pos : pos + 1] != b"\n":
-                    pos += 1
-            else:
-                break
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise MalformedMapError("truncated PGM header")
-        return data[start:pos]
-
-    if next_token() != b"P5":
+    header = isinstance(data, (bytes, bytearray)) and _PGM_HEADER.match(data)
+    if not header:
         raise MalformedMapError("not a binary PGM (P5) file")
     try:
-        width = int(next_token())
-        height = int(next_token())
-        maxval = int(next_token())
+        width, height, maxval = map(int, header.groups())
     except ValueError as e:
         raise MalformedMapError(f"bad PGM header: {e}") from None
     if width <= 0 or height <= 0:
         raise MalformedMapError(f"bad dimensions {width}x{height}")
     if maxval != 255:
         raise MalformedMapError(f"PGM maxval must be 255, got {maxval}")
-    pos += 1  # single whitespace after maxval
-    pixels = data[pos : pos + width * height]
+    pixels = data[header.end() : header.end() + width * height]
     if len(pixels) != width * height:
         raise MalformedMapError(
             f"PGM payload has {len(pixels)} bytes, expected {width * height}"
@@ -327,13 +315,9 @@ def load_map_file(path, inflation: InflationParams | None = None) -> OccupancyGr
 
 def to_ascii(grid: OccupancyGrid) -> str:
     """Serialize a grid to the ASCII format ('?' for Unknown cells)."""
-    chars = np.empty(grid.states.shape, dtype="U1")
-    chars[grid.states == UNKNOWN] = "?"
-    chars[grid.states == FREE] = "."
-    chars[grid.states == OCCUPIED] = "#"
-    lines = [f"{grid.width} {grid.height} {grid.resolution}"]
-    lines.extend("".join(row) for row in chars)
-    return "\n".join(lines) + "\n"
+    newlines = np.full((grid.height, 1), ord("\n"), dtype=np.uint8)
+    rows = np.hstack((_ASCII_CHARS[grid.states], newlines))
+    return f"{grid.width} {grid.height} {grid.resolution}\n" + rows.tobytes().decode("ascii")
 
 
 # ---------------------------------------------------------------------------
@@ -476,6 +460,15 @@ def _traverse_beams(grid, pose, angles, max_range):
     return vi, vj, hit_i, hit_j
 
 
+def check_pose(truth: OccupancyGrid, pose: Pose) -> None:
+    """Raise unless the pose stands on an in-bounds, not Occupied truth cell."""
+    pi, pj = truth.world_to_cell(pose.x, pose.y)
+    if not truth.in_bounds(pi, pj):
+        raise PoseOutOfBoundsError(f"pose cell ({pi}, {pj}) outside {truth.width}x{truth.height}")
+    if truth.states[pj, pi] == OCCUPIED:
+        raise PoseInsideObstacleError(f"pose cell ({pi}, {pj}) is occupied")
+
+
 def raycast_reveal(belief: OccupancyGrid, truth: OccupancyGrid, pose: Pose,
                    lidar: LidarModel) -> np.ndarray:
     """Reveal truth cells visible to the scanner and return per-beam ranges.
@@ -490,11 +483,7 @@ def raycast_reveal(belief: OccupancyGrid, truth: OccupancyGrid, pose: Pose,
     """
     if belief.states.shape != truth.states.shape or belief.resolution != truth.resolution:
         raise MapError("belief and truth grids must share geometry")
-    pi, pj = truth.world_to_cell(pose.x, pose.y)
-    if not truth.in_bounds(pi, pj):
-        raise PoseOutOfBoundsError(f"pose cell ({pi}, {pj}) outside {truth.width}x{truth.height}")
-    if truth.states[pj, pi] == OCCUPIED:
-        raise PoseInsideObstacleError(f"pose cell ({pi}, {pj}) is occupied")
+    check_pose(truth, pose)
 
     k = np.arange(lidar.beam_count, dtype=np.float64)
     angles = pose.theta + lidar.angular_span * k / lidar.beam_count

@@ -26,37 +26,25 @@ _TIER_BOXES = {"low": 3, "medium": 5, "high": 8}
 
 def _carve_partitions(occ, rng, rows, cols):
     """Add internal walls splitting the interior into rows x cols sections,
-    then open a 2-cell doorway through every wall between adjacent sections."""
-    height, width = occ.shape
-    h_walls = []  # j coordinates of horizontal walls
-    v_walls = []
-    for r in range(1, rows):
-        lo = 1 + (height - 2) * r // rows - 1
-        j = rng.randrange(max(2, lo), min(height - 3, lo + 3) + 1)
-        h_walls.append(j)
-        occ[j, 1 : width - 1] = OCCUPIED
-    for c in range(1, cols):
-        lo = 1 + (width - 2) * c // cols - 1
-        i = rng.randrange(max(2, lo), min(width - 3, lo + 3) + 1)
-        v_walls.append(i)
-        occ[1 : height - 1, i] = OCCUPIED
+    then open a 2-cell doorway through every wall between adjacent sections.
 
-    spans_i = [1] + [i for i in sorted(v_walls)] + [width - 1]
-    spans_j = [1] + [j for j in sorted(h_walls)] + [height - 1]
-    for j in h_walls:
-        for a, b in zip(spans_i, spans_i[1:]):
-            lo, hi = a + 1, b - 2
-            if hi < lo:
-                lo = hi = max(a + 1, min(b - 1, a + 1))
-            gap = rng.randrange(lo, hi + 1)
-            occ[j, gap : gap + 2] = FREE
-    for i in v_walls:
-        for a, b in zip(spans_j, spans_j[1:]):
-            lo, hi = a + 1, b - 2
-            if hi < lo:
-                lo = hi = max(a + 1, min(b - 1, a + 1))
-            gap = rng.randrange(lo, hi + 1)
-            occ[gap : gap + 2, i] = FREE
+    A wall is a row of occ (horizontal) or a row of occ.T (vertical); the
+    walls of the other view split it into the spans that get a doorway.
+    """
+    views = ((occ, rows), (occ.T, cols))
+    walls = []
+    for view, sections in views:
+        n, m = view.shape
+        lows = [(n - 2) * s // sections for s in range(1, sections)]
+        walls.append([rng.randrange(max(2, lo), min(n - 3, lo + 3) + 1) for lo in lows])
+        view[walls[-1], 1 : m - 1] = OCCUPIED
+    for (view, _), own, other in zip(views, walls, walls[::-1]):
+        spans = [1, *sorted(other), view.shape[1] - 1]
+        for k in own:
+            for a, b in zip(spans, spans[1:]):
+                # A span too narrow for a doorway gets it at its first cell.
+                gap = rng.randrange(a + 1, max(a + 2, b - 1))
+                view[k, gap : gap + 2] = FREE
 
 
 def _scatter_boxes(occ, rng, count):
@@ -78,10 +66,8 @@ def _scatter_boxes(occ, rng, count):
 
 
 def _is_connected(occ) -> bool:
-    free = occ == FREE
-    if not free.any():
-        return False
-    labels, count = ndimage.label(free, structure=ndimage.generate_binary_structure(2, 1))
+    """True when the free cells form exactly one 4-connected component."""
+    _, count = ndimage.label(occ == FREE, structure=ndimage.generate_binary_structure(2, 1))
     return count == 1
 
 

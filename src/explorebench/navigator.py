@@ -69,7 +69,7 @@ def _nearest_traversable(trav, gi, gj, radius):
 
 
 def plan_path(belief: OccupancyGrid, start: Pose, to_world: tuple[float, float],
-              cost_weight: float = 3.0, goal_relax_radius: int = 5) -> PlannedPath:
+              cost_weight: float, goal_relax_radius: int) -> PlannedPath:
     """Optimal A* path from the start pose to the cell nearest to_world.
 
     The start cell itself is always treated as traversable (the robot is

@@ -5,16 +5,18 @@ runs emit byte-identical files."""
 
 from __future__ import annotations
 
+import numpy as np
+
 from .explorer import RunRecord
-from .gridmap import FREE, OCCUPIED, OccupancyGrid
+from .gridmap import OccupancyGrid
 
 CELL_PX = 10
 CURVE_W = 320
 CURVE_H = 240
 MARGIN = 30
 
-_STATE_FILL = {FREE: "#ffffff", OCCUPIED: "#30343a"}
-_UNKNOWN_FILL = "#c9ccd1"
+# Cell fill of each state, indexed by UNKNOWN, FREE, OCCUPIED.
+_STATE_FILL = ("#c9ccd1", "#ffffff", "#30343a")
 
 
 def _fmt(v: float) -> str:
@@ -37,20 +39,16 @@ def _map_panel(record: RunRecord, belief: OccupancyGrid) -> list[str]:
         return ((x - ox) / res * CELL_PX, (y - oy) / res * CELL_PX)
 
     parts = [f'<g transform="translate({MARGIN},{MARGIN})">']
-    # Cells, merged per row into runs of equal state to keep files small.
-    for j in range(belief.height):
-        i = 0
-        row = belief.states[j]
-        while i < belief.width:
-            k = i
-            while k < belief.width and row[k] == row[i]:
-                k += 1
-            fill = _STATE_FILL.get(int(row[i]), _UNKNOWN_FILL)
+    # Cells, merged per row into runs of equal state to keep files small;
+    # a run ends where np.diff is nonzero (uint8 wrap-around keeps it so).
+    for j, row in enumerate(belief.states):
+        cuts = [0, *(np.flatnonzero(np.diff(row)) + 1), belief.width]
+        for i, k in zip(cuts, cuts[1:]):
             parts.append(
                 f'<rect x="{i * CELL_PX}" y="{j * CELL_PX}" '
-                f'width="{(k - i) * CELL_PX}" height="{CELL_PX}" fill="{fill}"/>'
+                f'width="{(k - i) * CELL_PX}" height="{CELL_PX}" '
+                f'fill="{_STATE_FILL[row[i]]}"/>'
             )
-            i = k
     # Trajectory, one segment per sample pair, colored by time.
     samples = record.samples
     total_t = samples[-1][0] if samples and samples[-1][0] > 0 else 1.0

@@ -251,7 +251,8 @@ def benchmark_corpus():
             for selector in ("heuristic", "nearest"):
                 record = run_exploration(
                     truth, pose, SelectorKind(selector), BENCH_PARAMS,
-                    BENCH_LIDAR, BENCH_KIN, BENCH_LIMITS, min_segment_size=1)
+                    BENCH_LIDAR, BENCH_KIN, BENCH_LIMITS, min_segment_size=1,
+                    cost_weight=3.0, goal_relax_radius=5)
                 runs.append((tier, name, seed, selector, record))
     elapsed = time.perf_counter() - start
     return maps, runs, elapsed

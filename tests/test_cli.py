@@ -1,17 +1,19 @@
+import configparser
 import hashlib
-import inspect
 import json
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from explorebench.cli import main
 from explorebench.config import DEFAULT_CONFIG, ConfigError, parse_config
-from explorebench.explorer import RunLimits, run_exploration
-from explorebench.frontier import cluster_segments
-from explorebench.gridmap import (InflationParams, LidarModel, Pose,
-                                  load_belief, to_ascii)
-from explorebench.navigator import KinematicState, plan_path
+from explorebench.explorer import RunLimits
+from explorebench.gridmap import (OCCUPIED, InflationParams, LidarModel, Pose,
+                                  load_belief, load_map_file, to_ascii)
+from explorebench.navigator import KinematicState
 from explorebench.reward import RewardConfig
 from explorebench.scoring import HeuristicParams
 from scenes import case_study_scene
@@ -35,6 +37,28 @@ def write_config(tmp_path, map_files, selectors="nearest", seeds="1",
         + extra
     )
     return cfg
+
+
+# Config text from outside the program: keys of the defaults under their
+# own section, each with its default or an odd value, and stray lines.
+_DEFAULTS = configparser.ConfigParser(interpolation=None,
+                                      inline_comment_prefixes=("#",))
+_DEFAULTS.read_string(DEFAULT_CONFIG)
+
+
+def _key_line(entry):
+    section, key, default = entry
+    value = st.one_of(st.just(default), st.text(max_size=8), st.sampled_from(
+        ["", "nan", "1e999", "-1", "0", "%", "%(x)s", "%%", "random:x",
+         "csv pdf", "1 x"]))
+    return value.map(f"[{section}]\n{key} = {{}}".format)
+
+
+CONFIG_LINE = st.one_of(
+    st.sampled_from([(section, key, value) for section in _DEFAULTS.sections()
+                     for key, value in _DEFAULTS[section].items()]).flatmap(_key_line),
+    st.sampled_from(["[DEFAULT]", "[bogus]", "x = 1", "[run", "= 1", "  1"]),
+    st.text(max_size=12))
 
 
 @pytest.fixture
@@ -65,14 +89,6 @@ class TestConfig:
         assert cfg.kinematics == KinematicState(Pose(0.0, 0.0, 0.0))
         assert cfg.reward == RewardConfig()
         assert cfg.limits == RunLimits()
-        run_kw = inspect.signature(run_exploration).parameters
-        plan_kw = inspect.signature(plan_path).parameters
-        min_size = inspect.signature(cluster_segments).parameters["min_size"]
-        assert (run_kw["min_segment_size"].default == min_size.default
-                == cfg.min_segment_size)
-        for name in ("cost_weight", "goal_relax_radius"):
-            assert (run_kw[name].default == plan_kw[name].default
-                    == getattr(cfg, name))
 
     @pytest.mark.parametrize("text,needle", [
         ("[selectors]\nselectors =\n", "[selectors] selectors"),
@@ -105,6 +121,19 @@ class TestConfig:
         with pytest.raises(ConfigError) as err:
             parse_config(f"[maps]\nfiles = {bad}\n")
         assert str(bad) in str(err.value)
+
+    @pytest.mark.parametrize("outdir", ["out/50%", "%(x)s", "100%%"])
+    def test_percent_is_literal(self, outdir):
+        assert parse_config(f"[run]\noutdir = {outdir}\n",
+                            need_maps=False).outdir == outdir
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(CONFIG_LINE, max_size=8))
+    def test_parse_raises_only_config_error(self, lines):
+        try:
+            parse_config("\n".join(lines), need_maps=False)
+        except ConfigError:
+            pass
 
     def test_non_utf8_config_exit_1(self, tmp_path, capsys):
         cfg = tmp_path / "latin1.cfg"
@@ -275,6 +304,19 @@ class TestCmdScore:
                    str(belief_path), "--pose", "0.5,0.5,0"])
         assert rc == 1
         assert "dimensions" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["outside", "obstacle"])
+    def test_pose_off_free_truth_exit_1(self, tmp_path, capsys, where):
+        map_path, belief_path, _, cfg = self._write_scene(tmp_path)
+        truth = load_map_file(map_path)
+        j, i = np.argwhere(truth.states == OCCUPIED)[0]
+        x, y = (100.0, 100.0) if where == "outside" else truth.cell_center(i, j)
+        rc = main(["score", "--config", str(cfg), "--map", str(map_path),
+                   "--belief", str(belief_path), "--pose", f"{x},{y},0"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "map error" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("pose", ["nan,0,0", "inf,0,0", "1,-inf,0",
                                       "1,1,nan", "1,1", "1,x,0"])

@@ -21,6 +21,8 @@ LIMITS = RunLimits(max_ticks=3000, expr_target=0.99)
 
 def run(truth, start, selector="heuristic", limits=LIMITS, **kw):
     kw.setdefault("min_segment_size", 1)
+    kw.setdefault("cost_weight", 3.0)
+    kw.setdefault("goal_relax_radius", 5)
     return run_exploration(truth, start, SelectorKind.parse(selector), PARAMS,
                            LIDAR, KIN, limits, **kw)
 

@@ -186,7 +186,7 @@ class TestCluster:
         a = grid_from_rows(["??", ".."])
         b = grid_from_rows(["???", "..."])
         with pytest.raises(ValueError):
-            cluster_segments(detect_frontiers(a), b)
+            cluster_segments(detect_frontiers(a), b, 1)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())

@@ -1,15 +1,17 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import grid_from_rows
+from conftest import STATE_CHARS, grid_from_rows
 from explorebench.gridmap import (COST_INSCRIBED, COST_LETHAL, COST_UNKNOWN,
                                   FREE, OCCUPIED, UNKNOWN, InflationParams,
                                   InvalidRadiiError, LidarModel,
-                                  MalformedMapError, OccupancyGrid, Pose,
+                                  MalformedMapError, MapError, OccupancyGrid,
+                                  Pose,
                                   PoseInsideObstacleError,
                                   PoseOutOfBoundsError, StartUnreachableError,
                                   ZeroResolutionError, _traverse_beams,
@@ -62,9 +64,21 @@ class TestLoadMap:
         "3 3 nan\n...\n...\n...\n",
         "3 3 inf\n...\n...\n...\n",
         b"3 3 0.5\n...\n.\xff.\n...\n",
+        "3 1 0.5\n.\xe9.\n",
+        "10000000000000 1 0.5\n.\n",
+        "99999999999999999999999 1 0.5\n.\n",
     ])
     def test_malformed_ascii(self, content):
         with pytest.raises(MalformedMapError):
+            load_map(content)
+
+    @pytest.mark.parametrize("content,needle", [
+        ("3 2 0.5\n.x.\n..y\n", "'x' at row 0 col 1"),
+        ("3 2 0.5\n...\n#?x\n", "'?' at row 1 col 1"),
+        ("3 1 0.5\n.\xe9\x00\n", "'\xe9' at row 0 col 1"),
+    ])
+    def test_illegal_character_names_first_cell(self, content, needle):
+        with pytest.raises(MalformedMapError, match=re.escape(needle)):
             load_map(content)
 
     def test_zero_resolution(self):
@@ -75,10 +89,24 @@ class TestLoadMap:
         b"P2 2 2 255\n....",
         b"P5 2 2 127\n" + bytes(4),
         b"P5 2 2 255\n" + bytes(3),
+        b"P5#c\n2 2 255\n" + bytes(4),
+        b"P5\n# 2 2 255\n" + bytes(4),
     ])
     def test_malformed_pgm(self, payload):
         with pytest.raises(MalformedMapError):
             load_map(payload, fmt="pgm", resolution=1.0)
+
+    @pytest.mark.parametrize("header", [
+        b"# c\nP5 2 1 255\n",
+        b"P5\n# c\n2 1 # c\n255\n",
+        b"P5 2 1 255\n",
+    ])
+    @pytest.mark.parametrize("first_pixel", [b"\x00", b"\n"])
+    def test_pgm_header_grammar(self, header, first_pixel):
+        # Exactly one whitespace byte ends the header, so a first pixel
+        # byte that is whitespace is still a pixel.
+        grid = load_map(header + first_pixel + b"\xff", fmt="pgm", resolution=1.0)
+        assert grid.states.tolist() == [[OCCUPIED, FREE]]
 
     def test_pgm_needs_resolution(self):
         with pytest.raises(MalformedMapError):
@@ -111,6 +139,67 @@ class TestLoadMap:
         assert belief.states[0, 1] == UNKNOWN
         assert belief.costs[0, 1] == COST_UNKNOWN
         assert to_ascii(belief) == text
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_to_ascii_matches_per_cell_join(self, data):
+        h = data.draw(st.integers(1, 12), label="h")
+        w = data.draw(st.integers(1, 12), label="w")
+        res = data.draw(st.sampled_from([0.05, 0.25, 1.0, 2.5]), label="res")
+        cells = data.draw(st.lists(st.sampled_from([UNKNOWN, FREE, OCCUPIED]),
+                                   min_size=h * w, max_size=h * w), label="cells")
+        states = np.array(cells, dtype=np.uint8).reshape(h, w)
+        grid = OccupancyGrid(w, h, res, states, np.zeros_like(states))
+        char = {state: ch for ch, state in STATE_CHARS.items()}
+        rows = ["".join(char[s] for s in row) + "\n" for row in states.tolist()]
+        text = to_ascii(grid)
+        assert text == f"{w} {h} {res}\n" + "".join(rows)
+        assert np.array_equal(load_belief(text).states, states)
+
+
+# Loaders take bytes from outside the program: whatever they get, they
+# either return a grid or raise a MapError.
+_ASCII_ISH = st.text(alphabet="0123456789 .#?x\n\r\t-+e_na\xe9", max_size=60)
+_PGM_TOKENS = st.sampled_from([b"P5", b"P2", b"1", b"2", b"255", b"-1", b"0",
+                               b"+2", b"1_0", b"#c\n", b"#", b" ", b"\n", b"\t"])
+_PGM_ISH = st.builds(lambda tokens, tail: b"".join(tokens) + tail,
+                     st.lists(_PGM_TOKENS, max_size=12), st.binary(max_size=8))
+
+
+class TestLoaderFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.binary(max_size=60), st.text(max_size=60), _ASCII_ISH,
+                     _ASCII_ISH.map(lambda t: t.encode("utf-8"))))
+    def test_ascii_raises_only_map_error(self, content):
+        for load in (load_map, load_belief):
+            try:
+                grid = load(content)
+            except MapError:
+                continue
+            assert grid.states.shape == (grid.height, grid.width)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.binary(max_size=60), st.text(max_size=20), _PGM_ISH))
+    def test_pgm_raises_only_map_error(self, payload):
+        try:
+            grid = load_map(payload, fmt="pgm", resolution=1.0)
+        except MapError:
+            return
+        assert grid.states.shape == (grid.height, grid.width)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.binary(max_size=60),
+                     st.text(alphabet="resolution_thd =#.0123456789e-\n", max_size=60)
+                     .map(str.encode)))
+    def test_sidecar_raises_only_map_error(self, tmp_path_factory, sidecar):
+        pgm = tmp_path_factory.getbasetemp() / "world.pgm"
+        pgm.write_bytes(b"P5 2 2 255\n" + bytes([0, 255, 255, 0]))
+        pgm.with_suffix(".pgm.txt").write_bytes(sidecar)
+        try:
+            grid = load_map_file(pgm)
+        except MapError:
+            return
+        assert grid.states.shape == (2, 2)
 
 
 # ---------------------------------------------------------------------------

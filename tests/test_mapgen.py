@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import ndimage
@@ -45,6 +47,15 @@ class TestGenerateMap:
     def test_unknown_never_present(self):
         grid = generate_map("high", 3)
         assert set(np.unique(grid.states)) <= {FREE, OCCUPIED}
+
+    def test_layouts_pinned(self):
+        # Any change to the generator's draws or their order moves this.
+        digest = hashlib.sha256()
+        for tier in TIERS:
+            for seed in range(30):
+                digest.update(generate_map(tier, seed).states.tobytes())
+        assert digest.hexdigest() == ("ade7b902e97951b7ec441349294b8bc4"
+                                      "1e932db888652209b33bf6035ddc8dca")
 
     def test_bad_tier(self):
         with pytest.raises(ValueError):

@@ -12,6 +12,7 @@ from explorebench.navigator import (SQRT2, KinematicState, NoPathError,
                                     traversable_mask)
 
 COST_WEIGHT = 3.0
+RELAX = 5
 
 
 def dijkstra_cost(belief, start_cell, goal_cell, cost_weight=COST_WEIGHT):
@@ -48,7 +49,7 @@ class TestPlanPath:
         belief = grid_from_rows(["#######", "#.....#", "#######"], resolution=0.5,
                                 inflation=None, inflate_costs=False)
         path = plan_path(belief, Pose(*belief.cell_center(1, 1)),
-                         belief.cell_center(5, 1))
+                         belief.cell_center(5, 1), COST_WEIGHT, RELAX)
         assert len(path.waypoints) == 5
         ys = {y for _, y in path.waypoints}
         assert len(ys) == 1
@@ -63,7 +64,7 @@ class TestPlanPath:
         ], resolution=0.5)
         start, goal = (0, 1), (8, 4)
         path = plan_path(belief, Pose(*belief.cell_center(*start)),
-                         belief.cell_center(*goal))
+                         belief.cell_center(*goal), COST_WEIGHT, RELAX)
         oracle = dijkstra_cost(belief, start, goal)
         assert path.total_cost == pytest.approx(oracle, rel=1e-9)
 
@@ -84,8 +85,7 @@ class TestPlanPath:
             oracle = dijkstra_cost(belief, (si, sj), (gi, gj))
             try:
                 path = plan_path(belief, Pose(*belief.cell_center(si, sj)),
-                                 belief.cell_center(gi, gj),
-                                 goal_relax_radius=0)
+                                 belief.cell_center(gi, gj), COST_WEIGHT, 0)
             except NoPathError:
                 assert oracle is None
                 count += 1
@@ -104,7 +104,7 @@ class TestPlanPath:
         # Goal on the occupied block relaxes to a free cell 2 cells away
         # under inflation; the path must end off the block.
         path = plan_path(belief, Pose(*belief.cell_center(0, 0)),
-                         belief.cell_center(4, 3))
+                         belief.cell_center(4, 3), COST_WEIGHT, RELAX)
         end = belief.world_to_cell(*path.waypoints[-1])
         assert belief.states[end[1], end[0]] == FREE
         assert belief.costs[end[1], end[0]] < COST_INSCRIBED
@@ -132,7 +132,7 @@ class TestPlanPath:
         ], resolution=0.5, inflate_costs=False)
         with pytest.raises(NoPathError):
             plan_path(belief, Pose(*belief.cell_center(0, 0)),
-                      belief.cell_center(2, 0), goal_relax_radius=0)
+                      belief.cell_center(2, 0), COST_WEIGHT, 0)
 
     def test_unknown_is_untraversable(self):
         belief = grid_from_rows([
@@ -142,7 +142,7 @@ class TestPlanPath:
         ], resolution=0.5, inflate_costs=False)
         with pytest.raises(NoPathError):
             plan_path(belief, Pose(*belief.cell_center(0, 0)),
-                      belief.cell_center(2, 1), goal_relax_radius=0)
+                      belief.cell_center(2, 1), COST_WEIGHT, 0)
 
     def test_waypoints_are_8_adjacent_and_safe(self):
         belief = grid_from_rows([
@@ -152,7 +152,7 @@ class TestPlanPath:
             "..........",
         ], resolution=0.5)
         path = plan_path(belief, Pose(*belief.cell_center(0, 0)),
-                         belief.cell_center(9, 3))
+                         belief.cell_center(9, 3), COST_WEIGHT, RELAX)
         cells = [belief.world_to_cell(x, y) for x, y in path.waypoints]
         for (a, b), (c, d) in zip(cells, cells[1:]):
             assert max(abs(a - c), abs(b - d)) == 1
