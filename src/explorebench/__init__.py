@@ -8,7 +8,7 @@ from .gridmap import (COST_INSCRIBED, COST_LETHAL, COST_UNKNOWN, FREE, OCCUPIED,
                       StartUnreachableError, ZeroResolutionError,
                       exploration_rate, inflate, load_belief, load_map,
                       load_map_file, raycast_reveal, reachable_free_mask,
-                      remap_cost, remap_costs, to_ascii, wrap_angle)
+                      remap_costs, to_ascii, wrap_angle)
 from .navigator import KinematicState, NoPathError, PlannedPath, advance, plan_path
 from .reward import (DegenerateDistanceError, RewardConfig, StepObservation,
                      compute_reward, reward_terms)

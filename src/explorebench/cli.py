@@ -90,7 +90,7 @@ def run_all(cfg: ExperimentConfig, jobs: int = 1) -> list[RunResult]:
     """Run every (map, seed, selector) combination, in that nesting order.
 
     Each seed picks the start pose on each map. jobs > 1 spreads the runs
-    over worker processes; the results and their order stay the same.
+    over min(jobs, runs) worker processes; results and order stay the same.
     """
     bits = (cfg.params, cfg.lidar, cfg.kinematics, cfg.limits,
             cfg.min_segment_size, cfg.cost_weight, cfg.goal_relax_radius)
@@ -98,6 +98,7 @@ def run_all(cfg: ExperimentConfig, jobs: int = 1) -> list[RunResult]:
              for name, truth in cfg.maps
              for seed in cfg.seeds
              for selector in cfg.selectors]
+    jobs = min(jobs, len(specs))
     if jobs <= 1:
         return [_execute_run(s) for s in specs]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -218,9 +219,8 @@ def main(argv=None) -> int:
             if not args.config:
                 print("error: --config is required", file=sys.stderr)
                 return 1
-            cfg = load_config(args.config)
-            jobs = max(1, args.jobs)
-            return cmd_run(cfg, jobs) if args.command == "run" else cmd_compare(cfg, jobs)
+            command = cmd_run if args.command == "run" else cmd_compare
+            return command(load_config(args.config), args.jobs)
         cfg = (load_config(args.config, need_maps=False) if args.config
                else parse_config("", need_maps=False))
         if args.command == "score":

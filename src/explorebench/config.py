@@ -11,6 +11,7 @@ from __future__ import annotations
 import configparser
 import math
 import os
+from collections import Counter
 from dataclasses import MISSING, dataclass, fields
 
 from .explorer import RunLimits, SelectorKind
@@ -153,14 +154,22 @@ def _section(parser, section, cls, **fixed):
         raise ConfigError(f"[{section}] {e}") from None
 
 
+def _unique(where, names):
+    """Reject a repeated name: the runs it names would merge into one."""
+    for name, count in Counter(names).items():
+        if count > 1:
+            raise ConfigError(f"{where}: duplicate {name!r}")
+
+
 def _load_maps(parser, inflation):
     files = _get(parser, "maps", "files", str).split()
     if files:
+        names = [os.path.splitext(os.path.basename(path))[0] for path in files]
+        _unique("[maps] files", names)
         maps = []
-        for path in files:
+        for name, path in zip(names, files):
             if not os.path.exists(path):
                 raise ConfigError(f"[maps] files: {path} does not exist")
-            name = os.path.splitext(os.path.basename(path))[0]
             try:
                 maps.append((name, load_map_file(path, inflation)))
             except (MapError, OSError) as e:
@@ -169,7 +178,7 @@ def _load_maps(parser, inflation):
     spec = _get(parser, "maps", "generate", str).split()
     map_seed = _get(parser, "maps", "map_seed", int)
     resolution = _get(parser, "maps", "resolution", float, lambda v: v > 0)
-    maps = []
+    todo = []
     for item in spec:
         try:
             tier, count = item.split(":")
@@ -178,12 +187,12 @@ def _load_maps(parser, inflation):
             raise ConfigError(f"[maps] generate: bad entry {item!r}") from None
         if tier not in TIERS:
             raise ConfigError(f"[maps] generate: unknown tier {tier!r}")
-        for k in range(count):
-            maps.append((f"{tier}{k:02d}",
-                         generate_map(tier, map_seed + k, resolution, inflation)))
-    if not maps:
+        todo += [(f"{tier}{k:02d}", tier, map_seed + k) for k in range(count)]
+    if not todo:
         raise ConfigError("[maps] generate: no maps configured")
-    return maps
+    _unique("[maps] generate", [name for name, _, _ in todo])
+    return [(name, generate_map(tier, seed, resolution, inflation))
+            for name, tier, seed in todo]
 
 
 def parse_config(text: str, need_maps: bool = True) -> ExperimentConfig:
@@ -217,6 +226,7 @@ def parse_config(text: str, need_maps: bool = True) -> ExperimentConfig:
         selectors = [SelectorKind.parse(s) for s in selector_specs]
     except ValueError as e:
         raise ConfigError(f"[selectors] selectors: {e}") from None
+    _unique("[selectors] selectors", [s.label() for s in selectors])
 
     seeds_raw = _get(parser, "run", "seeds", str).split()
     if not seeds_raw:
@@ -225,6 +235,7 @@ def parse_config(text: str, need_maps: bool = True) -> ExperimentConfig:
         seeds = [int(s) for s in seeds_raw]
     except ValueError as e:
         raise ConfigError(f"[run] seeds: {e}") from None
+    _unique("[run] seeds", seeds)
 
     emit = set(_get(parser, "run", "emit", str).split())
     bad = emit - {"csv", "json", "svg"}

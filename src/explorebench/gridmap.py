@@ -379,20 +379,9 @@ def reinflate_window(grid: OccupancyGrid, i0: int, j0: int, i1: int, j1: int) ->
     ]
 
 
-def remap_cost(raw_cost) -> float:
-    """Map a raw cost (or the unknown marker) into [0, 1].
-
-    Unknown -> 0, lethal (254) -> 1 exactly, anything else (raw + 1) / 255.
-    """
-    if raw_cost == COST_UNKNOWN:
-        return 0.0
-    if raw_cost == COST_LETHAL:
-        return 1.0
-    return (int(raw_cost) + 1) / 255.0
-
-
 def remap_costs(costs: np.ndarray) -> np.ndarray:
-    """Vectorized remap_cost over a cost array."""
+    """Map raw costs into [0, 1] element-wise: the unknown marker -> 0,
+    lethal (254) -> 1 exactly, anything else (raw + 1) / 255."""
     m = (costs.astype(np.float64) + 1.0) / 255.0
     m[costs == COST_LETHAL] = 1.0
     m[costs == COST_UNKNOWN] = 0.0

@@ -6,6 +6,11 @@ inside mapped space and approach frontiers from the known side. Edge
 weights scale step length by (1 + cost_weight * m(target)), pushing paths
 away from inflated regions. Diagonal steps require both adjacent cardinal
 cells to be traversable (no corner cutting).
+
+A* only enters traversable cells, so it searches flat indices of their
+bounding box, ringed by one untraversable cell no step can cross, and reads
+only the cells it reaches. Edge weights, their summing order and the (f,
+push counter) heap order match a whole-grid search: paths and costs match.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gridmap import (COST_INSCRIBED, FREE, OCCUPIED, OccupancyGrid, Pose,
-                      remap_cost, wrap_angle)
+                      remap_costs, wrap_angle)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -94,50 +99,52 @@ def plan_path(belief: OccupancyGrid, start: Pose, to_world: tuple[float, float],
             raise NoPathError("goal cell untraversable and no relaxation candidate")
         gi, gj = relaxed
 
+    # Flat index k of the search box is grid cell (k % w + i0, k // w + j0).
+    rows, cols = (np.flatnonzero(trav.any(axis=axis)) for axis in (1, 0))
+    box = np.s_[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1]
+    i0, j0, w = int(cols[0]) - 1, int(rows[0]) - 1, int(cols[-1] - cols[0]) + 3
+    # Memoryviews read the cells the search reaches as Python values.
+    passable, cost = (memoryview(np.pad(a[box], 1).ravel()) for a in (trav, belief.costs))
+    mult = (1.0 + cost_weight * remap_costs(np.arange(256))).tolist()  # by uint8 cost
+    # Flat offsets of the step and of the two cells a diagonal must not cut.
+    moves = [(di + dj * w, di, dj * w, step * res) for di, dj, step in _STEPS]
+
     # Admissible octile heuristic: every edge multiplier is >= 1.
-    def octile(i, j):
-        di, dj = abs(i - gi), abs(j - gj)
+    def octile(k):
+        j, i = divmod(k, w)
+        di, dj = abs(i + i0 - gi), abs(j + j0 - gj)
         return (max(di, dj) + (SQRT2 - 1.0) * min(di, dj)) * res
 
-    start_key = (si, sj)
-    goal_key = (gi, gj)
-    g_cost = {start_key: 0.0}
-    parent = {}
+    start_k, goal_k = (sj - j0) * w + si - i0, (gj - j0) * w + gi - i0
+    g, parent, closed = {start_k: 0.0}, {}, set()
     counter = 0
-    open_heap = [(octile(si, sj), counter, start_key)]
-    closed = set()
+    open_heap = [(octile(start_k), counter, start_k)]
     while open_heap:
-        f, _, current = heapq.heappop(open_heap)
-        if current in closed:
+        _, _, k = heapq.heappop(open_heap)
+        if k in closed:
             continue
-        if current == goal_key:
+        if k == goal_k:
             break
-        closed.add(current)
-        ci, cj = current
-        base = g_cost[current]
-        for di, dj, step in _STEPS:
-            ni, nj = ci + di, cj + dj
-            if not belief.in_bounds(ni, nj) or not trav[nj, ni]:
+        closed.add(k)
+        base = g[k]
+        for off, oi, oj, length in moves:
+            n = k + off
+            if not passable[n] or (oi and oj and not (passable[k + oi] and passable[k + oj])):
                 continue
-            if di != 0 and dj != 0 and not (trav[cj, ni] and trav[nj, ci]):
-                continue
-            weight = step * res * (1.0 + cost_weight * remap_cost(belief.costs[nj, ni]))
-            tentative = base + weight
-            key = (ni, nj)
-            if tentative < g_cost.get(key, math.inf):
-                g_cost[key] = tentative
-                parent[key] = current
+            tentative = base + length * mult[cost[n]]
+            if tentative < g.get(n, math.inf):
+                g[n] = tentative
+                parent[n] = k
                 counter += 1
-                heapq.heappush(open_heap, (tentative + octile(ni, nj), counter, key))
+                heapq.heappush(open_heap, (tentative + octile(n), counter, n))
     else:
         raise NoPathError(f"no path from ({si}, {sj}) to ({gi}, {gj})")
 
-    cells = [goal_key]
-    while cells[-1] != start_key:
+    cells = [goal_k]
+    while cells[-1] != start_k:
         cells.append(parent[cells[-1]])
-    cells.reverse()
-    waypoints = [belief.cell_center(i, j) for i, j in cells]
-    return PlannedPath(waypoints, g_cost[goal_key])
+    waypoints = [belief.cell_center(k % w + i0, k // w + j0) for k in reversed(cells)]
+    return PlannedPath(waypoints, g[goal_k])
 
 
 def advance(state: KinematicState, waypoints: list[tuple[float, float]],

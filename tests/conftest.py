@@ -1,10 +1,22 @@
 import numpy as np
 import pytest
 
-from explorebench.gridmap import (FREE, OCCUPIED, UNKNOWN, InflationParams,
-                                  OccupancyGrid, inflate)
+from explorebench.gridmap import (COST_LETHAL, COST_UNKNOWN, FREE, OCCUPIED,
+                                  UNKNOWN, InflationParams, OccupancyGrid, inflate)
 
 STATE_CHARS = {".": FREE, "#": OCCUPIED, "?": UNKNOWN}
+
+
+def remap_cost(raw_cost) -> float:
+    """Scalar oracle for gridmap.remap_costs: map one raw cost into [0, 1].
+
+    Unknown -> 0, lethal (254) -> 1 exactly, anything else (raw + 1) / 255.
+    """
+    if raw_cost == COST_UNKNOWN:
+        return 0.0
+    if raw_cost == COST_LETHAL:
+        return 1.0
+    return (int(raw_cost) + 1) / 255.0
 
 
 def grid_from_rows(rows, resolution=0.25, inflation=None, inflate_costs=True):

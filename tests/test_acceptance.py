@@ -12,13 +12,14 @@ import time
 import numpy as np
 import pytest
 
+from conftest import remap_cost
 from explorebench.cli import main
 from explorebench.explorer import (OUTCOME_COMPLETE, RunLimits, SelectorKind,
                                    rank_segments, run_exploration)
 from explorebench.frontier import (FrontierSegment, cluster_segments,
                                    detect_frontiers)
 from explorebench.gridmap import (FREE, OCCUPIED, UNKNOWN, LidarModel,
-                                  OccupancyGrid, Pose, inflate, remap_cost)
+                                  OccupancyGrid, Pose, inflate)
 from explorebench.mapgen import generate_map, pick_start
 from explorebench.navigator import KinematicState
 from explorebench.reward import RewardConfig, StepObservation, compute_reward

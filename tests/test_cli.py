@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from explorebench import cli, config
 from explorebench.cli import main
 from explorebench.config import DEFAULT_CONFIG, ConfigError, parse_config
 from explorebench.explorer import RunLimits
@@ -109,11 +110,42 @@ class TestConfig:
         ("[reward]\nmax_linear = nan\n", "[reward] max_linear"),
         ("[heuristic]\ngama = 0.3\n", "[heuristic] gama"),
         ("[bogus]\nx = 1\n", "[bogus]"),
+        ("[selectors]\nselectors = heuristic heuristic\n",
+         "[selectors] selectors: duplicate 'heuristic'"),
+        ("[selectors]\nselectors = random:7 nearest random:07\n",
+         "[selectors] selectors: duplicate 'random:7'"),
+        ("[run]\nseeds = 1 1\n", "[run] seeds: duplicate 1"),
+        ("[maps]\ngenerate = low:2 low:3\n",
+         "[maps] generate: duplicate 'low00'"),
     ])
     def test_errors_name_offending_field(self, text, needle):
         with pytest.raises(ConfigError) as err:
             parse_config(text)
         assert needle in str(err.value)
+
+    @pytest.mark.parametrize("dirs", [("a", "b"), ("a", "a")])
+    def test_same_named_map_files_rejected(self, tmp_path, monkeypatch, dirs):
+        # a/x.txt and b/x.txt, or one path listed twice, would both write
+        # and aggregate their runs under the map name x. The names are
+        # checked before any file is loaded.
+        monkeypatch.setattr(config, "load_map_file",
+                            lambda *a: pytest.fail("loaded a map"))
+        paths = []
+        for d in dirs:
+            path = tmp_path / d / "x.txt"
+            path.parent.mkdir(exist_ok=True)
+            path.write_text(TINY_ROOM)
+            paths.append(str(path))
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"[maps]\nfiles = {' '.join(paths)}\n")
+        assert "[maps] files: duplicate 'x'" in str(err.value)
+
+    def test_repeated_tier_rejected_before_generating(self, monkeypatch):
+        monkeypatch.setattr(config, "generate_map",
+                            lambda *a: pytest.fail("generated a map"))
+        with pytest.raises(ConfigError) as err:
+            parse_config("[maps]\ngenerate = high:500 high:1\n")
+        assert "[maps] generate: duplicate 'high00'" in str(err.value)
 
     def test_malformed_map_file_names_path(self, tmp_path):
         bad = tmp_path / "bad.txt"
@@ -237,6 +269,31 @@ class TestCmdCompare:
         main(["compare", "--config", str(cfg), "--jobs", "2"])
         parallel = (tmp_path / "out" / "aggregate.csv").read_bytes()
         assert serial == parallel
+
+    @pytest.mark.parametrize("seeds,jobs,started", [
+        ("1", 6, []), ("1 2", 5000, [2]), ("1 2 3", 2, [2])])
+    def test_workers_capped_at_run_count(self, tmp_path, tiny_map, monkeypatch,
+                                         seeds, jobs, started):
+        # A stand-in pool records its size and runs the specs in-process.
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, specs):
+                return map(fn, specs)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        cfg = write_config(tmp_path, [tiny_map], seeds=seeds)
+        assert main(["compare", "--config", str(cfg), "--jobs", str(jobs)]) == 0
+        assert sizes == started
 
 
 class TestCmdScore:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import STATE_CHARS, grid_from_rows
+from conftest import STATE_CHARS, grid_from_rows, remap_cost
 from explorebench.gridmap import (COST_INSCRIBED, COST_LETHAL, COST_UNKNOWN,
                                   FREE, OCCUPIED, UNKNOWN, InflationParams,
                                   InvalidRadiiError, LidarModel,
@@ -17,7 +17,7 @@ from explorebench.gridmap import (COST_INSCRIBED, COST_LETHAL, COST_UNKNOWN,
                                   ZeroResolutionError, _traverse_beams,
                                   exploration_rate, inflate, load_belief,
                                   load_map, load_map_file, raycast_reveal,
-                                  reachable_free_mask, remap_cost, remap_costs,
+                                  reachable_free_mask, remap_costs,
                                   to_ascii, wrap_angle)
 
 
@@ -278,12 +278,11 @@ class TestInflate:
 
 class TestRemapCost:
     def test_endpoints(self):
-        assert remap_cost(COST_UNKNOWN) == 0.0
-        assert remap_cost(COST_LETHAL) == 1.0
-        assert remap_cost(0) == 1 / 255
+        m = remap_costs(np.array([COST_UNKNOWN, COST_LETHAL, 0], dtype=np.uint8))
+        assert m.tolist() == [0.0, 1.0, 1 / 255]
 
     def test_total_monotone_bounded(self):
-        values = [remap_cost(c) for c in range(255)]
+        values = remap_costs(np.arange(255, dtype=np.uint8)).tolist()
         assert all(0.0 <= v <= 1.0 for v in values)
         assert all(a < b for a, b in zip(values, values[1:]))
 

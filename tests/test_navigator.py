@@ -1,12 +1,13 @@
+import hashlib
 import heapq
 import math
 
 import numpy as np
 import pytest
 
-from conftest import grid_from_rows
+from conftest import grid_from_rows, remap_cost
 from explorebench.gridmap import (COST_INSCRIBED, FREE, OCCUPIED, UNKNOWN,
-                                  OccupancyGrid, Pose, inflate, remap_cost)
+                                  OccupancyGrid, Pose, inflate)
 from explorebench.navigator import (SQRT2, KinematicState, NoPathError,
                                     _nearest_traversable, advance, plan_path,
                                     traversable_mask)
@@ -15,33 +16,113 @@ COST_WEIGHT = 3.0
 RELAX = 5
 
 
-def dijkstra_cost(belief, start_cell, goal_cell, cost_weight=COST_WEIGHT):
-    """Independent oracle over the same weighted 8-connected graph."""
+def edge_weight(belief, cell, nxt, cost_weight=COST_WEIGHT):
+    """Weight of the step cell -> nxt: length times the cost multiplier of nxt."""
+    step = SQRT2 if cell[0] != nxt[0] and cell[1] != nxt[1] else 1.0
+    ni, nj = nxt
+    return step * belief.resolution * (1.0 + cost_weight * remap_cost(belief.costs[nj, ni]))
+
+
+def planner_mask(belief, start_cell):
+    """Cells plan_path may stand on: the traversable ones plus the start."""
     trav = traversable_mask(belief)
     trav[start_cell[1], start_cell[0]] = True
-    res = belief.resolution
+    return trav
+
+
+def dijkstra_cost(belief, start_cell, goal_cell, cost_weight=COST_WEIGHT):
+    """Independent oracle over the same weighted 8-connected graph."""
+    trav = planner_mask(belief, start_cell)
     dist = {start_cell: 0.0}
     heap = [(0.0, start_cell)]
-    steps = [(1, 0, 1.0), (-1, 0, 1.0), (0, 1, 1.0), (0, -1, 1.0),
-             (1, 1, SQRT2), (1, -1, SQRT2), (-1, 1, SQRT2), (-1, -1, SQRT2)]
+    steps = [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1)]
     while heap:
         d, (ci, cj) = heapq.heappop(heap)
         if (ci, cj) == goal_cell:
             return d
         if d > dist.get((ci, cj), math.inf):
             continue
-        for di, dj, step in steps:
+        for di, dj in steps:
             ni, nj = ci + di, cj + dj
             if not belief.in_bounds(ni, nj) or not trav[nj, ni]:
                 continue
             if di and dj and not (trav[cj, ni] and trav[nj, ci]):
                 continue
-            w = step * res * (1.0 + cost_weight * remap_cost(belief.costs[nj, ni]))
-            nd = d + w
+            nd = d + edge_weight(belief, (ci, cj), (ni, nj), cost_weight)
             if nd < dist.get((ni, nj), math.inf):
                 dist[(ni, nj)] = nd
                 heapq.heappush(heap, (nd, (ni, nj)))
     return None
+
+
+def assert_valid_path(belief, path, start_cell, cost_weight=COST_WEIGHT):
+    """The waypoints are a legal walk from the start, priced like the oracle.
+
+    Consecutive cells are 8-adjacent, every cell after the start is
+    traversable, diagonal steps never cut a corner, and the oracle's edge
+    weights summed from 0.0 in path order give total_cost exactly.
+    """
+    trav = planner_mask(belief, start_cell)
+    cells = [belief.world_to_cell(x, y) for x, y in path.waypoints]
+    assert cells[0] == start_cell
+    assert all(traversable_mask(belief)[j, i] for i, j in cells[1:])
+    total = 0.0
+    for (a, b), (c, d) in zip(cells, cells[1:]):
+        assert max(abs(a - c), abs(b - d)) == 1
+        assert trav[b, c] and trav[d, a]
+        total += edge_weight(belief, (a, b), (c, d), cost_weight)
+    assert total == path.total_cost
+
+
+def embed_in_unknown(states, rng):
+    """Place states at a random offset inside a larger all-Unknown grid."""
+    h, w = states.shape
+    framed = np.full((h + rng.randint(2, 16), w + rng.randint(2, 16)), UNKNOWN,
+                     dtype=np.uint8)
+    oj = rng.randint(1, framed.shape[0] - h)
+    oi = rng.randint(1, framed.shape[1] - w)
+    framed[oj:oj + h, oi:oi + w] = states
+    return framed
+
+
+def pinned_plan_outcomes(count):
+    """repr of (waypoints, total_cost), or the error name, of seeded plans.
+
+    Mixed Free/Occupied/Unknown grids at three resolutions and random
+    origins, half of them inside a larger Unknown frame; starts anywhere
+    in a non-Occupied cell (Unknown frame cells included), goals anywhere
+    in or near the grid, often on untraversable cells, with relaxation
+    radii 0-6 and four cost weights.
+    """
+    rng = np.random.RandomState(6)
+    for case in range(count):
+        h, w = rng.randint(4, 29), rng.randint(4, 29)
+        states = np.where(rng.rand(h, w) < rng.choice([0.05, 0.15, 0.3]),
+                          OCCUPIED, FREE).astype(np.uint8)
+        states[rng.rand(h, w) < rng.choice([0.0, 0.05, 0.2])] = UNKNOWN
+        if case % 2:
+            states = embed_in_unknown(states, rng)
+        h, w = states.shape
+        res = float(rng.choice([0.1, 0.25, 0.5]))
+        origin = (float(rng.uniform(-5, 5)), float(rng.uniform(-5, 5)))
+        belief = OccupancyGrid(w, h, res, states, np.zeros_like(states), origin)
+        inflate(belief, 0.12, 0.5, 4.0)
+        trav = traversable_mask(belief)
+        pool = np.argwhere(trav) if trav.any() and rng.rand() < 0.85 else \
+            np.argwhere(states != OCCUPIED)
+        sj, si = pool[rng.randint(len(pool))]
+        sx, sy = belief.cell_center(int(si), int(sj))
+        start = Pose(sx + rng.uniform(-0.49, 0.49) * res,
+                     sy + rng.uniform(-0.49, 0.49) * res)
+        goal = (origin[0] + rng.uniform(-2, w + 2) * res,
+                origin[1] + rng.uniform(-2, h + 2) * res)
+        cost_weight = float(rng.choice([0.0, 1.0, 3.0, 7.5]))
+        try:
+            path = plan_path(belief, start, goal, cost_weight, rng.randint(0, 7))
+        except NoPathError:
+            yield "NoPathError"
+            continue
+        yield repr((path.waypoints, path.total_cost))
 
 
 class TestPlanPath:
@@ -69,19 +150,26 @@ class TestPlanPath:
         assert path.total_cost == pytest.approx(oracle, rel=1e-9)
 
     def test_random_grids_match_dijkstra(self, rng):
+        # The first 30 grids touch every edge of the map; the next 30 sit
+        # in a larger Unknown frame, so the search box starts away from
+        # cell (0, 0) and from the borders.
         count = 0
-        while count < 30:
+        while count < 60:
+            embed = count >= 30
             h, w = rng.randint(6, 33), rng.randint(6, 33)
             states = np.where(rng.rand(h, w) < 0.25, OCCUPIED, FREE).astype(np.uint8)
             states[rng.rand(h, w) < 0.1] = UNKNOWN
+            if embed:
+                states = embed_in_unknown(states, rng)
+                h, w = states.shape
             belief = OccupancyGrid(w, h, 0.25, states, np.zeros_like(states))
             inflate(belief, 0.12, 0.5, 4.0)
             trav = traversable_mask(belief)
             cells = np.argwhere(trav)
             if len(cells) < 2:
                 continue
-            sj, si = cells[rng.randint(len(cells))]
-            gj, gi = cells[rng.randint(len(cells))]
+            sj, si = (int(v) for v in cells[rng.randint(len(cells))])
+            gj, gi = (int(v) for v in cells[rng.randint(len(cells))])
             oracle = dijkstra_cost(belief, (si, sj), (gi, gj))
             try:
                 path = plan_path(belief, Pose(*belief.cell_center(si, sj)),
@@ -92,7 +180,19 @@ class TestPlanPath:
                 continue
             assert oracle is not None
             assert path.total_cost == pytest.approx(oracle, rel=1e-9)
+            assert belief.world_to_cell(*path.waypoints[-1]) == (gi, gj)
+            assert_valid_path(belief, path, (si, sj))
             count += 1
+
+    def test_plans_pinned(self):
+        # sha256 of 200 seeded plans, pinned from the tuple-keyed search.
+        # The Dijkstra oracle checks only costs; this also catches a change
+        # in how ties break.
+        digest = hashlib.sha256()
+        for outcome in pinned_plan_outcomes(200):
+            digest.update(outcome.encode() + b"\n")
+        assert digest.hexdigest() == (
+            "8631dfac460a72b94c88fcab1e9a044c8f07e143a30e4c8e1654b95e556d1b19")
 
     def test_goal_relaxes_to_nearest_traversable(self):
         belief = grid_from_rows([

@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import grid_from_rows
+from conftest import grid_from_rows, remap_cost
 from explorebench.frontier import FrontierSegment, cluster_segments, detect_frontiers
-from explorebench.gridmap import (COST_LETHAL, FREE, UNKNOWN, OccupancyGrid,
-                                  Pose, remap_cost)
+from explorebench.gridmap import COST_LETHAL, FREE, UNKNOWN, OccupancyGrid, Pose
 from explorebench.explorer import SelectorKind, rank_segments
 from explorebench.scoring import (HeuristicParams, InputOutOfRangeError,
                                   NegativeDistanceError, NoFrontiersError,
