@@ -141,6 +141,9 @@ def cmd_score(cfg: ExperimentConfig, map_path, belief_path, pose_text) -> int:
     if belief.states.shape != truth.states.shape:
         print("error: belief and map dimensions differ", file=sys.stderr)
         return 1
+    if belief.resolution != truth.resolution:
+        print("error: belief and map resolutions differ", file=sys.stderr)
+        return 1
     try:
         pose = [float(v) for v in pose_text.split(",")]
     except ValueError:

@@ -458,45 +458,160 @@ def check_pose(truth: OccupancyGrid, pose: Pose) -> None:
         raise PoseInsideObstacleError(f"pose cell ({pi}, {pj}) is occupied")
 
 
+def _beam_offsets(lidar: LidarModel) -> np.ndarray:
+    """Beam k's angle from pose.theta: angular_span * k / beam_count."""
+    k = np.arange(lidar.beam_count, dtype=np.float64)
+    return lidar.angular_span * k / lidar.beam_count
+
+
+# Padding of each candidate's beam interval (radians) and of its range test
+# (cells); it covers the rounding of atan2, of the beam angles and of the
+# march's crossings.
+_CULL_EPS = 1e-9
+
+# Seen from the pose, a cell's square spans from its most clockwise corner
+# to its most counter-clockwise one. Row k = 3 * row class + column class,
+# where a class is 0 when the square lies wholly below (left of) the pose,
+# 2 when wholly above (right of) it and 1 when its closed extent holds the
+# pose's coordinate; the columns are 1 where that corner takes the far side
+# (x0 + 1 or y0 + 1): first x, first y, last x, last y. Row 4 is a square
+# that contains the pose, which marks every beam instead.
+_EXTREME_CORNERS = np.array([
+    [0, 1, 1, 0], [0, 1, 1, 1], [0, 0, 1, 1],
+    [1, 1, 1, 0], [0, 0, 0, 0], [0, 0, 0, 1],
+    [1, 1, 0, 0], [1, 0, 0, 0], [1, 0, 0, 1],
+], dtype=np.float64)
+
+
+def _beams_to_march(belief: OccupancyGrid, pose: Pose, lidar: LidarModel) -> np.ndarray:
+    """Mask of the beams that can enter an Unknown belief cell.
+
+    The candidates are the Unknown cells near the pose that have a Free
+    4-neighbour and whose nearest point lies within max_range. A candidate
+    whose closed square contains the pose marks every beam (at t = 0 the
+    x-first tie-break enters it whatever the beam's direction); any other
+    marks the beams whose angle lies between its two extreme corners,
+    padded by _CULL_EPS. All beams are marked while the pose cell is Unknown.
+    """
+    n = lidar.beam_count
+    res = belief.resolution
+    gx = (pose.x - belief.origin[0]) / res
+    gy = (pose.y - belief.origin[1]) / res
+    pi, pj = math.floor(gx), math.floor(gy)
+    if belief.states[pj, pi] == UNKNOWN:
+        return np.ones(n, dtype=bool)
+    range_cells = lidar.max_range / res
+    r = math.ceil(range_cells) + 2
+    i0, j0 = max(pi - r, 0), max(pj - r, 0)
+    window = belief.states[j0 : pj + r + 1, i0 : pi + r + 1]
+    # Offsets from the pose, in cells, of each column's left (x0) and right
+    # (x1) edge and of the point of its squares nearest the pose (nx); rows
+    # likewise.
+    x0 = np.arange(i0, i0 + window.shape[1]) - gx
+    y0 = np.arange(j0, j0 + window.shape[0]) - gy
+    x1, y1 = x0 + 1.0, y0 + 1.0
+    nx = np.maximum(x0, np.minimum(x1, 0.0))
+    ny = np.maximum(y0, np.minimum(y1, 0.0))
+    near = (ny * ny)[:, None] + nx * nx <= (range_cells + _CULL_EPS) ** 2
+    free = window == FREE
+    near_free = np.zeros(window.shape, dtype=bool)
+    near_free[1:] = free[:-1]
+    near_free[:-1] |= free[1:]
+    near_free[:, 1:] |= free[:, :-1]
+    near_free[:, :-1] |= free[:, 1:]
+    cj, ci = np.nonzero((window == UNKNOWN) & near & near_free)
+    if ci.size == 0:
+        return np.zeros(n, dtype=bool)
+    row = np.add(y0 > 0.0, y1 >= 0.0, dtype=np.intp)
+    col = np.add(x0 > 0.0, x1 >= 0.0, dtype=np.intp)
+    kind = 3 * row[cj] + col[ci]
+    if (kind == 4).any():
+        return np.ones(n, dtype=bool)
+    corners = _EXTREME_CORNERS[kind]
+    x0, y0 = x0[ci], y0[cj]
+    first = np.arctan2(y0 + corners[:, 1], x0 + corners[:, 0])
+    last = np.arctan2(y0 + corners[:, 3], x0 + corners[:, 2])
+    two_pi = 2.0 * math.pi
+    lo = np.mod(first - (pose.theta + _CULL_EPS), two_pi)
+    hi = lo + np.mod(last - first, two_pi) + 2.0 * _CULL_EPS
+    # Beam offsets on the circle, sorted; each interval, and its wrap past
+    # 2 pi, covers a run of sorted beams, summed by a difference array.
+    ring = np.mod(_beam_offsets(lidar), two_pi)
+    order = np.argsort(ring, kind="stable")
+    ring = ring[order]
+    starts = np.searchsorted(ring, np.concatenate((lo, lo - two_pi)), "left")
+    ends = np.searchsorted(ring, np.concatenate((hi, hi - two_pi)), "right")
+    depth = np.cumsum(np.bincount(starts, minlength=n + 1)
+                      - np.bincount(ends, minlength=n + 1))
+    mask = np.empty(n, dtype=bool)
+    mask[order] = depth[:n] > 0
+    return mask
+
+
 def raycast_reveal(belief: OccupancyGrid, truth: OccupancyGrid, pose: Pose,
-                   lidar: LidarModel) -> np.ndarray:
-    """Reveal truth cells visible to the scanner and return per-beam ranges.
+                   lidar: LidarModel) -> tuple[np.ndarray, np.ndarray]:
+    """Reveal truth cells visible to the scanner; return the cells that changed.
 
     Beam k points at pose.theta + angular_span * k / beam_count. Cells a
     beam crosses before its first Occupied truth cell become Free in the
     belief when their center lies within max_range of the pose; the hit
-    cell becomes Occupied. The returned array holds, per beam, the distance
-    from the pose to the hit cell's center, or max_range for beams that
-    ended in free space. Belief costs are re-inflated over the bounding box
-    of the touched cells.
+    cell becomes Occupied. Returns the (i, j) arrays, in raster order, of
+    the cells that were Unknown before this reveal and are known after it.
+    Belief costs are re-inflated around those cells only, and not at all
+    when there are none.
+
+    Precondition: the belief agrees with the truth wherever it is known
+    (run_exploration guarantees it, since only reveals write the belief).
+    Only beams that can enter an Unknown cell are marched: a beam that
+    enters none only re-marks known cells, and the first Unknown cell a
+    beam enters is 4-adjacent to a known Free cell or to the pose cell,
+    with its nearest point within max_range.
     """
-    if belief.states.shape != truth.states.shape or belief.resolution != truth.resolution:
+    if (belief.states.shape != truth.states.shape or belief.resolution != truth.resolution
+            or tuple(belief.origin) != tuple(truth.origin)):
         raise MapError("belief and truth grids must share geometry")
     check_pose(truth, pose)
 
-    k = np.arange(lidar.beam_count, dtype=np.float64)
-    angles = pose.theta + lidar.angular_span * k / lidar.beam_count
-    vi, vj, hit_i, hit_j = _traverse_beams(truth, pose, angles, lidar.max_range)
+    none = np.empty(0, dtype=np.intp)
+    march = _beams_to_march(belief, pose, lidar)
+    if not march.any():
+        return none, none
+    angles = pose.theta + _beam_offsets(lidar)[march]
+    vi, vj, _, _ = _traverse_beams(truth, pose, angles, lidar.max_range)
 
-    # Free marking is gated on the cell center being within range, which
-    # keeps the revealed set equal to the rasterized visibility disk.
+    # Of the entered cells still Unknown, the Occupied ones are hits and
+    # become known; Free ones become known when their center lies within
+    # range, which keeps the revealed set equal to the rasterized
+    # visibility disk.
+    unknown = belief.states[vj, vi] == UNKNOWN
+    vi, vj = vi[unknown], vj[unknown]
     cx = truth.origin[0] + (vi + 0.5) * truth.resolution
     cy = truth.origin[1] + (vj + 0.5) * truth.resolution
     in_range = (cx - pose.x) ** 2 + (cy - pose.y) ** 2 <= lidar.max_range**2
-    free = truth.states[vj, vi] == FREE
-    mark = in_range & free
-    belief.states[vj[mark], vi[mark]] = FREE
+    known = in_range | (truth.states[vj, vi] == OCCUPIED)
+    if not known.any():
+        return none, none
+    flat = np.unique(vj[known] * truth.width + vi[known])
+    belief.states.flat[flat] = truth.states.flat[flat]
+    cj, ci = np.divmod(flat, truth.width)
+    reinflate_window(belief, int(ci.min()), int(cj.min()), int(ci.max()), int(cj.max()))
+    return ci, cj
 
-    hit = hit_i >= 0
-    belief.states[hit_j[hit], hit_i[hit]] = OCCUPIED
 
+def beam_ranges(truth: OccupancyGrid, pose: Pose, lidar: LidarModel) -> np.ndarray:
+    """Per beam, the distance from the pose to its hit cell's center.
+
+    Marches every beam as raycast_reveal does; beams that end in free space
+    read max_range.
+    """
+    check_pose(truth, pose)
+    angles = pose.theta + _beam_offsets(lidar)
+    _, _, hit_i, hit_j = _traverse_beams(truth, pose, angles, lidar.max_range)
     ranges = np.full(lidar.beam_count, lidar.max_range, dtype=np.float64)
-    if hit.any():
-        hx = truth.origin[0] + (hit_i[hit] + 0.5) * truth.resolution
-        hy = truth.origin[1] + (hit_j[hit] + 0.5) * truth.resolution
-        ranges[hit] = np.hypot(hx - pose.x, hy - pose.y)
-
-    reinflate_window(belief, int(vi.min()), int(vj.min()), int(vi.max()), int(vj.max()))
+    hit = hit_i >= 0
+    hx = truth.origin[0] + (hit_i[hit] + 0.5) * truth.resolution
+    hy = truth.origin[1] + (hit_j[hit] + 0.5) * truth.resolution
+    ranges[hit] = np.hypot(hx - pose.x, hy - pose.y)
     return ranges
 
 

@@ -362,6 +362,17 @@ class TestCmdScore:
         assert rc == 1
         assert "dimensions" in capsys.readouterr().err
 
+    def test_resolution_mismatch_exit_1(self, tmp_path, capsys):
+        map_path = tmp_path / "truth.txt"
+        map_path.write_text(TINY_ROOM)
+        belief_path = tmp_path / "belief.txt"
+        belief_path.write_text(TINY_ROOM.replace("0.25", "0.5", 1)
+                               .replace("#.........#", "#....?....#", 1))
+        rc = main(["score", "--map", str(map_path), "--belief",
+                   str(belief_path), "--pose", "0.5,0.5,0"])
+        assert rc == 1
+        assert "resolutions" in capsys.readouterr().err
+
     @pytest.mark.parametrize("where", ["outside", "obstacle"])
     def test_pose_off_free_truth_exit_1(self, tmp_path, capsys, where):
         map_path, belief_path, _, cfg = self._write_scene(tmp_path)

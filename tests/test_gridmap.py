@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import STATE_CHARS, grid_from_rows, remap_cost
+from explorebench import gridmap
 from explorebench.gridmap import (COST_INSCRIBED, COST_LETHAL, COST_UNKNOWN,
                                   FREE, OCCUPIED, UNKNOWN, InflationParams,
                                   InvalidRadiiError, LidarModel,
@@ -15,10 +16,10 @@ from explorebench.gridmap import (COST_INSCRIBED, COST_LETHAL, COST_UNKNOWN,
                                   PoseInsideObstacleError,
                                   PoseOutOfBoundsError, StartUnreachableError,
                                   ZeroResolutionError, _traverse_beams,
-                                  exploration_rate, inflate, load_belief,
-                                  load_map, load_map_file, raycast_reveal,
-                                  reachable_free_mask, remap_costs,
-                                  to_ascii, wrap_angle)
+                                  beam_ranges, exploration_rate, inflate,
+                                  load_belief, load_map, load_map_file,
+                                  raycast_reveal, reachable_free_mask,
+                                  remap_costs, to_ascii, wrap_angle)
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +391,8 @@ class TestRaycastReveal:
         belief = make_belief_like(truth)
         pose = Pose(*truth.cell_center(10, 10))
         lidar = LidarModel(beam_count=360, max_range=5.0)
-        ranges = raycast_reveal(belief, truth, pose, lidar)
+        raycast_reveal(belief, truth, pose, lidar)
+        ranges = beam_ranges(truth, pose, lidar)
         revealed = {(i, j) for j in range(21) for i in range(21)
                     if belief.states[j, i] != UNKNOWN}
         disk = {(i, j) for j in range(21) for i in range(21)
@@ -414,8 +416,9 @@ class TestRaycastReveal:
         inflate(truth, 0.12, 0.6, 4.0)
         belief = make_belief_like(truth)
         pose = Pose(*truth.cell_center(2, 3))
-        ranges = raycast_reveal(belief, truth, pose,
-                                LidarModel(beam_count=1, max_range=10.0))
+        lidar = LidarModel(beam_count=1, max_range=10.0)
+        raycast_reveal(belief, truth, pose, lidar)
+        ranges = beam_ranges(truth, pose, lidar)
         known = {(i, j) for j in range(7) for i in range(9)
                  if belief.states[j, i] != UNKNOWN}
         assert known == {(2, 3), (3, 3), (4, 3), (5, 3)}
@@ -471,6 +474,115 @@ class TestRaycastReveal:
                     belief.inflation.inflation_radius,
                     belief.inflation.decay_rate)
             assert (reference.costs == belief.costs).all()
+
+    def test_origin_mismatch_raises(self):
+        truth = grid_from_rows(["....."] * 5, resolution=1.0)
+        belief = OccupancyGrid.unknown(5, 5, 1.0, origin=(2.0, 2.0))
+        with pytest.raises(MapError):
+            raycast_reveal(belief, truth, Pose(0.5, 0.5), LidarModel())
+        assert (belief.states == UNKNOWN).all()
+
+    def test_first_reveal_returns_cells_that_became_known(self, rng):
+        truth = self._random_truth(rng, 20, 20)
+        belief = make_belief_like(truth)
+        ci, cj = raycast_reveal(belief, truth, self._random_free_pose(rng, truth),
+                                LidarModel(beam_count=180, max_range=3.0))
+        known_j, known_i = np.nonzero(belief.states != UNKNOWN)
+        assert sorted(zip(ci.tolist(), cj.tolist())) == sorted(
+            zip(known_i.tolist(), known_j.tolist()))
+
+    def test_repeat_reveal_changes_nothing(self, rng, monkeypatch):
+        calls = []
+        reinflate = gridmap.reinflate_window
+        monkeypatch.setattr(gridmap, "reinflate_window",
+                            lambda *args: calls.append(args) or reinflate(*args))
+        truth = self._random_truth(rng, 20, 20)
+        belief = make_belief_like(truth)
+        pose = self._random_free_pose(rng, truth)
+        lidar = LidarModel(beam_count=180, max_range=3.0)
+        raycast_reveal(belief, truth, pose, lidar)
+        assert len(calls) == 1
+        states, costs = belief.states.copy(), belief.costs.copy()
+        ci, cj = raycast_reveal(belief, truth, pose, lidar)
+        assert ci.size == 0 and cj.size == 0
+        assert (belief.states == states).all() and (belief.costs == costs).all()
+        assert len(calls) == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_culled_reveals_match_oracle(self, data):
+        w = data.draw(st.integers(1, 40), label="width")
+        h = data.draw(st.integers(1, 40), label="height")
+        res = data.draw(st.sampled_from([0.1, 0.25, 0.5]), label="res")
+        origin = data.draw(st.sampled_from([(0.0, 0.0), (-1.3, 2.7)]), label="origin")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        p_occupied = data.draw(st.sampled_from([0.0, 0.15, 0.4]), label="p")
+        states = np.where(np.random.RandomState(seed).rand(h, w) < p_occupied,
+                          OCCUPIED, FREE).astype(np.uint8)
+        states.flat[data.draw(st.integers(0, w * h - 1), label="free")] = FREE
+        truth = OccupancyGrid(w, h, res, states, np.zeros_like(states), origin)
+        inflate(truth, 0.12, 0.6, 4.0)
+        lidar = LidarModel(
+            beam_count=data.draw(st.integers(1, 720), label="beams"),
+            max_range=data.draw(st.floats(0.05, 10.0), label="range") * res,
+            angular_span=data.draw(st.sampled_from([2.0 * math.pi, math.pi, 1.0]),
+                                   label="span"))
+        # Cell centres, edges, corners, or anywhere in a cell.
+        fraction = st.one_of(st.sampled_from([0.0, 0.5]),
+                             st.floats(0.0, 1.0, exclude_max=True))
+        belief = make_belief_like(truth)
+        free_set, occ_set = set(), set()
+        for _ in range(data.draw(st.integers(1, 12), label="reveals")):
+            # After the first reveal the robot stands on known Free cells.
+            free_j, free_i = np.nonzero((belief if free_set else truth).states == FREE)
+            k = data.draw(st.integers(0, len(free_i) - 1), label="cell")
+            pose = Pose(origin[0] + (free_i[k] + data.draw(fraction, label="fx")) * res,
+                        origin[1] + (free_j[k] + data.draw(fraction, label="fy")) * res,
+                        data.draw(st.one_of(
+                            st.sampled_from([q * math.pi / 4 for q in range(-3, 5)]),
+                            st.floats(-math.pi, math.pi)), label="theta"))
+            pi, pj = truth.world_to_cell(pose.x, pose.y)
+            if not truth.in_bounds(pi, pj) or states[pj, pi] != FREE:
+                continue  # rounding pushed an edge pose into another cell
+            unknown = belief.states == UNKNOWN
+            ci, cj = raycast_reveal(belief, truth, pose, lidar)
+            more_free, more_occ = oracle_reveal_sets(truth, pose, lidar)
+            free_set |= more_free
+            occ_set |= more_occ
+            expected = np.full((h, w), UNKNOWN, dtype=np.uint8)
+            for cells, state in ((free_set, FREE), (occ_set, OCCUPIED)):
+                if cells:
+                    i, j = zip(*cells)
+                    expected[list(j), list(i)] = state
+            assert (belief.states == expected).all()
+            changed_j, changed_i = np.nonzero(unknown & (expected != UNKNOWN))
+            assert ci.tolist() == changed_i.tolist() and cj.tolist() == changed_j.tolist()
+            reference = belief.clone()
+            inflate(reference, 0.12, 0.6, 4.0)
+            assert (reference.costs == belief.costs).all()
+
+    @pytest.mark.parametrize("truth_rows,belief_rows,pose,lidar,changed", [
+        # The pose sits on the corner shared by cells (1, 1), (2, 1), (1, 2)
+        # and (2, 2). At t = 0 the x-first tie-break enters (1, 2) even for
+        # beams pointing down and left, away from it.
+        *((["....."] * 5, ["....."] * 2 + [".?..."] + ["....."] * 2,
+           Pose(2.0, 2.0, theta), LidarModel(beam_count=3, max_range=2.0,
+                                             angular_span=0.1), [(1, 2)])
+          for theta in (5 * math.pi / 4, -math.pi / 2 - 0.2, math.pi)),
+        # The beam at 3 pi / 4 passes through the corner of (0, 4) that ends
+        # the cell's beam interval.
+        (["##", "##", "..", "..", ".."], ["##", "##", "..", "..", "??"],
+         Pose(1.5, 2.5, math.pi), LidarModel(beam_count=8, max_range=3.6),
+         [(0, 4), (1, 4)]),
+    ], ids=["pose-on-corner-0", "pose-on-corner-1", "pose-on-corner-2",
+            "beam-through-corner"])
+    def test_interval_edge_cases(self, truth_rows, belief_rows, pose, lidar, changed):
+        truth = grid_from_rows(truth_rows, resolution=1.0)
+        belief = grid_from_rows(belief_rows, resolution=1.0)
+        ci, cj = raycast_reveal(belief, truth, pose, lidar)
+        assert list(zip(ci.tolist(), cj.tolist())) == changed
+        assert (belief.states == truth.states).all()
+        assert (belief.costs == truth.costs).all()
 
     @staticmethod
     def _random_truth(rng, w, h):
