@@ -180,14 +180,12 @@ def _load_maps(parser, inflation):
     resolution = _get(parser, "maps", "resolution", float, lambda v: v > 0)
     todo = []
     for item in spec:
-        try:
-            tier, count = item.split(":")
-            count = int(count)
-        except ValueError:
-            raise ConfigError(f"[maps] generate: bad entry {item!r}") from None
+        tier, _, count = item.partition(":")
+        if not count.isdecimal():
+            raise ConfigError(f"[maps] generate: bad entry {item!r}")
         if tier not in TIERS:
             raise ConfigError(f"[maps] generate: unknown tier {tier!r}")
-        todo += [(f"{tier}{k:02d}", tier, map_seed + k) for k in range(count)]
+        todo += [(f"{tier}{k:02d}", tier, map_seed + k) for k in range(int(count))]
     if not todo:
         raise ConfigError("[maps] generate: no maps configured")
     _unique("[maps] generate", [name for name, _, _ in todo])

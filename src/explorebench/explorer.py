@@ -35,7 +35,7 @@ OUTCOME_TICK_LIMIT = "tick_limit"
 
 @dataclass(frozen=True)
 class SelectorKind:
-    """Which waypoint policy a run uses; random carries its own seed."""
+    """Which waypoint policy a run uses; only random carries a seed."""
 
     kind: str
     seed: int | None = None
@@ -45,6 +45,8 @@ class SelectorKind:
             raise ValueError(f"kind must be one of {SELECTOR_KINDS}, got {self.kind!r}")
         if self.kind == "random" and self.seed is None:
             raise ValueError("random selector needs an explicit seed")
+        if self.kind != "random" and self.seed is not None:
+            raise ValueError(f"{self.kind} selector takes no seed")
 
     @classmethod
     def parse(cls, text: str) -> "SelectorKind":
@@ -186,7 +188,6 @@ def run_exploration(truth: OccupancyGrid, start: Pose, selector: SelectorKind,
                            cumdist, rate))
 
     waypoints: list[tuple[float, float]] = []
-    target_cells: tuple[np.ndarray, np.ndarray] | None = None
     no_progress = 0
     # Enough ticks for a full in-place rotation plus slack.
     stuck_limit = int(math.pi / (kin.w_max * kin.dt)) + 8
@@ -199,8 +200,7 @@ def run_exploration(truth: OccupancyGrid, start: Pose, selector: SelectorKind,
         mask = detect_frontiers(belief)
         robot_cell = belief.world_to_cell(state.pose.x, state.pose.y)
         if waypoints:
-            vanished = (target_cells is not None
-                        and not mask[target_cells[1], target_cells[0]].any())
+            vanished = not mask[target_cells[:, 1], target_cells[:, 0]].any()
             if (vanished or no_progress >= stuck_limit
                     or not _path_cells_valid(belief, waypoints, robot_cell)):
                 waypoints = []
@@ -231,7 +231,7 @@ def run_exploration(truth: OccupancyGrid, start: Pose, selector: SelectorKind,
                 record.outcome = OUTCOME_STALLED
                 break
             seg = segments[chosen]
-            target_cells = (seg.cells[:, 0].copy(), seg.cells[:, 1].copy())
+            target_cells = seg.cells
             record.decisions.append(Decision(tick, chosen, seg.centroid, breakdowns))
 
         moved = kin_advance(state, waypoints, belief)

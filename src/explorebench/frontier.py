@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .gridmap import FREE, UNKNOWN, OccupancyGrid
+from .gridmap import FREE, UNKNOWN, OccupancyGrid, adjacent_to
 
 _EIGHT_CONNECTED = np.ones((3, 3), dtype=bool)
 
@@ -41,14 +41,7 @@ class FrontierSegment:
 
 def detect_frontiers(belief: OccupancyGrid) -> np.ndarray:
     """Mark Free cells that border Unknown space (4-connectivity)."""
-    states = belief.states
-    unknown = states == UNKNOWN
-    near_unknown = np.zeros(states.shape, dtype=bool)
-    near_unknown[:, 1:] |= unknown[:, :-1]
-    near_unknown[:, :-1] |= unknown[:, 1:]
-    near_unknown[1:, :] |= unknown[:-1, :]
-    near_unknown[:-1, :] |= unknown[1:, :]
-    return (states == FREE) & near_unknown
+    return (belief.states == FREE) & adjacent_to(belief.states == UNKNOWN)
 
 
 def cluster_segments(marks: np.ndarray, belief: OccupancyGrid,

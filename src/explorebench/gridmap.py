@@ -405,10 +405,8 @@ def _traverse_beams(grid, pose, angles, max_range):
     until its next crossing lies beyond max_range, it leaves the grid, or
     it enters an Occupied cell (a hit).
 
-    Returns (visited_i, visited_j, hit_i, hit_j) where visited covers every
-    cell any beam entered (including hit cells), beam by beam after the
-    pose cell, and hit_* hold per-beam hit cell indices (-1 when the beam
-    ended without a hit).
+    Returns (visited_i, visited_j): the pose cell, then every cell each
+    beam entered (hit cells included), beam by beam.
     """
     n = len(angles)
     res = grid.resolution
@@ -429,24 +427,20 @@ def _traverse_beams(grid, pose, angles, max_range):
     t = np.cumsum(increments, axis=2).reshape(n, 2 * k)
     order = np.argsort(t, axis=1, kind="stable")
     entry = np.take_along_axis(t, order, axis=1)
-    is_x = order < k
-    ci = pi + np.cumsum(np.where(is_x, step[:, :1], 0), axis=1)
-    cj = pj + np.cumsum(np.where(is_x, 0, step[:, 1:]), axis=1)
+    # After each crossing, nx of them were x crossings and the rest y ones.
+    nx = np.cumsum(order < k, axis=1)
+    ci = pi + step[:, :1] * nx
+    cj = pj + step[:, 1:] * (np.arange(1, 2 * k + 1) - nx)
 
     inside = ((entry <= range_cells) & (ci >= 0) & (ci < grid.width)
               & (cj >= 0) & (cj < grid.height))
     hits = np.zeros_like(inside)
     hits[inside] = grid.states[cj[inside], ci[inside]] == OCCUPIED
     seen = inside & (np.cumsum(hits, axis=1) - hits == 0)
-    rows = np.arange(n)
-    first = hits.argmax(axis=1)
-    hit = hits[rows, first]
-    hit_i = np.where(hit, ci[rows, first], -1)
-    hit_j = np.where(hit, cj[rows, first], -1)
     # The pose cell itself is always seen.
     vi = np.concatenate(([pi], ci[seen]))
     vj = np.concatenate(([pj], cj[seen]))
-    return vi, vj, hit_i, hit_j
+    return vi, vj
 
 
 def check_pose(truth: OccupancyGrid, pose: Pose) -> None:
@@ -464,23 +458,20 @@ def _beam_offsets(lidar: LidarModel) -> np.ndarray:
     return lidar.angular_span * k / lidar.beam_count
 
 
+def adjacent_to(mask: np.ndarray) -> np.ndarray:
+    """Cells with a 4-neighbour in mask."""
+    out = np.zeros(mask.shape, dtype=bool)
+    out[1:] = mask[:-1]
+    out[:-1] |= mask[1:]
+    out[:, 1:] |= mask[:, :-1]
+    out[:, :-1] |= mask[:, 1:]
+    return out
+
+
 # Padding of each candidate's beam interval (radians) and of its range test
 # (cells); it covers the rounding of atan2, of the beam angles and of the
 # march's crossings.
 _CULL_EPS = 1e-9
-
-# Seen from the pose, a cell's square spans from its most clockwise corner
-# to its most counter-clockwise one. Row k = 3 * row class + column class,
-# where a class is 0 when the square lies wholly below (left of) the pose,
-# 2 when wholly above (right of) it and 1 when its closed extent holds the
-# pose's coordinate; the columns are 1 where that corner takes the far side
-# (x0 + 1 or y0 + 1): first x, first y, last x, last y. Row 4 is a square
-# that contains the pose, which marks every beam instead.
-_EXTREME_CORNERS = np.array([
-    [0, 1, 1, 0], [0, 1, 1, 1], [0, 0, 1, 1],
-    [1, 1, 1, 0], [0, 0, 0, 0], [0, 0, 0, 1],
-    [1, 1, 0, 0], [1, 0, 0, 0], [1, 0, 0, 1],
-], dtype=np.float64)
 
 
 def _beams_to_march(belief: OccupancyGrid, pose: Pose, lidar: LidarModel) -> np.ndarray:
@@ -490,8 +481,9 @@ def _beams_to_march(belief: OccupancyGrid, pose: Pose, lidar: LidarModel) -> np.
     4-neighbour and whose nearest point lies within max_range. A candidate
     whose closed square contains the pose marks every beam (at t = 0 the
     x-first tie-break enters it whatever the beam's direction); any other
-    marks the beams whose angle lies between its two extreme corners,
-    padded by _CULL_EPS. All beams are marked while the pose cell is Unknown.
+    marks the beams whose angle lies between the smallest and the largest
+    of its four corner angles, padded by _CULL_EPS. All beams are marked
+    while the pose cell is Unknown.
     """
     n = lidar.beam_count
     res = belief.resolution
@@ -513,27 +505,21 @@ def _beams_to_march(belief: OccupancyGrid, pose: Pose, lidar: LidarModel) -> np.
     nx = np.maximum(x0, np.minimum(x1, 0.0))
     ny = np.maximum(y0, np.minimum(y1, 0.0))
     near = (ny * ny)[:, None] + nx * nx <= (range_cells + _CULL_EPS) ** 2
-    free = window == FREE
-    near_free = np.zeros(window.shape, dtype=bool)
-    near_free[1:] = free[:-1]
-    near_free[:-1] |= free[1:]
-    near_free[:, 1:] |= free[:, :-1]
-    near_free[:, :-1] |= free[:, 1:]
-    cj, ci = np.nonzero((window == UNKNOWN) & near & near_free)
+    cj, ci = np.nonzero((window == UNKNOWN) & near & adjacent_to(window == FREE))
     if ci.size == 0:
         return np.zeros(n, dtype=bool)
-    row = np.add(y0 > 0.0, y1 >= 0.0, dtype=np.intp)
-    col = np.add(x0 > 0.0, x1 >= 0.0, dtype=np.intp)
-    kind = 3 * row[cj] + col[ci]
-    if (kind == 4).any():
+    x0, y0, x1, y1 = x0[ci], y0[cj], x1[ci], y1[cj]
+    if ((x0 <= 0.0) & (0.0 <= x1) & (y0 <= 0.0) & (0.0 <= y1)).any():
         return np.ones(n, dtype=bool)
-    corners = _EXTREME_CORNERS[kind]
-    x0, y0 = x0[ci], y0[cj]
-    first = np.arctan2(y0 + corners[:, 1], x0 + corners[:, 0])
-    last = np.arctan2(y0 + corners[:, 3], x0 + corners[:, 2])
+    # Seen from outside the square, every corner lies within 3 pi / 4 of
+    # the direction of its centre, so offsets from that direction never
+    # wrap; offsets from a corner can wrap for a pose just off an edge.
     two_pi = 2.0 * math.pi
-    lo = np.mod(first - (pose.theta + _CULL_EPS), two_pi)
-    hi = lo + np.mod(last - first, two_pi) + 2.0 * _CULL_EPS
+    centre = np.arctan2(y0 + 0.5, x0 + 0.5)
+    corners = np.arctan2((y0, y0, y1, y1), (x0, x1, x0, x1))
+    offsets = np.mod(corners - centre + math.pi, two_pi) - math.pi
+    lo = np.mod(centre + offsets.min(axis=0) - (pose.theta + _CULL_EPS), two_pi)
+    hi = lo + np.ptp(offsets, axis=0) + 2.0 * _CULL_EPS
     # Beam offsets on the circle, sorted; each interval, and its wrap past
     # 2 pi, covers a run of sorted beams, summed by a difference array.
     ring = np.mod(_beam_offsets(lidar), two_pi)
@@ -577,7 +563,7 @@ def raycast_reveal(belief: OccupancyGrid, truth: OccupancyGrid, pose: Pose,
     if not march.any():
         return none, none
     angles = pose.theta + _beam_offsets(lidar)[march]
-    vi, vj, _, _ = _traverse_beams(truth, pose, angles, lidar.max_range)
+    vi, vj = _traverse_beams(truth, pose, angles, lidar.max_range)
 
     # Of the entered cells still Unknown, the Occupied ones are hits and
     # become known; Free ones become known when their center lies within
@@ -596,23 +582,6 @@ def raycast_reveal(belief: OccupancyGrid, truth: OccupancyGrid, pose: Pose,
     cj, ci = np.divmod(flat, truth.width)
     reinflate_window(belief, int(ci.min()), int(cj.min()), int(ci.max()), int(cj.max()))
     return ci, cj
-
-
-def beam_ranges(truth: OccupancyGrid, pose: Pose, lidar: LidarModel) -> np.ndarray:
-    """Per beam, the distance from the pose to its hit cell's center.
-
-    Marches every beam as raycast_reveal does; beams that end in free space
-    read max_range.
-    """
-    check_pose(truth, pose)
-    angles = pose.theta + _beam_offsets(lidar)
-    _, _, hit_i, hit_j = _traverse_beams(truth, pose, angles, lidar.max_range)
-    ranges = np.full(lidar.beam_count, lidar.max_range, dtype=np.float64)
-    hit = hit_i >= 0
-    hx = truth.origin[0] + (hit_i[hit] + 0.5) * truth.resolution
-    hy = truth.origin[1] + (hit_j[hit] + 0.5) * truth.resolution
-    ranges[hit] = np.hypot(hx - pose.x, hy - pose.y)
-    return ranges
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Acceptance suite: one test per shipping criterion.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see one PASS line per
-criterion. The comparative criteria (7 and 8) share a 200-run benchmark
-corpus (20 generated maps x 5 seeds x 2 selectors) built once per session.
+criterion. The comparative criteria (7 and 8) and the loop's invariants
+share a 200-run benchmark corpus (20 generated maps x 5 seeds x 2
+selectors) built once per session.
 """
 
 import json
@@ -290,6 +291,28 @@ def test_criterion_8_directional_comparison(benchmark_corpus):
         summary.append(f"{tier}: dist {fh_d:.2f}<={nf_d:.2f}m "
                        f"time {fh_t:.1f}<={nf_t:.1f}s")
     report(8, "heuristic vs nearest means - " + "; ".join(summary))
+
+
+def test_corpus_run_invariants(benchmark_corpus):
+    # The loop's invariants, which the reveal's cull and its windowed
+    # re-inflation rely on to be exact, checked on every corpus run's end.
+    maps, runs, _ = benchmark_corpus
+    truths = {name: truth for _, name, truth in maps}
+    for _, name, seed, selector, record in runs:
+        truth = truths[name]
+        samples = np.array(record.samples)
+        cells = (truth.world_to_cell(x, y) for x, y in samples[:, 1:3])
+        assert all(truth.in_bounds(i, j) and truth.states[j, i] == FREE
+                   for i, j in cells), (name, seed, selector)
+        # Cumulative distance and coverage.
+        assert (np.diff(samples[:, 4:], axis=0) >= 0).all()
+        belief = record.final_belief
+        known = belief.states != UNKNOWN
+        assert (belief.states[known] == truth.states[known]).all()
+        reference = belief.clone()
+        p = belief.inflation
+        inflate(reference, p.inscribed_radius, p.inflation_radius, p.decay_rate)
+        assert (reference.costs == belief.costs).all(), (name, seed, selector)
 
 
 # ---------------------------------------------------------------------------

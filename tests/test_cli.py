@@ -117,6 +117,12 @@ class TestConfig:
         ("[run]\nseeds = 1 1\n", "[run] seeds: duplicate 1"),
         ("[maps]\ngenerate = low:2 low:3\n",
          "[maps] generate: duplicate 'low00'"),
+        ("[selectors]\nselectors = heuristic heuristic:5\n",
+         "[selectors] selectors: heuristic selector takes no seed"),
+        ("[selectors]\nselectors = nearest:0\n",
+         "[selectors] selectors: nearest selector takes no seed"),
+        ("[maps]\ngenerate = low:-1 medium:1\n",
+         "[maps] generate: bad entry 'low:-1'"),
     ])
     def test_errors_name_offending_field(self, text, needle):
         with pytest.raises(ConfigError) as err:
