@@ -12,11 +12,10 @@ import configparser
 import math
 import os
 from collections import Counter
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass, fields
 
 from .explorer import RunLimits, SelectorKind
-from .gridmap import (InflationParams, LidarModel, MapError, OccupancyGrid, Pose,
-                      load_map_file)
+from .gridmap import InflationParams, LidarModel, MapError, OccupancyGrid, load_map_file
 from .mapgen import TIERS, generate_map
 from .navigator import KinematicState
 from .reward import DISTANCE_FORMS, RewardConfig
@@ -24,12 +23,10 @@ from .scoring import HeuristicParams
 
 
 def _keys(cls, **notes) -> str:
-    """cls's defaulted fields as `key = value` lines, booleans in lower case;
+    """cls's fields as `key = value` lines, booleans in lower case;
     notes[key] is written as a comment line above its key."""
     lines = []
     for f in fields(cls):
-        if f.default is MISSING:
-            continue
         if f.name in notes:
             lines.append(f"# {notes[f.name]}")
         value = str(f.default).lower() if isinstance(f.default, bool) else f.default
@@ -140,16 +137,13 @@ def _get(parser, section, key, cast, check=None):
     return value
 
 
-def _section(parser, section, cls, **fixed):
-    """Build cls from the section's keys, one per field with a default.
-
-    Each value is cast to the type of its field's default; fields without
-    a default take their value from fixed.
-    """
+def _section(parser, section, cls):
+    """Build cls from the section's keys, one per field; each value is
+    cast to the type of its field's default."""
     kwargs = {f.name: _get(parser, section, f.name, type(f.default))
-              for f in fields(cls) if f.default is not MISSING}
+              for f in fields(cls)}
     try:
-        return cls(**fixed, **kwargs)
+        return cls(**kwargs)
     except (ValueError, ArithmeticError, MapError) as e:
         raise ConfigError(f"[{section}] {e}") from None
 
@@ -212,8 +206,7 @@ def parse_config(text: str, need_maps: bool = True) -> ExperimentConfig:
     inflation = _section(parser, "inflation", InflationParams)
     params = _section(parser, "heuristic", HeuristicParams)
     lidar = _section(parser, "lidar", LidarModel)
-    kinematics = _section(parser, "kinematics", KinematicState,
-                          pose=Pose(0.0, 0.0, 0.0))
+    kinematics = _section(parser, "kinematics", KinematicState)
     reward = _section(parser, "reward", RewardConfig)
     limits = _section(parser, "limits", RunLimits)
 

@@ -175,21 +175,20 @@ def run_exploration(truth: OccupancyGrid, start: Pose, selector: SelectorKind,
     """Explore the truth map from start until done, stalled, or out of ticks."""
     reachable = reachable_free_mask(truth, start)
     belief = OccupancyGrid.unknown(truth.width, truth.height, truth.resolution,
-                                   truth.origin, truth.inflation)
-    state = KinematicState(Pose(start.x, start.y, start.theta),
-                           kin.v_max, kin.w_max, kin.dt)
+                                   truth.inflation)
+    pose = Pose(start.x, start.y, start.theta)
     record = RunRecord(selector=selector, params=params,
                        start=Pose(start.x, start.y, start.theta))
 
-    raycast_reveal(belief, truth, state.pose, lidar)
-    rate = exploration_rate(belief, truth, start, reachable)
+    raycast_reveal(belief, truth, pose, lidar)
+    rate = exploration_rate(belief, reachable)
     cumdist = 0.0
-    record.samples.append((0.0, state.pose.x, state.pose.y, state.pose.theta,
-                           cumdist, rate))
+    record.samples.append((0.0, pose.x, pose.y, pose.theta, cumdist, rate))
 
     waypoints: list[tuple[float, float]] = []
     no_progress = 0
-    # Enough ticks for a full in-place rotation plus slack.
+    # Enough ticks for a half turn in place, the most that turning toward
+    # any waypoint takes, plus slack.
     stuck_limit = int(math.pi / (kin.w_max * kin.dt)) + 8
 
     for tick in range(1, limits.max_ticks + 1):
@@ -198,7 +197,7 @@ def run_exploration(truth: OccupancyGrid, start: Pose, selector: SelectorKind,
             break
 
         mask = detect_frontiers(belief)
-        robot_cell = belief.world_to_cell(state.pose.x, state.pose.y)
+        robot_cell = belief.world_to_cell(pose.x, pose.y)
         if waypoints:
             vanished = not mask[target_cells[:, 1], target_cells[:, 0]].any()
             if (vanished or no_progress >= stuck_limit
@@ -211,12 +210,11 @@ def run_exploration(truth: OccupancyGrid, start: Pose, selector: SelectorKind,
             if not segments:
                 record.outcome = OUTCOME_COMPLETE
                 break
-            ranked, breakdowns = rank_segments(selector, segments, state.pose,
-                                               belief, params)
+            ranked, breakdowns = rank_segments(selector, segments, pose, belief, params)
             chosen = None
             for idx in ranked:
                 try:
-                    path = plan_path(belief, state.pose, segments[idx].centroid,
+                    path = plan_path(belief, pose, segments[idx].centroid,
                                      cost_weight, goal_relax_radius)
                 except NoPathError:
                     continue
@@ -234,16 +232,13 @@ def run_exploration(truth: OccupancyGrid, start: Pose, selector: SelectorKind,
             target_cells = seg.cells
             record.decisions.append(Decision(tick, chosen, seg.centroid, breakdowns))
 
-        moved = kin_advance(state, waypoints, belief)
+        moved = kin_advance(pose, kin, waypoints, belief)
         cumdist += moved
         no_progress = 0 if moved > 0.0 else no_progress + 1
 
-        raycast_reveal(belief, truth, state.pose, lidar)
-        rate = exploration_rate(belief, truth, start, reachable)
-        record.samples.append((tick * kin.dt, state.pose.x, state.pose.y,
-                               state.pose.theta, cumdist, rate))
-    else:
-        record.outcome = OUTCOME_TICK_LIMIT
+        raycast_reveal(belief, truth, pose, lidar)
+        rate = exploration_rate(belief, reachable)
+        record.samples.append((tick * kin.dt, pose.x, pose.y, pose.theta, cumdist, rate))
     record.final_belief = belief
     return record
 

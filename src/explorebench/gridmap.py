@@ -112,9 +112,9 @@ class OccupancyGrid:
 
     states and costs are (height, width) uint8 arrays indexed [j, i].
     The cost array mirrors states: Unknown cells hold the COST_UNKNOWN
-    marker and Occupied cells hold COST_LETHAL. origin is the world
-    position of the corner of cell (0, 0); cell (i, j) has its center at
-    origin + ((i + 0.5) * resolution, (j + 0.5) * resolution).
+    marker and Occupied cells hold COST_LETHAL. Cell (0, 0) has its corner
+    at the world origin; cell (i, j) has its center at ((i + 0.5) *
+    resolution, (j + 0.5) * resolution).
     """
 
     width: int
@@ -122,7 +122,6 @@ class OccupancyGrid:
     resolution: float
     states: np.ndarray
     costs: np.ndarray
-    origin: tuple[float, float] = (0.0, 0.0)
     inflation: InflationParams = field(default_factory=InflationParams)
 
     def __post_init__(self):
@@ -138,12 +137,12 @@ class OccupancyGrid:
             raise MalformedMapError("costs shape differs from states shape")
 
     @classmethod
-    def unknown(cls, width, height, resolution, origin=(0.0, 0.0),
+    def unknown(cls, width, height, resolution,
                 inflation: InflationParams | None = None) -> "OccupancyGrid":
         """All-Unknown belief grid with the matching cost markers."""
         states = np.full((height, width), UNKNOWN, dtype=np.uint8)
         costs = np.full((height, width), COST_UNKNOWN, dtype=np.uint8)
-        return cls(width, height, resolution, states, costs, origin,
+        return cls(width, height, resolution, states, costs,
                    inflation or InflationParams())
 
     def clone(self) -> "OccupancyGrid":
@@ -154,13 +153,11 @@ class OccupancyGrid:
 
     def world_to_cell(self, x: float, y: float) -> tuple[int, int]:
         """Cell containing the world point (cells are half-open squares)."""
-        i = int(math.floor((x - self.origin[0]) / self.resolution))
-        j = int(math.floor((y - self.origin[1]) / self.resolution))
-        return i, j
+        return int(math.floor(x / self.resolution)), int(math.floor(y / self.resolution))
 
-    def cell_center(self, i: int, j: int) -> tuple[float, float]:
-        return (self.origin[0] + (i + 0.5) * self.resolution,
-                self.origin[1] + (j + 0.5) * self.resolution)
+    def cell_center(self, i, j):
+        """World center of cell (i, j); i and j may be index arrays."""
+        return (i + 0.5) * self.resolution, (j + 0.5) * self.resolution
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +407,7 @@ def _traverse_beams(grid, pose, angles, max_range):
     """
     n = len(angles)
     res = grid.resolution
-    g = np.array([(pose.x - grid.origin[0]) / res, (pose.y - grid.origin[1]) / res])
+    g = np.array([pose.x / res, pose.y / res])
     c = np.floor(g)
     pi, pj = int(c[0]), int(c[1])
     range_cells = max_range / res
@@ -487,8 +484,7 @@ def _beams_to_march(belief: OccupancyGrid, pose: Pose, lidar: LidarModel) -> np.
     """
     n = lidar.beam_count
     res = belief.resolution
-    gx = (pose.x - belief.origin[0]) / res
-    gy = (pose.y - belief.origin[1]) / res
+    gx, gy = pose.x / res, pose.y / res
     pi, pj = math.floor(gx), math.floor(gy)
     if belief.states[pj, pi] == UNKNOWN:
         return np.ones(n, dtype=bool)
@@ -553,8 +549,7 @@ def raycast_reveal(belief: OccupancyGrid, truth: OccupancyGrid, pose: Pose,
     beam enters is 4-adjacent to a known Free cell or to the pose cell,
     with its nearest point within max_range.
     """
-    if (belief.states.shape != truth.states.shape or belief.resolution != truth.resolution
-            or tuple(belief.origin) != tuple(truth.origin)):
+    if belief.states.shape != truth.states.shape or belief.resolution != truth.resolution:
         raise MapError("belief and truth grids must share geometry")
     check_pose(truth, pose)
 
@@ -571,8 +566,7 @@ def raycast_reveal(belief: OccupancyGrid, truth: OccupancyGrid, pose: Pose,
     # visibility disk.
     unknown = belief.states[vj, vi] == UNKNOWN
     vi, vj = vi[unknown], vj[unknown]
-    cx = truth.origin[0] + (vi + 0.5) * truth.resolution
-    cy = truth.origin[1] + (vj + 0.5) * truth.resolution
+    cx, cy = truth.cell_center(vi, vj)
     in_range = (cx - pose.x) ** 2 + (cy - pose.y) ** 2 <= lidar.max_range**2
     known = in_range | (truth.states[vj, vi] == OCCUPIED)
     if not known.any():
@@ -598,18 +592,14 @@ def reachable_free_mask(truth: OccupancyGrid, start: Pose) -> np.ndarray:
     return labels == labels[sj, si]
 
 
-def exploration_rate(belief: OccupancyGrid, truth: OccupancyGrid, start: Pose,
-                     reachable: np.ndarray | None = None) -> float:
-    """Fraction of truth-reachable free cells that are known in the belief.
+def exploration_rate(belief: OccupancyGrid, reachable: np.ndarray) -> float:
+    """Fraction of the reachable cells that are known in the belief.
 
-    The denominator is the 4-connected free component of the truth grid
-    containing the start cell; passing a precomputed mask skips the flood
-    fill when the metric is sampled every tick.
+    reachable is the mask reachable_free_mask gives for the truth grid and
+    the start pose.
     """
-    if belief.states.shape != truth.states.shape:
-        raise MapError("belief and truth grids must share dimensions")
-    if reachable is None:
-        reachable = reachable_free_mask(truth, start)
+    if belief.states.shape != reachable.shape:
+        raise MapError("belief and reachable mask must share dimensions")
     total = int(np.count_nonzero(reachable))
     known = int(np.count_nonzero(reachable & (belief.states != UNKNOWN)))
     return known / total

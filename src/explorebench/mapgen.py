@@ -15,7 +15,7 @@ import numpy as np
 from scipy import ndimage
 
 from .gridmap import (FREE, OCCUPIED, InflationParams, OccupancyGrid, Pose,
-                      grid_from_states)
+                      StartUnreachableError, grid_from_states)
 
 TIERS = ("low", "medium", "high")
 
@@ -95,8 +95,13 @@ def generate_map(tier: str, seed: int, resolution: float = 0.25,
 
 
 def pick_start(truth: OccupancyGrid, seed: int) -> Pose:
-    """Deterministic start pose on a free cell, away from the outer wall."""
+    """Deterministic start pose on a free cell, away from the outer wall.
+
+    Raises StartUnreachableError when the map has no Free cell.
+    """
     free_j, free_i = np.nonzero(truth.states == FREE)
+    if free_i.size == 0:
+        raise StartUnreachableError("map has no free cell to start on")
     interior = ((free_i > 1) & (free_i < truth.width - 2)
                 & (free_j > 1) & (free_j < truth.height - 2))
     if interior.any():

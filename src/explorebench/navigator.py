@@ -42,9 +42,10 @@ class PlannedPath:
     total_cost: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class KinematicState:
-    pose: Pose
+    """Follower limits: top speed (m/s), top turn rate (rad/s), tick (s)."""
+
     v_max: float = 0.5
     w_max: float = 2.0
     dt: float = 0.25
@@ -147,9 +148,9 @@ def plan_path(belief: OccupancyGrid, start: Pose, to_world: tuple[float, float],
     return PlannedPath(waypoints, g[goal_k])
 
 
-def advance(state: KinematicState, waypoints: list[tuple[float, float]],
+def advance(pose: Pose, kin: KinematicState, waypoints: list[tuple[float, float]],
             belief: OccupancyGrid) -> float:
-    """One control tick toward the first remaining waypoint.
+    """One control tick toward the first remaining waypoint; moves pose in place.
 
     Turns at most w_max * dt toward the waypoint, then moves forward
     min(v_max * dt, distance to the waypoint) when the residual heading
@@ -160,13 +161,12 @@ def advance(state: KinematicState, waypoints: list[tuple[float, float]],
     """
     if not waypoints:
         return 0.0
-    pose = state.pose
     tx, ty = waypoints[0]
     to_target = math.hypot(tx - pose.x, ty - pose.y)
     if to_target > 0.0:
         desired = math.atan2(ty - pose.y, tx - pose.x)
         err = wrap_angle(desired - pose.theta)
-        turn = max(-state.w_max * state.dt, min(state.w_max * state.dt, err))
+        turn = max(-kin.w_max * kin.dt, min(kin.w_max * kin.dt, err))
         pose.theta = wrap_angle(pose.theta + turn)
         err = wrap_angle(desired - pose.theta)
     else:
@@ -174,7 +174,7 @@ def advance(state: KinematicState, waypoints: list[tuple[float, float]],
 
     moved = 0.0
     if abs(err) <= math.pi / 4.0:
-        step = min(state.v_max * state.dt, to_target)
+        step = min(kin.v_max * kin.dt, to_target)
         nx = pose.x + step * math.cos(pose.theta)
         ny = pose.y + step * math.sin(pose.theta)
         ci, cj = belief.world_to_cell(nx, ny)

@@ -33,10 +33,9 @@ def _path_color(fraction: float) -> str:
 
 def _map_panel(record: RunRecord, belief: OccupancyGrid) -> list[str]:
     res = belief.resolution
-    ox, oy = belief.origin
 
     def px(x, y):
-        return ((x - ox) / res * CELL_PX, (y - oy) / res * CELL_PX)
+        return (x / res * CELL_PX, y / res * CELL_PX)
 
     parts = [f'<g transform="translate({MARGIN},{MARGIN})">']
     # Cells, merged per row into runs of equal state to keep files small;

@@ -133,16 +133,13 @@ def occupancy_score(segment: FrontierSegment, belief: OccupancyGrid,
     r = max(segment.radius_r, res)
     xf, yf = segment.centroid
     # Bounding box of candidate cells, then an exact center-in-disk mask.
-    i_lo = max(0, int(math.floor((xf - r - belief.origin[0]) / res - 0.5)))
-    i_hi = min(belief.width - 1, int(math.ceil((xf + r - belief.origin[0]) / res - 0.5)))
-    j_lo = max(0, int(math.floor((yf - r - belief.origin[1]) / res - 0.5)))
-    j_hi = min(belief.height - 1, int(math.ceil((yf + r - belief.origin[1]) / res - 0.5)))
+    i_lo = max(0, int(math.floor((xf - r) / res - 0.5)))
+    i_hi = min(belief.width - 1, int(math.ceil((xf + r) / res - 0.5)))
+    j_lo = max(0, int(math.floor((yf - r) / res - 0.5)))
+    j_hi = min(belief.height - 1, int(math.ceil((yf + r) / res - 0.5)))
     if i_lo > i_hi or j_lo > j_hi:
         return 0.0
-    ii = np.arange(i_lo, i_hi + 1)
-    jj = np.arange(j_lo, j_hi + 1)
-    cx = belief.origin[0] + (ii + 0.5) * res
-    cy = belief.origin[1] + (jj + 0.5) * res
+    cx, cy = belief.cell_center(np.arange(i_lo, i_hi + 1), np.arange(j_lo, j_hi + 1))
     in_disk = (cx[None, :] - xf) ** 2 + (cy[:, None] - yf) ** 2 <= r * r
     if not in_disk.any():
         return 0.0

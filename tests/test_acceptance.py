@@ -20,7 +20,7 @@ from explorebench.explorer import (OUTCOME_COMPLETE, RunLimits, SelectorKind,
 from explorebench.frontier import (FrontierSegment, cluster_segments,
                                    detect_frontiers)
 from explorebench.gridmap import (FREE, OCCUPIED, UNKNOWN, LidarModel,
-                                  OccupancyGrid, Pose, inflate)
+                                  OccupancyGrid, inflate)
 from explorebench.mapgen import generate_map, pick_start
 from explorebench.navigator import KinematicState
 from explorebench.reward import RewardConfig, StepObservation, compute_reward
@@ -30,7 +30,7 @@ from scenes import case_study_scene, frontier_type_scenes
 
 BENCH_PARAMS = HeuristicParams(alpha=3.0, beta=5.0, gamma=0.5)
 BENCH_LIDAR = LidarModel(beam_count=360, max_range=2.5)
-BENCH_KIN = KinematicState(Pose(0, 0, 0), v_max=0.5, w_max=2.0, dt=0.25)
+BENCH_KIN = KinematicState(v_max=0.5, w_max=2.0, dt=0.25)
 BENCH_LIMITS = RunLimits(max_ticks=4000, expr_target=0.99)
 BENCH_TIERS = (("low", 6), ("medium", 7), ("high", 7))
 BENCH_SEEDS = (1, 2, 3, 4, 5)
@@ -120,7 +120,6 @@ def test_criterion_3_occupancy_oracle_equivalence():
                       float(rng.uniform(-0.5, h * 0.25 + 0.5))),
             length_af=float(rng.uniform(0.0, 5.0)),
             radius_r=float(rng.uniform(0.0, 2.5)),
-            farthest_cell=(0, 0),
         )
         got = occupancy_score(seg, belief, params)
         # Brute-force disk enumeration over every cell of the grid.

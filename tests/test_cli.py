@@ -12,8 +12,8 @@ from explorebench import cli, config
 from explorebench.cli import main
 from explorebench.config import DEFAULT_CONFIG, ConfigError, parse_config
 from explorebench.explorer import RunLimits
-from explorebench.gridmap import (OCCUPIED, InflationParams, LidarModel, Pose,
-                                  load_belief, load_map_file, to_ascii)
+from explorebench.gridmap import (OCCUPIED, InflationParams, LidarModel, load_belief,
+                                  load_map_file, to_ascii)
 from explorebench.navigator import KinematicState
 from explorebench.reward import RewardConfig
 from explorebench.scoring import HeuristicParams
@@ -87,7 +87,7 @@ class TestConfig:
         assert cfg.inflation == InflationParams()
         assert cfg.params == HeuristicParams()
         assert cfg.lidar == LidarModel()
-        assert cfg.kinematics == KinematicState(Pose(0.0, 0.0, 0.0))
+        assert cfg.kinematics == KinematicState()
         assert cfg.reward == RewardConfig()
         assert cfg.limits == RunLimits()
 
@@ -221,6 +221,22 @@ class TestCmdRun:
                            extra="[limits]\nmax_ticks = 1\nexpr_target = 0.999\n"
                                  "[lidar]\nmax_range = 0.5\n")
         assert main(["run", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("fmt", ["ascii", "pgm"])
+    def test_map_without_free_cell_is_map_error(self, tmp_path, capsys, fmt, jobs):
+        # Two seeds make two runs, so --jobs 2 starts a real pool.
+        if fmt == "ascii":
+            path = tmp_path / "walls.txt"
+            path.write_text("2 2 0.5\n##\n##\n")
+        else:
+            path = tmp_path / "walls.pgm"
+            path.write_bytes(b"P5 2 2 255\n" + bytes([255, 200, 0, 255]))
+            (tmp_path / "walls.pgm.txt").write_text(
+                "resolution = 0.5\noccupied_threshold = 255\n")
+        cfg = write_config(tmp_path, [path], seeds="1 2")
+        assert main(["run", "--config", str(cfg), "--jobs", str(jobs)]) == 1
+        assert "map error: " in capsys.readouterr().err
 
     def test_missing_config(self, capsys):
         assert main(["run", "--config", "/no/such.cfg"]) == 1

@@ -2,19 +2,21 @@ import numpy as np
 import pytest
 
 from conftest import grid_from_rows
+from explorebench import explorer
 from explorebench.cli import record_json, run_all, samples_csv
 from explorebench.config import parse_config
 from explorebench.explorer import (OUTCOME_COMPLETE, RunLimits, SelectorKind,
                                    aggregate_results, rank_segments,
                                    run_exploration)
 from explorebench.frontier import FrontierSegment
-from explorebench.gridmap import (UNKNOWN, LidarModel, Pose,
+from explorebench.gridmap import (FREE, UNKNOWN, LidarModel, Pose, inflate,
                                   reachable_free_mask)
+from explorebench.mapgen import TIERS, generate_map, pick_start
 from explorebench.navigator import KinematicState
 from explorebench.scoring import HeuristicParams, NoFrontiersError
 
 LIDAR = LidarModel(beam_count=360, max_range=2.5)
-KIN = KinematicState(Pose(0, 0, 0), v_max=0.5, w_max=2.0, dt=0.25)
+KIN = KinematicState(v_max=0.5, w_max=2.0, dt=0.25)
 PARAMS = HeuristicParams()
 LIMITS = RunLimits(max_ticks=3000, expr_target=0.99)
 
@@ -44,8 +46,7 @@ class TestBaselines:
     def _segments(self):
         def seg(cx, cy, n):
             return FrontierSegment(cells=np.array([[0, 0]]), centroid=(cx, cy),
-                                   length_af=n * 0.25, radius_r=0.5,
-                                   farthest_cell=(0, 0))
+                                   length_af=n * 0.25, radius_r=0.5)
         return [seg(2.0, 0.0, 4), seg(5.0, 0.0, 10)]
 
     def _belief(self):
@@ -204,9 +205,35 @@ class TestRunExploration:
         assert record.outcome == "stalled"
         assert record.final_rate < 0.99
 
-    def test_random_maps_fuzz_invariants(self, rng):
-        from explorebench.mapgen import generate_map, pick_start
+    @pytest.mark.parametrize("selector", ["heuristic", "nearest"])
+    @pytest.mark.parametrize("tier", TIERS)
+    def test_invariants_hold_after_every_reveal(self, monkeypatch, tier, selector):
+        # The loop's reveal, wrapped: after each one the robot stands on a
+        # truth-Free cell, the belief equals the truth wherever it is known,
+        # and the costs equal a full inflate of the states.
+        reveal = explorer.raycast_reveal
+        checked = []
 
+        def reveal_and_check(belief, truth, pose, lidar):
+            changed = reveal(belief, truth, pose, lidar)
+            i, j = truth.world_to_cell(pose.x, pose.y)
+            assert truth.in_bounds(i, j) and truth.states[j, i] == FREE
+            known = belief.states != UNKNOWN
+            assert (belief.states[known] == truth.states[known]).all()
+            reference = belief.clone()
+            p = belief.inflation
+            inflate(reference, p.inscribed_radius, p.inflation_radius, p.decay_rate)
+            assert (reference.costs == belief.costs).all()
+            checked.append(pose)
+            return changed
+
+        monkeypatch.setattr(explorer, "raycast_reveal", reveal_and_check)
+        truth = generate_map(tier, seed=100)
+        record = run(truth, pick_start(truth, 1), selector)
+        assert record.outcome == OUTCOME_COMPLETE
+        assert len(checked) == len(record.samples)
+
+    def test_random_maps_fuzz_invariants(self, rng):
         for trial in range(6):
             tier = ("low", "medium")[trial % 2]
             truth = generate_map(tier, seed=int(rng.randint(0, 10_000)))

@@ -25,12 +25,11 @@ def brute_force_marks(belief):
     return marks
 
 
-def oracle_segments(marks, resolution, origin, min_size):
+def oracle_segments(marks, resolution, min_size):
     """Scalar 8-connected flood fill with the documented segment geometry.
 
     Each segment lists its cells in flat-index order; its centroid is the
-    mean cell center, radius_r the largest center distance and
-    farthest_cell the lowest flat index that attains it.
+    mean cell center and radius_r the largest center distance.
     """
     h, w = marks.shape
     seen = set()
@@ -59,11 +58,9 @@ def oracle_segments(marks, resolution, origin, min_size):
                   for ci, cj in cells]
             segments.append({
                 "cells": cells,
-                "centroid": (origin[0] + (mean_i + 0.5) * resolution,
-                             origin[1] + (mean_j + 0.5) * resolution),
+                "centroid": ((mean_i + 0.5) * resolution, (mean_j + 0.5) * resolution),
                 "length_af": n * resolution,
                 "radius_r": math.sqrt(max(d2)) * resolution,
-                "farthest_cell": cells[d2.index(max(d2))],
             })
     segments.sort(key=lambda s: (s["centroid"][1], s["centroid"][0],
                                  s["cells"][0][1] * w + s["cells"][0][0]))
@@ -133,8 +130,6 @@ class TestCluster:
         assert seg.centroid[0] == pytest.approx((2.6 + 0.5) * 0.5)
         assert seg.centroid[1] == pytest.approx((3.4 + 0.5) * 0.5)
         assert seg.radius_r == pytest.approx(math.sqrt(2.32) * 0.5)
-        # Two cells attain the radius; the canonical (lowest flat index) wins.
-        assert seg.farthest_cell == (2, 2)
 
     def test_segments_partition_marks(self, rng):
         for _ in range(25):
@@ -153,15 +148,12 @@ class TestCluster:
                 seen |= cells
                 ii = [c[0] for c in cells]
                 jj = [c[1] for c in cells]
-                cx = (seg.centroid[0] - belief.origin[0]) / belief.resolution - 0.5
-                cy = (seg.centroid[1] - belief.origin[1]) / belief.resolution - 0.5
+                cx = seg.centroid[0] / belief.resolution - 0.5
+                cy = seg.centroid[1] / belief.resolution - 0.5
                 assert min(ii) <= cx <= max(ii)
                 assert min(jj) <= cy <= max(jj)
-                # radius_r attained at farthest_cell
-                d = math.hypot(
-                    seg.farthest_cell[0] - (seg.centroid[0] / belief.resolution - 0.5),
-                    seg.farthest_cell[1] - (seg.centroid[1] / belief.resolution - 0.5),
-                ) * belief.resolution
+                # radius_r is attained at the farthest cell.
+                d = max(math.hypot(i - cx, j - cy) for i, j in cells) * belief.resolution
                 assert d == pytest.approx(seg.radius_r)
             # Union over all (unfiltered) segments equals the mask.
             all_cells = set()
@@ -197,17 +189,14 @@ class TestCluster:
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
         marks = np.random.RandomState(seed).rand(h, w) < density
         res = data.draw(st.floats(0.01, 2.0), label="res")
-        origin = (data.draw(st.floats(-50.0, 50.0), label="ox"),
-                  data.draw(st.floats(-50.0, 50.0), label="oy"))
         min_size = data.draw(st.integers(1, 5), label="min_size")
         states = np.zeros((h, w), dtype=np.uint8)
-        belief = OccupancyGrid(w, h, res, states, states.copy(), origin)
+        belief = OccupancyGrid(w, h, res, states, states.copy())
         got = cluster_segments(marks, belief, min_size)
-        expected = oracle_segments(marks, res, origin, min_size)
+        expected = oracle_segments(marks, res, min_size)
         assert len(got) == len(expected)
         for seg, ref in zip(got, expected):
             assert [tuple(c) for c in seg.cells.tolist()] == ref["cells"]
             assert seg.centroid == ref["centroid"]
             assert seg.length_af == ref["length_af"]
             assert seg.radius_r == ref["radius_r"]
-            assert seg.farthest_cell == ref["farthest_cell"]

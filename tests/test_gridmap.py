@@ -303,14 +303,12 @@ def oracle_reveal_sets(truth, pose, lidar):
     """Scalar re-implementation of the documented reveal semantics."""
     res = truth.resolution
     free_set, occ_set = set(), set()
-    gx = (pose.x - truth.origin[0]) / res
-    gy = (pose.y - truth.origin[1]) / res
+    gx, gy = pose.x / res, pose.y / res
     range_cells = lidar.max_range / res
     pi, pj = int(math.floor(gx)), int(math.floor(gy))
 
     def center_in_range(i, j):
-        cx = truth.origin[0] + (i + 0.5) * res
-        cy = truth.origin[1] + (j + 0.5) * res
+        cx, cy = (i + 0.5) * res, (j + 0.5) * res
         return (cx - pose.x) ** 2 + (cy - pose.y) ** 2 <= lidar.max_range**2
 
     if truth.states[pj, pi] == FREE and center_in_range(pi, pj):
@@ -350,8 +348,7 @@ def oracle_beam_walks(grid, pose, angles, max_range):
     keeps). Returns the cells each beam entered, one list per beam.
     """
     res = grid.resolution
-    gx = (pose.x - grid.origin[0]) / res
-    gy = (pose.y - grid.origin[1]) / res
+    gx, gy = pose.x / res, pose.y / res
     range_cells = max_range / res
     walks = []
     for dx, dy in zip(np.cos(angles), np.sin(angles)):
@@ -380,7 +377,7 @@ def oracle_beam_walks(grid, pose, angles, max_range):
 
 def make_belief_like(truth):
     return OccupancyGrid.unknown(truth.width, truth.height, truth.resolution,
-                                 truth.origin, truth.inflation)
+                                 truth.inflation)
 
 
 def _off_edge(edge, outward, ulps):
@@ -485,13 +482,6 @@ class TestRaycastReveal:
                     belief.inflation.decay_rate)
             assert (reference.costs == belief.costs).all()
 
-    def test_origin_mismatch_raises(self):
-        truth = grid_from_rows(["....."] * 5, resolution=1.0)
-        belief = OccupancyGrid.unknown(5, 5, 1.0, origin=(2.0, 2.0))
-        with pytest.raises(MapError):
-            raycast_reveal(belief, truth, Pose(0.5, 0.5), LidarModel())
-        assert (belief.states == UNKNOWN).all()
-
     def test_first_reveal_returns_cells_that_became_known(self, rng):
         truth = self._random_truth(rng, 20, 20)
         belief = make_belief_like(truth)
@@ -524,13 +514,12 @@ class TestRaycastReveal:
         w = data.draw(st.integers(1, 40), label="width")
         h = data.draw(st.integers(1, 40), label="height")
         res = data.draw(st.sampled_from([0.1, 0.25, 0.5]), label="res")
-        origin = data.draw(st.sampled_from([(0.0, 0.0), (-1.3, 2.7)]), label="origin")
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
         p_occupied = data.draw(st.sampled_from([0.0, 0.15, 0.4]), label="p")
         states = np.where(np.random.RandomState(seed).rand(h, w) < p_occupied,
                           OCCUPIED, FREE).astype(np.uint8)
         states.flat[data.draw(st.integers(0, w * h - 1), label="free")] = FREE
-        truth = OccupancyGrid(w, h, res, states, np.zeros_like(states), origin)
+        truth = OccupancyGrid(w, h, res, states, np.zeros_like(states))
         inflate(truth, 0.12, 0.6, 4.0)
         lidar = LidarModel(
             beam_count=data.draw(st.integers(1, 720), label="beams"),
@@ -546,8 +535,8 @@ class TestRaycastReveal:
             # After the first reveal the robot stands on known Free cells.
             free_j, free_i = np.nonzero((belief if free_set else truth).states == FREE)
             k = data.draw(st.integers(0, len(free_i) - 1), label="cell")
-            pose = Pose(origin[0] + (free_i[k] + data.draw(fraction, label="fx")) * res,
-                        origin[1] + (free_j[k] + data.draw(fraction, label="fy")) * res,
+            pose = Pose((free_i[k] + data.draw(fraction, label="fx")) * res,
+                        (free_j[k] + data.draw(fraction, label="fy")) * res,
                         data.draw(st.one_of(
                             st.sampled_from([q * math.pi / 4 for q in range(-3, 5)]),
                             st.floats(-math.pi, math.pi)), label="theta"))
@@ -631,19 +620,18 @@ class TestTraverseBeams:
         w = data.draw(st.integers(1, 24), label="width")
         h = data.draw(st.integers(1, 24), label="height")
         res = data.draw(st.sampled_from([0.05, 0.1, 0.25, 0.3, 0.5, 1.0]), label="res")
-        origin = data.draw(st.sampled_from([(0.0, 0.0), (-1.3, 2.7)]), label="origin")
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
         p_occupied = data.draw(st.sampled_from([0.0, 0.15, 0.4]), label="p")
         states = np.where(np.random.RandomState(seed).rand(h, w) < p_occupied,
                           OCCUPIED, FREE).astype(np.uint8)
-        grid = OccupancyGrid(w, h, res, states, np.zeros_like(states), origin)
+        grid = OccupancyGrid(w, h, res, states, np.zeros_like(states))
         # Anywhere in a cell, boundaries included.
         fraction = st.one_of(st.sampled_from([0.0, 0.5]),
                              st.floats(0.0, 1.0, exclude_max=True))
         ci = data.draw(st.integers(0, w - 1), label="ci")
         cj = data.draw(st.integers(0, h - 1), label="cj")
-        x = origin[0] + (ci + data.draw(fraction, label="fx")) * res
-        y = origin[1] + (cj + data.draw(fraction, label="fy")) * res
+        x = (ci + data.draw(fraction, label="fx")) * res
+        y = (cj + data.draw(fraction, label="fy")) * res
         theta = data.draw(st.one_of(
             st.sampled_from([k * math.pi / 4 for k in range(-3, 5)]),
             st.floats(-math.pi, math.pi)), label="theta")
@@ -678,48 +666,52 @@ class TestExplorationRate:
     def _fixture(self):
         truth = grid_from_rows([".....", ".....", "#####", "#####", "#####"],
                                resolution=1.0)
-        start = Pose(*truth.cell_center(0, 0))
-        return truth, start
+        return truth, reachable_free_mask(truth, Pose(*truth.cell_center(0, 0)))
 
     def test_all_unknown_is_zero(self):
-        truth, start = self._fixture()
+        truth, reachable = self._fixture()
         belief = make_belief_like(truth)
-        assert exploration_rate(belief, truth, start) == 0.0
+        assert exploration_rate(belief, reachable) == 0.0
 
     def test_full_knowledge_is_one(self):
-        truth, start = self._fixture()
-        assert exploration_rate(truth, truth, start) == 1.0
+        truth, reachable = self._fixture()
+        assert exploration_rate(truth, reachable) == 1.0
 
     def test_hand_counted_partial(self):
-        truth, start = self._fixture()
+        _, reachable = self._fixture()
         belief = load_belief("5 5 1.0\n.....\n..???\n?????\n?????\n?????\n")
         # 10 reachable free cells, 7 known.
-        assert exploration_rate(belief, truth, start) == pytest.approx(0.7)
+        assert exploration_rate(belief, reachable) == pytest.approx(0.7)
 
     def test_unreachable_free_space_excluded(self):
         truth = grid_from_rows([".#.", ".#.", ".#."], resolution=1.0)
-        start = Pose(*truth.cell_center(0, 0))
-        assert reachable_free_mask(truth, start).sum() == 3
+        reachable = reachable_free_mask(truth, Pose(*truth.cell_center(0, 0)))
+        assert reachable.sum() == 3
         belief = truth.clone()
         belief.states[:, 2] = UNKNOWN
-        assert exploration_rate(belief, truth, start) == 1.0
+        assert exploration_rate(belief, reachable) == 1.0
 
     def test_start_errors(self):
         truth, _ = self._fixture()
         with pytest.raises(StartUnreachableError):
-            exploration_rate(truth, truth, Pose(*truth.cell_center(0, 4)))
+            reachable_free_mask(truth, Pose(*truth.cell_center(0, 4)))
         with pytest.raises(StartUnreachableError):
-            exploration_rate(truth, truth, Pose(-5.0, -5.0))
+            reachable_free_mask(truth, Pose(-5.0, -5.0))
+
+    def test_shape_mismatch_raises(self):
+        _, reachable = self._fixture()
+        with pytest.raises(MapError):
+            exploration_rate(OccupancyGrid.unknown(4, 5, 1.0), reachable)
 
     def test_monotone_across_reveals(self):
         truth = grid_from_rows(["." * 15] * 15, resolution=0.5)
         belief = make_belief_like(truth)
         lidar = LidarModel(beam_count=90, max_range=1.5)
-        start = Pose(*truth.cell_center(2, 2))
+        reachable = reachable_free_mask(truth, Pose(*truth.cell_center(2, 2)))
         rates = []
         for i in range(2, 13, 2):
             raycast_reveal(belief, truth, Pose(*truth.cell_center(i, i)), lidar)
-            rates.append(exploration_rate(belief, truth, start))
+            rates.append(exploration_rate(belief, reachable))
         assert all(a <= b for a, b in zip(rates, rates[1:]))
 
 
@@ -757,7 +749,7 @@ class TestTypes:
                           np.zeros((2, 3), np.uint8))
 
     def test_cell_round_trip(self):
-        grid = OccupancyGrid.unknown(8, 5, 0.5, origin=(-1.0, 2.0))
+        grid = OccupancyGrid.unknown(8, 5, 0.5)
         assert (grid.costs == COST_UNKNOWN).all()
         for i, j in ((0, 0), (7, 4), (3, 2)):
             x, y = grid.cell_center(i, j)

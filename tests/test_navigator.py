@@ -88,11 +88,12 @@ def embed_in_unknown(states, rng):
 def pinned_plan_outcomes(count):
     """repr of (waypoints, total_cost), or the error name, of seeded plans.
 
-    Mixed Free/Occupied/Unknown grids at three resolutions and random
-    origins, half of them inside a larger Unknown frame; starts anywhere
+    Mixed Free/Occupied/Unknown grids at three resolutions, half of them
+    inside a larger Unknown frame; starts anywhere
     in a non-Occupied cell (Unknown frame cells included), goals anywhere
     in or near the grid, often on untraversable cells, with relaxation
-    radii 0-6 and four cost weights.
+    radii 0-6 and four cost weights. Two draws per case once set a grid
+    origin; they stay in the stream, unused, so the cases stay the same.
     """
     rng = np.random.RandomState(6)
     for case in range(count):
@@ -104,8 +105,8 @@ def pinned_plan_outcomes(count):
             states = embed_in_unknown(states, rng)
         h, w = states.shape
         res = float(rng.choice([0.1, 0.25, 0.5]))
-        origin = (float(rng.uniform(-5, 5)), float(rng.uniform(-5, 5)))
-        belief = OccupancyGrid(w, h, res, states, np.zeros_like(states), origin)
+        rng.uniform(-5, 5, size=2)
+        belief = OccupancyGrid(w, h, res, states, np.zeros_like(states))
         inflate(belief, 0.12, 0.5, 4.0)
         trav = traversable_mask(belief)
         pool = np.argwhere(trav) if trav.any() and rng.rand() < 0.85 else \
@@ -114,8 +115,7 @@ def pinned_plan_outcomes(count):
         sx, sy = belief.cell_center(int(si), int(sj))
         start = Pose(sx + rng.uniform(-0.49, 0.49) * res,
                      sy + rng.uniform(-0.49, 0.49) * res)
-        goal = (origin[0] + rng.uniform(-2, w + 2) * res,
-                origin[1] + rng.uniform(-2, h + 2) * res)
+        goal = (rng.uniform(-2, w + 2) * res, rng.uniform(-2, h + 2) * res)
         cost_weight = float(rng.choice([0.0, 1.0, 3.0, 7.5]))
         try:
             path = plan_path(belief, start, goal, cost_weight, rng.randint(0, 7))
@@ -185,14 +185,13 @@ class TestPlanPath:
             count += 1
 
     def test_plans_pinned(self):
-        # sha256 of 200 seeded plans, pinned from the tuple-keyed search.
-        # The Dijkstra oracle checks only costs; this also catches a change
-        # in how ties break.
+        # sha256 of 200 seeded plans. The Dijkstra oracle checks only
+        # costs; this also catches a change in how ties break.
         digest = hashlib.sha256()
         for outcome in pinned_plan_outcomes(200):
             digest.update(outcome.encode() + b"\n")
         assert digest.hexdigest() == (
-            "8631dfac460a72b94c88fcab1e9a044c8f07e143a30e4c8e1654b95e556d1b19")
+            "4c21012990a06641d0495a0346cfbb2cb82fe628ca1c031b91a984356fb58190")
 
     def test_goal_relaxes_to_nearest_traversable(self):
         belief = grid_from_rows([
@@ -267,36 +266,35 @@ class TestAdvance:
 
     def test_waypoint_directly_ahead(self):
         belief = self._free_belief()
-        state = KinematicState(Pose(2.0, 2.0, 0.0), v_max=0.4, w_max=2.0, dt=0.25)
+        pose, kin = Pose(2.0, 2.0, 0.0), KinematicState(v_max=0.4, w_max=2.0, dt=0.25)
         target = (2.0 + 10 * 0.4 * 0.25, 2.0)
         waypoints = [target]
         moved = 0.0
         for _ in range(10):
-            moved += advance(state, waypoints, belief)
+            moved += advance(pose, kin, waypoints, belief)
         # The waypoint pops once inside the half-cell capture radius, so the
         # traveled distance matches to within that radius.
         assert moved == pytest.approx(10 * 0.4 * 0.25, abs=0.5 * belief.resolution)
-        assert math.hypot(state.pose.x - target[0], state.pose.y - target[1]) \
-            <= 0.5 * belief.resolution
+        assert math.hypot(pose.x - target[0], pose.y - target[1]) <= 0.5 * belief.resolution
         assert waypoints == []
 
     def test_waypoint_behind_rotates_first(self):
         belief = self._free_belief()
-        state = KinematicState(Pose(3.0, 3.0, 0.0), v_max=0.5, w_max=1.0, dt=0.25)
+        pose, kin = Pose(3.0, 3.0, 0.0), KinematicState(v_max=0.5, w_max=1.0, dt=0.25)
         waypoints = [(1.0, 3.0)]
-        moved_first = advance(state, waypoints, belief)
+        moved_first = advance(pose, kin, waypoints, belief)
         assert moved_first == 0.0
         total = moved_first
         for _ in range(40):
-            total += advance(state, waypoints, belief)
+            total += advance(pose, kin, waypoints, belief)
         assert total > 0.0
 
     def test_empty_path_noop(self):
         belief = self._free_belief()
-        state = KinematicState(Pose(1.0, 1.0, 0.5), v_max=0.5, w_max=1.0, dt=0.25)
-        before = (state.pose.x, state.pose.y, state.pose.theta)
-        assert advance(state, [], belief) == 0.0
-        assert (state.pose.x, state.pose.y, state.pose.theta) == before
+        pose, kin = Pose(1.0, 1.0, 0.5), KinematicState(v_max=0.5, w_max=1.0, dt=0.25)
+        before = (pose.x, pose.y, pose.theta)
+        assert advance(pose, kin, [], belief) == 0.0
+        assert (pose.x, pose.y, pose.theta) == before
 
     def test_never_enters_occupied_cell(self):
         belief = grid_from_rows([
@@ -305,27 +303,27 @@ class TestAdvance:
             "..#..",
             ".....",
         ], resolution=0.5)
-        state = KinematicState(Pose(*belief.cell_center(2, 1)), v_max=2.0,
-                               w_max=4.0, dt=0.5)
+        pose = Pose(*belief.cell_center(2, 1))
+        kin = KinematicState(v_max=2.0, w_max=4.0, dt=0.5)
         waypoints = [belief.cell_center(2, 2)]  # points into the wall
         for _ in range(20):
-            advance(state, waypoints, belief)
-            ci, cj = belief.world_to_cell(state.pose.x, state.pose.y)
+            advance(pose, kin, waypoints, belief)
+            ci, cj = belief.world_to_cell(pose.x, pose.y)
             assert belief.states[cj, ci] != OCCUPIED
 
     def test_per_tick_distance_bounded(self, rng):
         belief = self._free_belief()
-        state = KinematicState(Pose(5.0, 5.0, 0.0), v_max=0.7, w_max=2.0, dt=0.2)
+        pose, kin = Pose(5.0, 5.0, 0.0), KinematicState(v_max=0.7, w_max=2.0, dt=0.2)
         for _ in range(50):
             waypoints = [(float(rng.uniform(1, 9)), float(rng.uniform(1, 9)))]
-            moved = advance(state, waypoints, belief)
-            assert moved <= state.v_max * state.dt + 1e-12
+            moved = advance(pose, kin, waypoints, belief)
+            assert moved <= kin.v_max * kin.dt + 1e-12
 
 
 def test_kinematic_state_validation():
     with pytest.raises(ValueError):
-        KinematicState(Pose(0, 0), v_max=0.0)
+        KinematicState(v_max=0.0)
     with pytest.raises(ValueError):
-        KinematicState(Pose(0, 0), w_max=-1.0)
+        KinematicState(w_max=-1.0)
     with pytest.raises(ValueError):
-        KinematicState(Pose(0, 0), dt=0.0)
+        KinematicState(dt=0.0)

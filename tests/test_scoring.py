@@ -77,8 +77,7 @@ class TestDistanceScore:
 class TestOccupancyScore:
     def _segment(self, centroid, length, radius):
         return FrontierSegment(cells=np.array([[0, 0]]), centroid=centroid,
-                               length_af=length, radius_r=radius,
-                               farthest_cell=(0, 0))
+                               length_af=length, radius_r=radius)
 
     def test_all_unknown_disk_scores_zero(self):
         belief = grid_from_rows(["?" * 9] * 9, inflate_costs=False)
@@ -258,8 +257,7 @@ class TestSelectWaypoint:
 
         def seg(cx):
             return FrontierSegment(cells=np.array([[0, 0]]), centroid=(cx, 1.0),
-                                   length_af=0.75, radius_r=0.5,
-                                   farthest_cell=(0, 0))
+                                   length_af=0.75, radius_r=0.5)
 
         far, near = seg(8.0), seg(3.0)
         chosen, breakdowns = heuristic_pick([far, near], Pose(0.0, 1.0),
