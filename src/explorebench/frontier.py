@@ -5,6 +5,11 @@ detect_frontiers marks them in a bool array shaped like the belief states.
 Marked cells are grouped into 8-connected segments; each segment is
 summarized by the geometry the waypoint scorer consumes: world-space
 centroid, total length, and the radius that encloses all its cells.
+
+Frontier cells border Unknown space, so on a large map that is mostly
+unexplored they fill a small box. Clustering labels only the bounding box
+of the marked cells: labels there still number in raster order, so the
+segments, their cells and their geometry are those of a whole-grid label.
 """
 
 from __future__ import annotations
@@ -50,14 +55,27 @@ def cluster_segments(marks: np.ndarray, belief: OccupancyGrid,
     Each segment's cells come in flat-index order. The result is sorted by
     (centroid y, centroid x), then by first cell, so segment indices are
     stable regardless of label discovery order.
+
+    Only the bounding box of the marks is labelled, and the box offset is
+    added back to the cell indices. Unmarked rows and columns join no two
+    cells, and a raster scan of the box meets the cells in their whole-grid
+    flat-index order, so the segments are those of the whole grid.
     """
     if marks.shape != belief.states.shape:
         raise ValueError("mask dimensions do not match belief grid")
     width = belief.width
-    labels, _ = ndimage.label(marks, structure=_EIGHT_CONNECTED)
+    rows, cols = (np.flatnonzero(marks.any(axis=axis)) for axis in (1, 0))
+    if len(rows) == 0:
+        return []
+    j0, i0 = int(rows[0]), int(cols[0])
+    labels, _ = ndimage.label(marks[j0:rows[-1] + 1, i0:cols[-1] + 1],
+                              structure=_EIGHT_CONNECTED)
     jj, ii = np.nonzero(labels)
+    members_by_label = ndimage.value_indices(labels[jj, ii]).values()
+    jj += j0
+    ii += i0
     segments = []
-    for (members,) in ndimage.value_indices(labels[jj, ii]).values():
+    for (members,) in members_by_label:
         n = len(members)
         if n < min_size:
             continue

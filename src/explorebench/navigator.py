@@ -11,6 +11,11 @@ A* only enters traversable cells, so it searches flat indices of their
 bounding box, ringed by one untraversable cell no step can cross, and reads
 only the cells it reaches. Edge weights, their summing order and the (f,
 push counter) heap order match a whole-grid search: paths and costs match.
+The octile heuristic reads a cell's goal distances from two per-plan lists,
+one entry per box column and one per box row, which cost the box's sides to
+build, not its area. The distances are the same integers and the formula is
+the same max/min expression split into its two branches, so every f is
+bit-identical to that of a whole-grid search.
 """
 
 from __future__ import annotations
@@ -103,23 +108,24 @@ def plan_path(belief: OccupancyGrid, start: Pose, to_world: tuple[float, float],
     # Flat index k of the search box is grid cell (k % w + i0, k // w + j0).
     rows, cols = (np.flatnonzero(trav.any(axis=axis)) for axis in (1, 0))
     box = np.s_[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1]
-    i0, j0, w = int(cols[0]) - 1, int(rows[0]) - 1, int(cols[-1] - cols[0]) + 3
+    i0, j0 = int(cols[0]) - 1, int(rows[0]) - 1
+    w, h = int(cols[-1] - cols[0]) + 3, int(rows[-1] - rows[0]) + 3
     # Memoryviews read the cells the search reaches as Python values.
     passable, cost = (memoryview(np.pad(a[box], 1).ravel()) for a in (trav, belief.costs))
     mult = (1.0 + cost_weight * remap_costs(np.arange(256))).tolist()  # by uint8 cost
     # Flat offsets of the step and of the two cells a diagonal must not cut.
     moves = [(di + dj * w, di, dj * w, step * res) for di, dj, step in _STEPS]
 
-    # Admissible octile heuristic: every edge multiplier is >= 1.
-    def octile(k):
-        j, i = divmod(k, w)
-        di, dj = abs(i + i0 - gi), abs(j + j0 - gj)
-        return (max(di, dj) + (SQRT2 - 1.0) * min(di, dj)) * res
+    # Admissible octile heuristic (every edge multiplier is >= 1), from the
+    # goal distances of each box column and row; the start's f is never read.
+    goal_di = [abs(i + i0 - gi) for i in range(w)]
+    goal_dj = [abs(j + j0 - gj) for j in range(h)]
+    diag = SQRT2 - 1.0
 
     start_k, goal_k = (sj - j0) * w + si - i0, (gj - j0) * w + gi - i0
     g, parent, closed = {start_k: 0.0}, {}, set()
     counter = 0
-    open_heap = [(octile(start_k), counter, start_k)]
+    open_heap = [(0.0, counter, start_k)]
     while open_heap:
         _, _, k = heapq.heappop(open_heap)
         if k in closed:
@@ -137,7 +143,10 @@ def plan_path(belief: OccupancyGrid, start: Pose, to_world: tuple[float, float],
                 g[n] = tentative
                 parent[n] = k
                 counter += 1
-                heapq.heappush(open_heap, (tentative + octile(n), counter, n))
+                j, i = divmod(n, w)
+                di, dj = goal_di[i], goal_dj[j]
+                octile = (di + diag * dj if di > dj else dj + diag * di) * res
+                heapq.heappush(open_heap, (tentative + octile, counter, n))
     else:
         raise NoPathError(f"no path from ({si}, {sj}) to ({gi}, {gj})")
 

@@ -18,6 +18,7 @@ segment minimizing h.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,8 @@ from .frontier import FrontierSegment
 from .gridmap import OccupancyGrid, Pose, remap_costs
 
 _ONE_BELOW_1 = float(np.nextafter(1.0, 0.0))
+# The largest argument math.exp takes without overflowing.
+_MAX_EXP_ARG = math.log(sys.float_info.max)
 
 
 class NegativeDistanceError(ValueError):
@@ -48,7 +51,8 @@ class HeuristicParams:
     distance score against the occupancy score and is capped at 1/2.
     af_scale converts frontier length to the dimensionless argument of
     sech. exp_arg_cap bounds every exponent so scores stay finite and
-    bit-stable (e**30 is already deep in the saturated tail).
+    bit-stable (e**30 is already deep in the saturated tail); it may not
+    exceed ln(DBL_MAX), the largest argument exp takes without overflow.
     """
 
     alpha: float = 3.0
@@ -64,8 +68,9 @@ class HeuristicParams:
             raise ValueError(f"gamma must lie in [0, 0.5], got {self.gamma}")
         if self.af_scale <= 0.0:
             raise ValueError(f"af_scale must be > 0, got {self.af_scale}")
-        if self.exp_arg_cap <= 0.0:
-            raise ValueError(f"exp_arg_cap must be > 0, got {self.exp_arg_cap}")
+        if not (0.0 < self.exp_arg_cap <= _MAX_EXP_ARG):
+            raise ValueError(f"exp_arg_cap must lie in (0, {_MAX_EXP_ARG}], "
+                             f"got {self.exp_arg_cap}")
 
 
 @dataclass(frozen=True)

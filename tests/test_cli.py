@@ -102,6 +102,7 @@ class TestConfig:
         ("[maps]\ngenerate =\n", "[maps] generate"),
         ("[inflation]\ninscribed_radius = 0\n", "inscribed_radius"),
         ("[heuristic]\nalpha = nan\n", "[heuristic] alpha"),
+        ("[heuristic]\nbeta = 0.01\nexp_arg_cap = 1000\n", "[heuristic] exp_arg_cap"),
         ("[lidar]\nmax_range = nan\n", "[lidar] max_range"),
         ("[kinematics]\ndt = inf\n", "[kinematics] dt"),
         ("[inflation]\ndecay_rate = nan\n", "[inflation] decay_rate"),

@@ -190,13 +190,27 @@ class TestCluster:
         marks = np.random.RandomState(seed).rand(h, w) < density
         res = data.draw(st.floats(0.01, 2.0), label="res")
         min_size = data.draw(st.integers(1, 5), label="min_size")
-        states = np.zeros((h, w), dtype=np.uint8)
-        belief = OccupancyGrid(w, h, res, states, states.copy())
-        got = cluster_segments(marks, belief, min_size)
-        expected = oracle_segments(marks, res, min_size)
-        assert len(got) == len(expected)
-        for seg, ref in zip(got, expected):
-            assert [tuple(c) for c in seg.cells.tolist()] == ref["cells"]
-            assert seg.centroid == ref["centroid"]
-            assert seg.length_af == ref["length_af"]
-            assert seg.radius_r == ref["radius_r"]
+        # The same marks inside a larger all-False frame, at an offset: only
+        # the box of the marks is labelled, so its edges must not cut cells.
+        fh = h + data.draw(st.integers(0, 12), label="extra rows")
+        fw = w + data.draw(st.integers(0, 12), label="extra cols")
+        oj = data.draw(st.integers(0, fh - h), label="row offset")
+        oi = data.draw(st.integers(0, fw - w), label="col offset")
+        framed = np.zeros((fh, fw), dtype=bool)
+        framed[oj:oj + h, oi:oi + w] = marks
+        cells = []
+        for mask in (marks, framed):
+            states = np.zeros(mask.shape, dtype=np.uint8)
+            belief = OccupancyGrid(mask.shape[1], mask.shape[0], res, states, states.copy())
+            got = cluster_segments(mask, belief, min_size)
+            expected = oracle_segments(mask, res, min_size)
+            assert len(got) == len(expected)
+            for seg, ref in zip(got, expected):
+                assert [tuple(c) for c in seg.cells.tolist()] == ref["cells"]
+                assert seg.centroid == ref["centroid"]
+                assert seg.length_af == ref["length_af"]
+                assert seg.radius_r == ref["radius_r"]
+            cells.append([ref["cells"] for ref in expected])
+        # The frame only moves every segment by the offset.
+        assert [[(i + oi, j + oj) for i, j in c] for c in cells[0]] == cells[1]
+        assert cluster_segments(np.zeros_like(framed), belief, 1) == []

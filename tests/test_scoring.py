@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -72,6 +73,16 @@ class TestDistanceScore:
                     v = distance_score(d, params)
                     assert math.isfinite(v)
                     assert 0.0 <= v < 1.0
+
+    def test_largest_cap_stays_finite(self):
+        # ln(DBL_MAX), the largest cap allowed, at distances far beyond
+        # beta * cap.
+        cap = math.log(sys.float_info.max)
+        params = HeuristicParams(beta=0.01, exp_arg_cap=cap)
+        for d in (20.0, 1e3 * params.beta * cap, 1e300):
+            v = distance_score(d, params)
+            assert math.isfinite(v)
+            assert 0.0 <= v < 1.0
 
 
 class TestOccupancyScore:
@@ -202,6 +213,7 @@ class TestParamsValidation:
     @pytest.mark.parametrize("kwargs", [
         {"alpha": 0.0}, {"beta": -1.0}, {"gamma": 0.6}, {"gamma": -0.01},
         {"af_scale": 0.0}, {"exp_arg_cap": 0.0},
+        {"exp_arg_cap": math.nextafter(math.log(sys.float_info.max), math.inf)},
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
