@@ -6,6 +6,7 @@ share a 200-run benchmark corpus (20 generated maps x 5 seeds x 2
 selectors) built once per session.
 """
 
+import hashlib
 import json
 import math
 import time
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import remap_cost
-from explorebench.cli import main
+from explorebench.cli import main, record_json
 from explorebench.explorer import (OUTCOME_COMPLETE, RunLimits, SelectorKind,
                                    rank_segments, run_exploration)
 from explorebench.frontier import (FrontierSegment, cluster_segments,
@@ -34,6 +35,8 @@ BENCH_KIN = KinematicState(v_max=0.5, w_max=2.0, dt=0.25)
 BENCH_LIMITS = RunLimits(max_ticks=4000, expr_target=0.99)
 BENCH_TIERS = (("low", 6), ("medium", 7), ("high", 7))
 BENCH_SEEDS = (1, 2, 3, 4, 5)
+# sha256 of record_json of the 200 corpus records, in corpus order.
+CORPUS_DIGEST = "99cd13d407be4fbdaa1df8b636a112b5cc09211217f0c9220852095c124cbb3c"
 
 
 def report(criterion, text):
@@ -290,6 +293,16 @@ def test_criterion_8_directional_comparison(benchmark_corpus):
         summary.append(f"{tier}: dist {fh_d:.2f}<={nf_d:.2f}m "
                        f"time {fh_t:.1f}<={nf_t:.1f}s")
     report(8, "heuristic vs nearest means - " + "; ".join(summary))
+
+
+def test_corpus_records_pinned(benchmark_corpus):
+    # Every trajectory, decision and final belief of the 200 runs. A change
+    # that moves this digest on purpose names the change and re-pins it.
+    _, runs, _ = benchmark_corpus
+    digest = hashlib.sha256()
+    for *_, record in runs:
+        digest.update(record_json(record).encode())
+    assert digest.hexdigest() == CORPUS_DIGEST
 
 
 def test_corpus_run_invariants(benchmark_corpus):
