@@ -20,11 +20,15 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
+from functools import partial
 
 from .config import (DEFAULT_CONFIG, ConfigError, ExperimentConfig, load_config,
                      parse_config)
-from .explorer import (OUTCOME_COMPLETE, RunResult, SelectorKind,
-                       aggregate_results, rank_segments, run_exploration)
+# perfbench/tracing.py wraps cli.run_exploration by name.
+from .explorer import (OUTCOME_COMPLETE, RunResult, SelectorKind,  # noqa: F401
+                       aggregate_results, explore_lockstep, rank_segments,
+                       run_exploration)
 from .frontier import cluster_segments, detect_frontiers
 from .gridmap import MapError, Pose, check_pose, load_belief, load_map_file
 from .mapgen import pick_start
@@ -76,33 +80,43 @@ def _write_artifacts(outdir, result: RunResult, emit):
             f.write(run_svg(result.record))
 
 
-def _execute_run(spec):
-    map_name, truth, selector, seed, cfg_bits = spec
-    params, lidar, kin, limits, min_size, cost_weight, relax = cfg_bits
-    start = pick_start(truth, seed)
-    record = run_exploration(truth, start, selector, params, lidar, kin, limits,
-                             min_segment_size=min_size, cost_weight=cost_weight,
-                             goal_relax_radius=relax)
-    return RunResult(map_name, selector, seed, start, record)
+def _run_chunk(specs, cfg: ExperimentConfig) -> list[RunResult]:
+    """Explore each (map name, truth, selector, seed) in lockstep."""
+    starts = [pick_start(truth, seed) for _, truth, _, seed in specs]
+    records = explore_lockstep(
+        [(truth, start, selector) for (_, truth, selector, _), start in zip(specs, starts)],
+        cfg.params, cfg.lidar, cfg.kinematics, cfg.limits, cfg.min_segment_size,
+        cfg.cost_weight, cfg.goal_relax_radius)
+    return [RunResult(name, selector, seed, start, record)
+            for (name, _, selector, seed), start, record in zip(specs, starts, records)]
 
 
 def run_all(cfg: ExperimentConfig, jobs: int = 1) -> list[RunResult]:
     """Run every (map, seed, selector) combination, in that nesting order.
 
-    Each seed picks the start pose on each map. jobs > 1 spreads the runs
-    over min(jobs, runs) worker processes; results and order stay the same.
+    Each seed picks the start pose on each map. The runs are dealt into
+    min(jobs, runs) chunks in snake order (0, 1, ..., jobs - 1, jobs - 1,
+    ..., 0, 0, 1, ...), so every chunk gets a like share of maps and
+    selectors; each chunk runs in lockstep (explorer.explore_lockstep), in
+    a worker process of its own when there are two or more. Results come
+    back in combination order and do not depend on jobs.
     """
-    bits = (cfg.params, cfg.lidar, cfg.kinematics, cfg.limits,
-            cfg.min_segment_size, cfg.cost_weight, cfg.goal_relax_radius)
-    specs = [(name, truth, selector, seed, bits)
+    specs = [(name, truth, selector, seed)
              for name, truth in cfg.maps
              for seed in cfg.seeds
              for selector in cfg.selectors]
-    jobs = min(jobs, len(specs))
-    if jobs <= 1:
-        return [_execute_run(s) for s in specs]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_execute_run, specs))
+    jobs = max(1, min(jobs, len(specs)))
+    deal = [min(n % (2 * jobs), 2 * jobs - 1 - n % (2 * jobs)) for n in range(len(specs))]
+    chunks = [[spec for spec, q in zip(specs, deal) if q == chunk] for chunk in range(jobs)]
+    # Each worker gets the settings without the other chunks' maps.
+    run = partial(_run_chunk, cfg=replace(cfg, maps=[]))
+    if jobs == 1:
+        done = [run(chunks[0])]
+    else:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            done = list(pool.map(run, chunks))
+    results = [iter(chunk) for chunk in done]
+    return [next(results[q]) for q in deal]
 
 
 def cmd_run(cfg: ExperimentConfig, jobs: int) -> int:

@@ -7,6 +7,14 @@ current path is consumed, invalidated by newly revealed obstacles, or its
 target segment disappears from the frontier mask. Runs are pure functions
 of their inputs; repeated runs produce identical records. The run
 matrix over maps, seeds and selectors lives in cli.run_all.
+
+Runs advance in lockstep. Each run is a stepper (a generator) that stops
+before every reveal; explore_lockstep makes one batched scan
+(gridmap.BeamScanner) for all live runs per round and sends each run its
+share, which the run writes into its own belief through raycast_reveal.
+Most of a reveal's cost is the fixed cost of numpy calls, so sharing the
+scan across runs makes each reveal cheaper; a run's record is the same
+whichever runs share its batch. run_exploration is a batch of one.
 """
 
 from __future__ import annotations
@@ -18,8 +26,9 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .frontier import FrontierSegment, cluster_segments, detect_frontiers
-from .gridmap import (COST_INSCRIBED, FREE, LidarModel, OccupancyGrid, Pose,
-                      exploration_rate, raycast_reveal, reachable_free_mask)
+from .gridmap import (COST_INSCRIBED, FREE, BeamScanner, LidarModel,
+                      OccupancyGrid, Pose, exploration_rate, raycast_reveal,
+                      reachable_free_mask)
 from .gridmap import to_ascii as _grid_ascii
 from .navigator import KinematicState, NoPathError, plan_path
 from .navigator import advance as kin_advance
@@ -167,12 +176,12 @@ def _path_cells_valid(belief, waypoints, robot_cell):
     return True
 
 
-def run_exploration(truth: OccupancyGrid, start: Pose, selector: SelectorKind,
-                    params: HeuristicParams, lidar: LidarModel,
-                    kin: KinematicState, limits: RunLimits,
-                    min_segment_size: int, cost_weight: float,
-                    goal_relax_radius: int) -> RunRecord:
-    """Explore the truth map from start until done, stalled, or out of ticks."""
+def _explore(truth: OccupancyGrid, start: Pose, selector: SelectorKind,
+             params: HeuristicParams, lidar: LidarModel, kin: KinematicState,
+             limits: RunLimits, min_segment_size: int, cost_weight: float,
+             goal_relax_radius: int):
+    """One run as a stepper: yields (belief, pose) before each reveal, is
+    sent that reveal's share of a batched scan, and returns the record."""
     reachable = reachable_free_mask(truth, start)
     belief = OccupancyGrid.unknown(truth.width, truth.height, truth.resolution,
                                    truth.inflation)
@@ -180,7 +189,8 @@ def run_exploration(truth: OccupancyGrid, start: Pose, selector: SelectorKind,
     record = RunRecord(selector=selector, params=params,
                        start=Pose(start.x, start.y, start.theta))
 
-    raycast_reveal(belief, truth, pose, lidar)
+    seen = yield belief, pose
+    raycast_reveal(belief, truth, pose, lidar, seen)
     rate = exploration_rate(belief, reachable)
     cumdist = 0.0
     record.samples.append((0.0, pose.x, pose.y, pose.theta, cumdist, rate))
@@ -236,11 +246,49 @@ def run_exploration(truth: OccupancyGrid, start: Pose, selector: SelectorKind,
         cumdist += moved
         no_progress = 0 if moved > 0.0 else no_progress + 1
 
-        raycast_reveal(belief, truth, pose, lidar)
+        seen = yield belief, pose
+        raycast_reveal(belief, truth, pose, lidar, seen)
         rate = exploration_rate(belief, reachable)
         record.samples.append((tick * kin.dt, pose.x, pose.y, pose.theta, cumdist, rate))
     record.final_belief = belief
     return record
+
+
+def explore_lockstep(runs: list[tuple[OccupancyGrid, Pose, SelectorKind]],
+                     params: HeuristicParams, lidar: LidarModel,
+                     kin: KinematicState, limits: RunLimits, min_segment_size: int,
+                     cost_weight: float, goal_relax_radius: int) -> list[RunRecord]:
+    """Explore each (truth, start, selector) run; records in input order.
+
+    The runs advance in lockstep: each round makes one batched scan for
+    every live run, and each run then steps to its next reveal with its
+    share of it. A run's record does not depend on the runs beside it.
+    """
+    steppers = [_explore(truth, start, selector, params, lidar, kin, limits,
+                         min_segment_size, cost_weight, goal_relax_radius)
+                for truth, start, selector in runs]
+    scanner = BeamScanner([truth for truth, _, _ in runs], lidar)
+    records: list[RunRecord] = [None] * len(runs)
+    live = {k: next(stepper) for k, stepper in enumerate(steppers)}
+    while live:
+        shares = scanner.scan([(k, belief, pose) for k, (belief, pose) in live.items()])
+        for k, seen in zip(list(live), shares):
+            try:
+                live[k] = steppers[k].send(seen)
+            except StopIteration as done:
+                records[k] = done.value
+                del live[k]
+    return records
+
+
+def run_exploration(truth: OccupancyGrid, start: Pose, selector: SelectorKind,
+                    params: HeuristicParams, lidar: LidarModel,
+                    kin: KinematicState, limits: RunLimits,
+                    min_segment_size: int, cost_weight: float,
+                    goal_relax_radius: int) -> RunRecord:
+    """Explore the truth map from start until done, stalled, or out of ticks."""
+    return explore_lockstep([(truth, start, selector)], params, lidar, kin, limits,
+                            min_segment_size, cost_weight, goal_relax_radius)[0]
 
 
 # ---------------------------------------------------------------------------

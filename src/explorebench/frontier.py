@@ -39,9 +39,6 @@ class FrontierSegment:
     length_af: float
     radius_r: float
 
-    def cell_set(self) -> set[tuple[int, int]]:
-        return {(int(i), int(j)) for i, j in self.cells}
-
 
 def detect_frontiers(belief: OccupancyGrid) -> np.ndarray:
     """Mark Free cells that border Unknown space (4-connectivity)."""

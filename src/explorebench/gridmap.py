@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import ndimage
@@ -144,9 +144,6 @@ class OccupancyGrid:
         costs = np.full((height, width), COST_UNKNOWN, dtype=np.uint8)
         return cls(width, height, resolution, states, costs,
                    inflation or InflationParams())
-
-    def clone(self) -> "OccupancyGrid":
-        return replace(self, states=self.states.copy(), costs=self.costs.copy())
 
     def in_bounds(self, i: int, j: int) -> bool:
         return 0 <= i < self.width and 0 <= j < self.height
@@ -389,32 +386,27 @@ def remap_costs(costs: np.ndarray) -> np.ndarray:
 # Simulated LiDAR reveal
 # ---------------------------------------------------------------------------
 
-def _traverse_beams(grid, pose, angles, max_range):
-    """March every beam through the grid at once (Amanatides-Woo walk).
+def _march(flat, start, stride, g, angles, range_cells, k):
+    """March beams through grids held in one flat buffer (Amanatides-Woo walk).
 
-    Each beam crosses cell boundaries in order of its ray parameter t,
-    measured in cells. Per axis, the first K crossings (K = ceil(range) + 2,
-    or fewer when the grid ends sooner) are t0, t0 + delta, ... summed one
-    delta at a time, so they round like a running t += delta. A stable
-    sort of the x | y crossings merges them with the x crossing first on
-    ties, so corner hits visit both adjacent cells (supercover behavior:
-    diagonal walls block diagonally passing rays). A beam enters cells
-    until its next crossing lies beyond max_range, it leaves the grid, or
-    it enters an Occupied cell (a hit).
+    Each grid is stored row by row, stride[b] cells to a row, inside a
+    border of _OUTSIDE cells; beam b starts at g[b], the pose in cells, in the cell
+    flat[start[b]]. It crosses cell boundaries in order of its ray parameter
+    t, measured in cells. Per axis, the first k crossings (enough for every
+    beam to pass its range or to leave its grid) are t0, t0 + delta, ...
+    summed one delta at a time, so they round like a running t += delta. A
+    stable sort of the x | y crossings merges them with the x crossing first
+    on ties, so corner hits visit both adjacent cells (supercover behavior:
+    diagonal walls block diagonally passing rays). A beam enters cells until
+    its next crossing lies beyond range_cells[b], it would enter the
+    border, or it enters an Occupied cell (a hit).
 
-    Returns (visited_i, visited_j): the pose cell, then every cell each
-    beam entered (hit cells included), beam by beam.
+    Returns (cells, counts): the flat index of every cell the beams entered
+    (hit cells included), beam by beam, and how many each entered.
     """
     n = len(angles)
-    res = grid.resolution
-    g = np.array([pose.x / res, pose.y / res])
     c = np.floor(g)
-    pi, pj = int(c[0]), int(c[1])
-    range_cells = max_range / res
-    # Enough crossings per axis to pass max_range or to leave the grid.
-    k = math.ceil(min(range_cells, max(grid.width, grid.height))) + 2
-
-    d = np.stack((np.cos(angles), np.sin(angles)), axis=1)  # (beams, axis)
+    d = np.concatenate((np.cos(angles)[:, None], np.sin(angles)[:, None]), axis=1)
     step = np.sign(d).astype(np.int64)
     with np.errstate(divide="ignore", invalid="ignore"):
         inv = np.where(d != 0.0, 1.0 / d, np.inf)
@@ -423,21 +415,15 @@ def _traverse_beams(grid, pose, angles, max_range):
     increments[:, :, 0] = t0
     t = np.cumsum(increments, axis=2).reshape(n, 2 * k)
     order = np.argsort(t, axis=1, kind="stable")
-    entry = np.take_along_axis(t, order, axis=1)
-    # After each crossing, nx of them were x crossings and the rest y ones.
-    nx = np.cumsum(order < k, axis=1)
-    ci = pi + step[:, :1] * nx
-    cj = pj + step[:, 1:] * (np.arange(1, 2 * k + 1) - nx)
-
-    inside = ((entry <= range_cells) & (ci >= 0) & (ci < grid.width)
-              & (cj >= 0) & (cj < grid.height))
-    hits = np.zeros_like(inside)
-    hits[inside] = grid.states[cj[inside], ci[inside]] == OCCUPIED
-    seen = inside & (np.cumsum(hits, axis=1) - hits == 0)
-    # The pose cell itself is always seen.
-    vi = np.concatenate(([pi], ci[seen]))
-    vj = np.concatenate(([pj], cj[seen]))
-    return vi, vj
+    # Each crossing steps one cell along x, or one row along y.
+    moves = np.where(order < k, step[:, :1], step[:, 1:] * stride[:, None])
+    cells = start[:, None] + np.cumsum(moves, axis=1)
+    # Past the border the walk may leave the buffer; it is never seen there.
+    state = np.take(flat, cells, mode="clip")
+    # Cells after an Occupied one or at the border: the hit cell alone is seen.
+    stopped = np.cumsum(state >= OCCUPIED, axis=1) - (state == OCCUPIED)
+    seen = (np.sort(t, axis=1) <= range_cells[:, None]) & (stopped == 0)
+    return cells[seen], seen.sum(axis=1)
 
 
 def check_pose(truth: OccupancyGrid, pose: Pose) -> None:
@@ -456,12 +442,12 @@ def _beam_offsets(lidar: LidarModel) -> np.ndarray:
 
 
 def adjacent_to(mask: np.ndarray) -> np.ndarray:
-    """Cells with a 4-neighbour in mask."""
+    """Cells with a 4-neighbour in mask; leading axes index a stack of masks."""
     out = np.zeros(mask.shape, dtype=bool)
-    out[1:] = mask[:-1]
-    out[:-1] |= mask[1:]
-    out[:, 1:] |= mask[:, :-1]
-    out[:, :-1] |= mask[:, 1:]
+    out[..., 1:, :] = mask[..., :-1, :]
+    out[..., :-1, :] |= mask[..., 1:, :]
+    out[..., 1:] |= mask[..., :-1]
+    out[..., :-1] |= mask[..., 1:]
     return out
 
 
@@ -469,69 +455,151 @@ def adjacent_to(mask: np.ndarray) -> np.ndarray:
 # (cells); it covers the rounding of atan2, of the beam angles and of the
 # march's crossings.
 _CULL_EPS = 1e-9
+# Marked beams marched at once; bounds the march's transient arrays.
+_MARCH_GROUP = 512
+# The state of the border cells around each grid in a scan's buffer: they
+# stop a beam, as an Occupied cell does, but are never seen.
+_OUTSIDE = 3
 
 
-def _beams_to_march(belief: OccupancyGrid, pose: Pose, lidar: LidarModel) -> np.ndarray:
-    """Mask of the beams that can enter an Unknown belief cell.
+class BeamScanner:
+    """The cull and the march of many runs' reveals, in one batched call.
 
-    The candidates are the Unknown cells near the pose that have a Free
-    4-neighbour and whose nearest point lies within max_range. A candidate
-    whose closed square contains the pose marks every beam (at t = 0 the
-    x-first tie-break enters it whatever the beam's direction); any other
-    marks the beams whose angle lies between the smallest and the largest
-    of its four corner angles, padded by _CULL_EPS. All beams are marked
-    while the pose cell is Unknown.
+    Built once for a batch of runs, from each run's truth grid; the truths
+    are read through one flat buffer. scan() takes the live runs' beliefs
+    and poses and returns, per run, the cells its beams entered: the share
+    of the scan that raycast_reveal writes into that run's belief.
     """
-    n = lidar.beam_count
-    res = belief.resolution
-    gx, gy = pose.x / res, pose.y / res
-    pi, pj = math.floor(gx), math.floor(gy)
-    if belief.states[pj, pi] == UNKNOWN:
-        return np.ones(n, dtype=bool)
-    range_cells = lidar.max_range / res
-    r = math.ceil(range_cells) + 2
-    i0, j0 = max(pi - r, 0), max(pj - r, 0)
-    window = belief.states[j0 : pj + r + 1, i0 : pi + r + 1]
-    # Offsets from the pose, in cells, of each column's left (x0) and right
-    # (x1) edge and of the point of its squares nearest the pose (nx); rows
-    # likewise.
-    x0 = np.arange(i0, i0 + window.shape[1]) - gx
-    y0 = np.arange(j0, j0 + window.shape[0]) - gy
-    x1, y1 = x0 + 1.0, y0 + 1.0
-    nx = np.maximum(x0, np.minimum(x1, 0.0))
-    ny = np.maximum(y0, np.minimum(y1, 0.0))
-    near = (ny * ny)[:, None] + nx * nx <= (range_cells + _CULL_EPS) ** 2
-    cj, ci = np.nonzero((window == UNKNOWN) & near & adjacent_to(window == FREE))
-    if ci.size == 0:
-        return np.zeros(n, dtype=bool)
-    x0, y0, x1, y1 = x0[ci], y0[cj], x1[ci], y1[cj]
-    if ((x0 <= 0.0) & (0.0 <= x1) & (y0 <= 0.0) & (0.0 <= y1)).any():
-        return np.ones(n, dtype=bool)
-    # Seen from outside the square, every corner lies within 3 pi / 4 of
-    # the direction of its centre, so offsets from that direction never
-    # wrap; offsets from a corner can wrap for a pose just off an edge.
-    two_pi = 2.0 * math.pi
-    centre = np.arctan2(y0 + 0.5, x0 + 0.5)
-    corners = np.arctan2((y0, y0, y1, y1), (x0, x1, x0, x1))
-    offsets = np.mod(corners - centre + math.pi, two_pi) - math.pi
-    lo = np.mod(centre + offsets.min(axis=0) - (pose.theta + _CULL_EPS), two_pi)
-    hi = lo + np.ptp(offsets, axis=0) + 2.0 * _CULL_EPS
-    # Beam offsets on the circle, sorted; each interval, and its wrap past
-    # 2 pi, covers a run of sorted beams, summed by a difference array.
-    ring = np.mod(_beam_offsets(lidar), two_pi)
-    order = np.argsort(ring, kind="stable")
-    ring = ring[order]
-    starts = np.searchsorted(ring, np.concatenate((lo, lo - two_pi)), "left")
-    ends = np.searchsorted(ring, np.concatenate((hi, hi - two_pi)), "right")
-    depth = np.cumsum(np.bincount(starts, minlength=n + 1)
-                      - np.bincount(ends, minlength=n + 1))
-    mask = np.empty(n, dtype=bool)
-    mask[order] = depth[:n] > 0
-    return mask
+
+    def __init__(self, truths: list[OccupancyGrid], lidar: LidarModel):
+        self.truths = truths
+        self.lidar = lidar
+        # Each map's states, once however many runs share it, inside a
+        # border of _OUTSIDE cells; and each cell's index i + width * j, -1
+        # on the border.
+        unique = {id(t): t for t in truths}
+        self.flat = np.concatenate([np.pad(t.states, 1, constant_values=_OUTSIDE).ravel()
+                                    for t in unique.values()])
+        index = np.int32 if max(t.states.size for t in truths) < 2**31 else np.int64
+        self.local = np.concatenate([
+            np.pad(np.arange(t.states.size, dtype=index).reshape(t.states.shape), 1,
+                   constant_values=-1).ravel() for t in unique.values()])
+        starts = np.cumsum([0] + [(t.width + 2) * (t.height + 2) for t in unique.values()])
+        start = dict(zip(unique, starts.tolist()))
+        self.start = [start[id(t)] for t in truths]
+        self.beams = _beam_offsets(lidar)
+        # Beam offsets on the circle, sorted.
+        ring = np.mod(self.beams, 2.0 * math.pi)
+        self.order = np.argsort(ring, kind="stable")
+        self.ring = ring[self.order]
+
+    def scan(self, runs: list[tuple[int, OccupancyGrid, Pose]]) -> list[np.ndarray]:
+        """Cull and march the beams of each (truth index, belief, pose).
+
+        Returns, run by run, the index i + width * j of the pose cell and of
+        every cell a marched beam entered. Every pose is checked before any
+        run's cells are read, so one run's bad pose never reads another's map.
+        """
+        floats, ints, pose_cells, crossings = [], [], [], 0
+        for run, belief, pose in runs:
+            truth = self.truths[run]
+            if (belief.states.shape != truth.states.shape
+                    or belief.resolution != truth.resolution):
+                raise MapError("belief and truth grids must share geometry")
+            check_pose(truth, pose)
+            w, h, res = truth.width, truth.height, truth.resolution
+            gx, gy = pose.x / res, pose.y / res
+            range_cells = self.lidar.max_range / res
+            floats.append((gx, gy, pose.theta, range_cells, (range_cells + _CULL_EPS) ** 2))
+            pi, pj = math.floor(gx), math.floor(gy)
+            ints.append((pi, pj, self.start[run] + (pj + 1) * (w + 2) + pi + 1, w + 2))
+            pose_cells.append([pi + w * pj])
+            # Enough crossings per axis to pass the range or to leave the grid.
+            crossings = max(crossings, math.ceil(min(range_cells, max(w, h))) + 2)
+        # Per run: the pose in cells, theta, the range in cells and the
+        # cull's squared range; the pose cell, its index in the buffer and
+        # the buffer's row length there.
+        f, i = np.array(floats), np.array(ints)
+        rb, beam = np.nonzero(self._cull(runs, f, i))
+        # March in groups, each run's cells after those of the runs before
+        # it, so a large batch never holds every beam's crossings at once.
+        parts = []
+        for a in range(0, len(rb), _MARCH_GROUP):
+            group = slice(a, a + _MARCH_GROUP)
+            fb, ib = f[rb[group]], i[rb[group]]
+            cells, counts = _march(self.flat, ib[:, 2], ib[:, 3], fb[:, :2],
+                                   fb[:, 2] + self.beams[beam[group]], fb[:, 3], crossings)
+            parts.append((self.local[cells], counts))
+        cells, counts = (map(np.concatenate, zip(*parts)) if len(parts) > 1
+                         else parts[0] if parts else (np.empty(0, dtype=np.intp),) * 2)
+        ends = np.bincount(rb, counts, len(runs)).cumsum().astype(np.int64).tolist()
+        return [np.concatenate((pose_cell, cells[a:b]))
+                for pose_cell, a, b in zip(pose_cells, [0] + ends, ends)]
+
+    def _cull(self, runs, f, i) -> np.ndarray:
+        """(runs, beams) mask of the beams that can enter an Unknown belief cell.
+
+        The candidates are the Unknown cells near the pose that have a Free
+        4-neighbour and whose nearest point lies within max_range. A
+        candidate whose closed square contains the pose marks every beam (at
+        t = 0 the x-first tie-break enters it whatever the beam's
+        direction); any other marks the beams whose angle lies between the
+        smallest and the largest of its four corner angles, padded by
+        _CULL_EPS. All beams are marked while the pose cell is Unknown.
+
+        Each run's candidates come from the same-shape window of belief
+        cells around its pose; cells outside the grid read as Occupied, so
+        they are never candidates and never make a neighbour one.
+        """
+        m, n = len(runs), self.lidar.beam_count
+        g, theta, p = f[:, :2], f[:, 2], i[:, :2]
+        r = math.ceil(f[:, 3].max()) + 2
+        stack = np.full((m, 2 * r + 1, 2 * r + 1), OCCUPIED, dtype=np.uint8)
+        for s, ((_, belief, _), (i0, j0)) in enumerate(zip(runs, (p - r).tolist())):
+            a, c = max(j0, 0), max(i0, 0)
+            window = belief.states[a : j0 + 2 * r + 1, c : i0 + 2 * r + 1]
+            stack[s, a - j0 : a - j0 + window.shape[0],
+                  c - i0 : c - i0 + window.shape[1]] = window
+        # Offsets from the pose, in cells, of the left (edges[0]) and right
+        # (edges[1]) edge of each window column ([:, :, 0]) and row
+        # ([:, :, 1]), and of the point of its squares nearest the pose.
+        edges = np.add.outer((0.0, 1.0), (p[:, :, None] + np.arange(-r, r + 1))
+                             - g[:, :, None])
+        nearest = np.maximum(edges[0], np.minimum(edges[1], 0.0))
+        sq = nearest * nearest
+        near = sq[:, 1, :, None] + sq[:, 0, None, :] <= f[:, 4, None, None]
+        s, cj, ci = np.nonzero((stack == UNKNOWN) & near & adjacent_to(stack == FREE))
+        pose_unknown = stack[:, r, r, None] == UNKNOWN
+        if not s.size:
+            return np.broadcast_to(pose_unknown, (m, n))
+        (x0, x1), (y0, y1) = edges[:, s, 0, ci], edges[:, s, 1, cj]
+        # Seen from outside the square, every corner lies within 3 pi / 4 of
+        # the direction of its centre, so offsets from that direction never
+        # wrap; offsets from a corner can wrap for a pose just off an edge.
+        two_pi = 2.0 * math.pi
+        centre = np.arctan2(y0 + 0.5, x0 + 0.5)
+        corners = np.arctan2((y0, y0, y1, y1), (x0, x1, x0, x1))
+        offsets = np.mod(corners - centre + math.pi, two_pi) - math.pi
+        lo = np.mod(centre + offsets.min(axis=0) - (theta[s] + _CULL_EPS), two_pi)
+        hi = lo + np.ptp(offsets, axis=0) + 2.0 * _CULL_EPS
+        hi[(x0 <= 0.0) & (0.0 <= x1) & (y0 <= 0.0) & (0.0 <= y1)] = np.inf
+        # Each interval, and its wrap past 2 pi, covers a run of sorted
+        # beams, summed by one difference array with a stretch of n + 1
+        # entries per run.
+        base = s * (n + 1)
+        starts = np.searchsorted(self.ring, (lo, lo - two_pi), "left") + base
+        ends = np.searchsorted(self.ring, (hi, hi - two_pi), "right") + base
+        size = m * (n + 1)
+        depth = np.cumsum(np.bincount(starts.ravel(), minlength=size)
+                          - np.bincount(ends.ravel(), minlength=size))
+        mask = np.empty((m, n), dtype=bool)
+        mask[:, self.order] = depth.reshape(m, n + 1)[:, :n] > 0
+        return mask | pose_unknown
 
 
 def raycast_reveal(belief: OccupancyGrid, truth: OccupancyGrid, pose: Pose,
-                   lidar: LidarModel) -> tuple[np.ndarray, np.ndarray]:
+                   lidar: LidarModel, seen: np.ndarray | None = None,
+                   ) -> tuple[np.ndarray, np.ndarray]:
     """Reveal truth cells visible to the scanner; return the cells that changed.
 
     Beam k points at pose.theta + angular_span * k / beam_count. Cells a
@@ -542,6 +610,10 @@ def raycast_reveal(belief: OccupancyGrid, truth: OccupancyGrid, pose: Pose,
     Belief costs are re-inflated around those cells only, and not at all
     when there are none.
 
+    seen is this run's share of a BeamScanner scan of the same belief and
+    pose (the index i + width * j of the pose cell and of every cell a
+    marched beam entered); without it, the reveal scans a batch of one.
+
     Precondition: the belief agrees with the truth wherever it is known
     (run_exploration guarantees it, since only reveals write the belief).
     Only beams that can enter an Unknown cell are marched: a beam that
@@ -549,29 +621,23 @@ def raycast_reveal(belief: OccupancyGrid, truth: OccupancyGrid, pose: Pose,
     beam enters is 4-adjacent to a known Free cell or to the pose cell,
     with its nearest point within max_range.
     """
-    if belief.states.shape != truth.states.shape or belief.resolution != truth.resolution:
-        raise MapError("belief and truth grids must share geometry")
-    check_pose(truth, pose)
-
-    none = np.empty(0, dtype=np.intp)
-    march = _beams_to_march(belief, pose, lidar)
-    if not march.any():
-        return none, none
-    angles = pose.theta + _beam_offsets(lidar)[march]
-    vi, vj = _traverse_beams(truth, pose, angles, lidar.max_range)
+    if seen is None:
+        seen = BeamScanner([truth], lidar).scan([(0, belief, pose)])[0]
 
     # Of the entered cells still Unknown, the Occupied ones are hits and
     # become known; Free ones become known when their center lies within
     # range, which keeps the revealed set equal to the rasterized
     # visibility disk.
-    unknown = belief.states[vj, vi] == UNKNOWN
-    vi, vj = vi[unknown], vj[unknown]
-    cx, cy = truth.cell_center(vi, vj)
+    none = np.empty(0, dtype=np.intp)
+    seen = seen[belief.states.ravel()[seen] == UNKNOWN]
+    if not seen.size:
+        return none, none
+    cx, cy = truth.cell_center(*np.divmod(seen, truth.width)[::-1])
     in_range = (cx - pose.x) ** 2 + (cy - pose.y) ** 2 <= lidar.max_range**2
-    known = in_range | (truth.states[vj, vi] == OCCUPIED)
+    known = in_range | (truth.states.ravel()[seen] == OCCUPIED)
     if not known.any():
         return none, none
-    flat = np.unique(vj[known] * truth.width + vi[known])
+    flat = np.unique(seen[known])
     belief.states.flat[flat] = truth.states.flat[flat]
     cj, ci = np.divmod(flat, truth.width)
     reinflate_window(belief, int(ci.min()), int(cj.min()), int(ci.max()), int(cj.max()))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,16 @@ def remap_cost(raw_cost) -> float:
     if raw_cost == COST_LETHAL:
         return 1.0
     return (int(raw_cost) + 1) / 255.0
+
+
+def clone_grid(grid):
+    """The grid with copies of its states and costs."""
+    return replace(grid, states=grid.states.copy(), costs=grid.costs.copy())
+
+
+def cell_set(segment):
+    """A frontier segment's cells as a set of (i, j) tuples."""
+    return {(int(i), int(j)) for i, j in segment.cells}
 
 
 def grid_from_rows(rows, resolution=0.25, inflation=None, inflate_costs=True):

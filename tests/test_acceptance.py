@@ -9,32 +9,27 @@ selectors) built once per session.
 import hashlib
 import json
 import math
+import os
 import time
 
 import numpy as np
 import pytest
 
-from conftest import remap_cost
-from explorebench.cli import main, record_json
-from explorebench.explorer import (OUTCOME_COMPLETE, RunLimits, SelectorKind,
-                                   rank_segments, run_exploration)
+from conftest import clone_grid, remap_cost
+from explorebench.cli import main, record_json, run_all
+from explorebench.config import parse_config
+from explorebench.explorer import OUTCOME_COMPLETE, SelectorKind, rank_segments
 from explorebench.frontier import (FrontierSegment, cluster_segments,
                                    detect_frontiers)
-from explorebench.gridmap import (FREE, OCCUPIED, UNKNOWN, LidarModel,
-                                  OccupancyGrid, inflate)
-from explorebench.mapgen import generate_map, pick_start
-from explorebench.navigator import KinematicState
+from explorebench.gridmap import FREE, OCCUPIED, UNKNOWN, OccupancyGrid, inflate
+from explorebench.mapgen import generate_map
 from explorebench.reward import RewardConfig, StepObservation, compute_reward
 from explorebench.scoring import (HeuristicParams, distance_score, heuristic,
                                   occupancy_score)
 from scenes import case_study_scene, frontier_type_scenes
 
-BENCH_PARAMS = HeuristicParams(alpha=3.0, beta=5.0, gamma=0.5)
-BENCH_LIDAR = LidarModel(beam_count=360, max_range=2.5)
-BENCH_KIN = KinematicState(v_max=0.5, w_max=2.0, dt=0.25)
-BENCH_LIMITS = RunLimits(max_ticks=4000, expr_target=0.99)
-BENCH_TIERS = (("low", 6), ("medium", 7), ("high", 7))
-BENCH_SEEDS = (1, 2, 3, 4, 5)
+BENCH_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                            "benchmark.cfg")
 # sha256 of record_json of the 200 corpus records, in corpus order.
 CORPUS_DIGEST = "99cd13d407be4fbdaa1df8b636a112b5cc09211217f0c9220852095c124cbb3c"
 
@@ -243,22 +238,16 @@ def test_criterion_6_reward_contract():
 
 @pytest.fixture(scope="module")
 def benchmark_corpus():
-    maps = []
-    for tier, count in BENCH_TIERS:
-        for k in range(count):
-            maps.append((tier, f"{tier}{k:02d}", generate_map(tier, 100 + k)))
-    runs = []
+    # The shipped comparison in one lockstep batch: 20 maps (low:6 medium:7
+    # high:7 from map seed 100) x start seeds 1-5 x heuristic and nearest.
+    with open(BENCH_CONFIG) as f:
+        cfg = parse_config(f.read())
     start = time.perf_counter()
-    for tier, name, truth in maps:
-        for seed in BENCH_SEEDS:
-            pose = pick_start(truth, seed)
-            for selector in ("heuristic", "nearest"):
-                record = run_exploration(
-                    truth, pose, SelectorKind(selector), BENCH_PARAMS,
-                    BENCH_LIDAR, BENCH_KIN, BENCH_LIMITS, min_segment_size=1,
-                    cost_weight=3.0, goal_relax_radius=5)
-                runs.append((tier, name, seed, selector, record))
+    results = run_all(cfg, jobs=1)
     elapsed = time.perf_counter() - start
+    maps = [(name.rstrip("0123456789"), name, truth) for name, truth in cfg.maps]
+    runs = [(r.map_name.rstrip("0123456789"), r.map_name, r.seed, r.selector.kind,
+             r.record) for r in results]
     return maps, runs, elapsed
 
 
@@ -321,7 +310,7 @@ def test_corpus_run_invariants(benchmark_corpus):
         belief = record.final_belief
         known = belief.states != UNKNOWN
         assert (belief.states[known] == truth.states[known]).all()
-        reference = belief.clone()
+        reference = clone_grid(belief)
         p = belief.inflation
         inflate(reference, p.inscribed_radius, p.inflation_radius, p.decay_rate)
         assert (reference.costs == belief.costs).all(), (name, seed, selector)

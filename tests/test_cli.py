@@ -1,6 +1,7 @@
 import configparser
 import hashlib
 import json
+import shutil
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -8,12 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import clone_grid
 from explorebench import cli, config
-from explorebench.cli import main
+from explorebench.cli import main, record_json
 from explorebench.config import DEFAULT_CONFIG, ConfigError, parse_config
-from explorebench.explorer import RunLimits
+from explorebench.explorer import RunLimits, run_exploration
 from explorebench.gridmap import (OCCUPIED, InflationParams, LidarModel, load_belief,
                                   load_map_file, to_ascii)
+from explorebench.mapgen import pick_start
 from explorebench.navigator import KinematicState
 from explorebench.reward import RewardConfig
 from explorebench.scoring import HeuristicParams
@@ -285,13 +288,33 @@ class TestCmdCompare:
         assert "nearest: runs=3" in out
         assert "heuristic: runs=3" in out
 
-    def test_jobs_do_not_change_output(self, tmp_path, tiny_map):
-        cfg = write_config(tmp_path, [tiny_map], seeds="1 2")
-        main(["compare", "--config", str(cfg)])
-        serial = (tmp_path / "out" / "aggregate.csv").read_bytes()
-        main(["compare", "--config", str(cfg), "--jobs", "2"])
-        parallel = (tmp_path / "out" / "aggregate.csv").read_bytes()
-        assert serial == parallel
+    def test_jobs_do_not_change_output(self, tmp_path):
+        # Grids of 19, 29 and 39 cells square share each batch, next to a
+        # seeded random selector; every record equals a lone run's.
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(
+            "[maps]\ngenerate = low:1 medium:1 high:1\nmap_seed = 100\n"
+            "[selectors]\nselectors = heuristic random:3\n"
+            "[heuristic]\nmin_segment_size = 1\n"
+            f"[run]\nseeds = 1\noutdir = {tmp_path / 'out'}\nemit = json\n")
+        outputs = []
+        for jobs in ("1", "2", "3"):
+            assert main(["run", "--config", str(cfg_path), "--jobs", jobs]) == 0
+            assert main(["compare", "--config", str(cfg_path), "--jobs", jobs]) == 0
+            outputs.append({p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()})
+            shutil.rmtree(tmp_path / "out")
+        assert outputs[0] == outputs[1] == outputs[2]
+        cfg = config.load_config(str(cfg_path))
+        assert len(outputs[0]) == len(cfg.maps) * 2 + 1
+        for name, truth in cfg.maps:
+            for seed in cfg.seeds:
+                for selector in cfg.selectors:
+                    record = run_exploration(
+                        truth, pick_start(truth, seed), selector, cfg.params, cfg.lidar,
+                        cfg.kinematics, cfg.limits, cfg.min_segment_size,
+                        cfg.cost_weight, cfg.goal_relax_radius)
+                    stem = f"{name}_{selector.label().replace(':', '-')}_{seed}"
+                    assert outputs[0][stem + ".json"] == record_json(record).encode()
 
     @pytest.mark.parametrize("seeds,jobs,started", [
         ("1", 6, []), ("1 2", 5000, [2]), ("1 2 3", 2, [2])])
@@ -324,7 +347,7 @@ class TestCmdScore:
         belief, robot = case_study_scene()
         belief_path = tmp_path / "belief.txt"
         belief_path.write_text(to_ascii(belief))
-        truth = belief.clone()
+        truth = clone_grid(belief)
         truth.states[truth.states == 0] = 1  # unknown -> free, same dims
         map_path = tmp_path / "truth.txt"
         map_path.write_text(to_ascii(truth).replace("?", "."))

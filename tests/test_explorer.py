@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import grid_from_rows
+from conftest import clone_grid, grid_from_rows
 from explorebench import explorer
 from explorebench.cli import record_json, run_all, samples_csv
 from explorebench.config import parse_config
@@ -214,13 +214,13 @@ class TestRunExploration:
         reveal = explorer.raycast_reveal
         checked = []
 
-        def reveal_and_check(belief, truth, pose, lidar):
-            changed = reveal(belief, truth, pose, lidar)
+        def reveal_and_check(belief, truth, pose, lidar, *args):
+            changed = reveal(belief, truth, pose, lidar, *args)
             i, j = truth.world_to_cell(pose.x, pose.y)
             assert truth.in_bounds(i, j) and truth.states[j, i] == FREE
             known = belief.states != UNKNOWN
             assert (belief.states[known] == truth.states[known]).all()
-            reference = belief.clone()
+            reference = clone_grid(belief)
             p = belief.inflation
             inflate(reference, p.inscribed_radius, p.inflation_radius, p.decay_rate)
             assert (reference.costs == belief.costs).all()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import grid_from_rows
+from conftest import cell_set, grid_from_rows
 from explorebench.frontier import cluster_segments, detect_frontiers
 from explorebench.gridmap import FREE, UNKNOWN, OccupancyGrid
 
@@ -124,7 +124,7 @@ class TestCluster:
         segments = cluster_segments(detect_frontiers(belief), belief, min_size=1)
         assert len(segments) == 1
         seg = segments[0]
-        assert seg.cell_set() == {(2, 2), (2, 3), (2, 4), (3, 4), (4, 4)}
+        assert cell_set(seg) == {(2, 2), (2, 3), (2, 4), (3, 4), (4, 4)}
         assert seg.length_af == pytest.approx(5 * 0.5)
         # Centroid: mean cell center; cells have mean (i, j) = (2.6, 3.4).
         assert seg.centroid[0] == pytest.approx((2.6 + 0.5) * 0.5)
@@ -142,7 +142,7 @@ class TestCluster:
             segments = cluster_segments(mask, belief, min_size)
             seen = set()
             for seg in segments:
-                cells = seg.cell_set()
+                cells = cell_set(seg)
                 assert len(cells) == len(seg.cells) >= min_size
                 assert not (cells & seen)
                 seen |= cells
@@ -158,7 +158,7 @@ class TestCluster:
             # Union over all (unfiltered) segments equals the mask.
             all_cells = set()
             for seg in cluster_segments(mask, belief, 1):
-                all_cells |= seg.cell_set()
+                all_cells |= cell_set(seg)
             marked = {(i, j) for j in range(h) for i in range(w) if mask[j, i]}
             assert all_cells == marked
 

@@ -1,21 +1,24 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import STATE_CHARS, grid_from_rows, remap_cost
+from conftest import STATE_CHARS, clone_grid, grid_from_rows, remap_cost
 from explorebench import gridmap
+from explorebench.mapgen import TIERS, generate_map, pick_start
 from explorebench.gridmap import (COST_INSCRIBED, COST_LETHAL, COST_UNKNOWN,
-                                  FREE, OCCUPIED, UNKNOWN, InflationParams,
+                                  FREE, OCCUPIED, UNKNOWN, BeamScanner,
+                                  InflationParams,
                                   InvalidRadiiError, LidarModel,
                                   MalformedMapError, MapError, OccupancyGrid,
                                   Pose,
                                   PoseInsideObstacleError,
                                   PoseOutOfBoundsError, StartUnreachableError,
-                                  ZeroResolutionError, _traverse_beams,
+                                  ZeroResolutionError, _beam_offsets,
                                   exploration_rate, inflate,
                                   load_belief, load_map, load_map_file,
                                   raycast_reveal, reachable_free_mask,
@@ -476,7 +479,7 @@ class TestRaycastReveal:
         for _ in range(5):
             pose = self._random_free_pose(rng, truth)
             raycast_reveal(belief, truth, pose, lidar)
-            reference = belief.clone()
+            reference = clone_grid(belief)
             inflate(reference, belief.inflation.inscribed_radius,
                     belief.inflation.inflation_radius,
                     belief.inflation.decay_rate)
@@ -556,7 +559,7 @@ class TestRaycastReveal:
             assert (belief.states == expected).all()
             changed_j, changed_i = np.nonzero(unknown & (expected != UNKNOWN))
             assert ci.tolist() == changed_i.tolist() and cj.tolist() == changed_j.tolist()
-            reference = belief.clone()
+            reference = clone_grid(belief)
             inflate(reference, 0.12, 0.6, 4.0)
             assert (reference.costs == belief.costs).all()
 
@@ -605,12 +608,16 @@ class TestRaycastReveal:
 
 
 def assert_march_matches_walks(grid, pose, beams, max_range):
-    angles = pose.theta + 2.0 * math.pi * np.arange(beams, dtype=np.float64) / beams
-    vi, vj = _traverse_beams(grid, pose, angles, max_range)
+    # With the belief all Unknown every beam is marched; the share holds the
+    # pose cell, then each beam's cells in the order it entered them.
+    lidar = LidarModel(beam_count=beams, max_range=max_range)
+    angles = pose.theta + _beam_offsets(lidar)
+    belief = OccupancyGrid.unknown(grid.width, grid.height, grid.resolution)
+    seen = BeamScanner([grid], lidar).scan([(0, belief, pose)])[0]
     walks = oracle_beam_walks(grid, pose, angles, max_range)
-    pose_cell = grid.world_to_cell(pose.x, pose.y)
-    entered = [pose_cell] + [c for cells in walks for c in cells]
-    assert sorted(zip(vi.tolist(), vj.tolist())) == sorted(entered)
+    vj, vi = np.divmod(seen, grid.width)
+    assert list(zip(vi.tolist(), vj.tolist())) == [
+        grid.world_to_cell(pose.x, pose.y), *(c for entered in walks for c in entered)]
 
 
 class TestTraverseBeams:
@@ -658,6 +665,94 @@ class TestTraverseBeams:
         assert_march_matches_walks(grid, pose, beams, max_range)
 
 
+class TestBeamScanner:
+    """One scan for many runs gives each run what its scan alone gives."""
+
+    @staticmethod
+    def _runs(rng, count, lidar):
+        # Truths of mixed shapes and resolutions, the last two runs on maps
+        # of the first two. Beliefs cycle through all Unknown (the pose cell
+        # too), partly revealed, and all known (no candidate); poses through
+        # a cell centre, a cell corner and a cell on the grid's edge.
+        truths = []
+        for k in range(count - 2):
+            w, h = int(rng.randint(2, 30)), int(rng.randint(2, 30))
+            states = np.where(rng.rand(h, w) < 0.2, OCCUPIED, FREE).astype(np.uint8)
+            states[h // 2, :] = FREE
+            truth = OccupancyGrid(w, h, (0.25, 0.5)[k % 2], states, np.zeros_like(states))
+            inflate(truth, 0.12, 0.6, 4.0)
+            truths.append(truth)
+        truths += truths[:2]
+        runs = []
+        for k, truth in enumerate(truths):
+            free_j, free_i = np.nonzero(truth.states == FREE)
+            belief = make_belief_like(truth)
+            if k % 3 == 1:
+                for _ in range(2):
+                    n = rng.randint(len(free_i))
+                    raycast_reveal(belief, truth,
+                                   Pose(*truth.cell_center(free_i[n], free_j[n])), lidar)
+                free_j, free_i = np.nonzero(belief.states == FREE)
+            elif k % 3 == 2:
+                belief = clone_grid(truth)
+            if k % 4 == 2:
+                edge = (free_i == 0) | (free_i == truth.width - 1)
+                free_j, free_i = free_j[edge], free_i[edge]
+            n = rng.randint(len(free_i))
+            x, y = truth.cell_center(free_i[n], free_j[n])
+            if k % 4 == 1:
+                x, y = free_i[n] * truth.resolution, free_j[n] * truth.resolution
+            runs.append((truth, belief, Pose(x, y, float(rng.uniform(-math.pi, math.pi)))))
+        return runs
+
+    def test_batch_equals_batches_of_one(self, rng):
+        lidar = LidarModel(beam_count=180, max_range=2.0)
+        for _ in range(12):
+            runs = self._runs(rng, 8, lidar)
+            scanner = BeamScanner([truth for truth, _, _ in runs], lidar)
+            shares = scanner.scan([(k, belief, pose)
+                                   for k, (_, belief, pose) in enumerate(runs)])
+            assert len(shares) == len(runs)
+            for (truth, belief, pose), share in zip(runs, shares):
+                alone = BeamScanner([truth], lidar).scan([(0, belief, pose)])[0]
+                assert share.tolist() == alone.tolist()
+
+    @pytest.mark.parametrize("where,error", [
+        ("past-east-edge", PoseOutOfBoundsError), ("in-obstacle", PoseInsideObstacleError)])
+    def test_bad_pose_raises_before_any_read(self, where, error):
+        truth = grid_from_rows(["....", ".#..", "...."], resolution=1.0)
+        other = grid_from_rows(["...", "...", "...", "..."], resolution=1.0)
+        beliefs = [make_belief_like(t) for t in (truth, truth, other)]
+        # Past the east edge, the cell's flat index lies in the next row.
+        bad = Pose(4.5, 0.5) if where == "past-east-edge" else Pose(1.5, 1.5)
+        scanner = BeamScanner([truth, truth, other], LidarModel(beam_count=8))
+        with pytest.raises(error):
+            scanner.scan([(0, beliefs[0], Pose(0.5, 0.5)), (1, beliefs[1], bad),
+                          (2, beliefs[2], Pose(0.5, 0.5))])
+        assert all((b.states == UNKNOWN).all() and (b.costs == 255).all() for b in beliefs)
+
+    def test_first_round_memory_bounded(self):
+        # Without marching in groups, 20 first reveals at once held 5 to 17
+        # times the memory of one.
+        lidar = LidarModel()
+        truths = [generate_map(TIERS[k % 3], 100 + k) for k in range(20)]
+        poses = [pick_start(truth, 1) for truth in truths]
+        beliefs = [make_belief_like(truth) for truth in truths]
+        tracemalloc.start()
+        try:
+            raycast_reveal(make_belief_like(truths[2]), truths[2], poses[2], lidar)
+            one = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            scanner = BeamScanner(truths, lidar)
+            shares = scanner.scan(list(zip(range(20), beliefs, poses)))
+            for truth, belief, pose, share in zip(truths, beliefs, poses, shares):
+                raycast_reveal(belief, truth, pose, lidar, share)
+            batch = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert batch <= 3 * one
+
+
 # ---------------------------------------------------------------------------
 # Exploration rate
 # ---------------------------------------------------------------------------
@@ -687,7 +782,7 @@ class TestExplorationRate:
         truth = grid_from_rows([".#.", ".#.", ".#."], resolution=1.0)
         reachable = reachable_free_mask(truth, Pose(*truth.cell_center(0, 0)))
         assert reachable.sum() == 3
-        belief = truth.clone()
+        belief = clone_grid(truth)
         belief.states[:, 2] = UNKNOWN
         assert exploration_rate(belief, reachable) == 1.0
 
