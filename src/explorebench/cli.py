@@ -20,7 +20,6 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
 from functools import partial
 
 from .config import (DEFAULT_CONFIG, ConfigError, ExperimentConfig, load_config,
@@ -80,17 +79,6 @@ def _write_artifacts(outdir, result: RunResult, emit):
             f.write(run_svg(result.record))
 
 
-def _run_chunk(specs, cfg: ExperimentConfig) -> list[RunResult]:
-    """Explore each (map name, truth, selector, seed) in lockstep."""
-    starts = [pick_start(truth, seed) for _, truth, _, seed in specs]
-    records = explore_lockstep(
-        [(truth, start, selector) for (_, truth, selector, _), start in zip(specs, starts)],
-        cfg.params, cfg.lidar, cfg.kinematics, cfg.limits, cfg.min_segment_size,
-        cfg.cost_weight, cfg.goal_relax_radius)
-    return [RunResult(name, selector, seed, start, record)
-            for (name, _, selector, seed), start, record in zip(specs, starts, records)]
-
-
 def run_all(cfg: ExperimentConfig, jobs: int = 1) -> list[RunResult]:
     """Run every (map, seed, selector) combination, in that nesting order.
 
@@ -101,22 +89,26 @@ def run_all(cfg: ExperimentConfig, jobs: int = 1) -> list[RunResult]:
     a worker process of its own when there are two or more. Results come
     back in combination order and do not depend on jobs.
     """
-    specs = [(name, truth, selector, seed)
+    specs = [(name, truth, selector, seed, pick_start(truth, seed))
              for name, truth in cfg.maps
              for seed in cfg.seeds
              for selector in cfg.selectors]
     jobs = max(1, min(jobs, len(specs)))
     deal = [min(n % (2 * jobs), 2 * jobs - 1 - n % (2 * jobs)) for n in range(len(specs))]
-    chunks = [[spec for spec, q in zip(specs, deal) if q == chunk] for chunk in range(jobs)]
-    # Each worker gets the settings without the other chunks' maps.
-    run = partial(_run_chunk, cfg=replace(cfg, maps=[]))
+    chunks = [[(truth, start, selector) for (_, truth, selector, _, start), q in zip(specs, deal)
+               if q == chunk] for chunk in range(jobs)]
+    explore = partial(explore_lockstep, params=cfg.params, lidar=cfg.lidar,
+                      kin=cfg.kinematics, limits=cfg.limits,
+                      min_segment_size=cfg.min_segment_size, cost_weight=cfg.cost_weight,
+                      goal_relax_radius=cfg.goal_relax_radius)
     if jobs == 1:
-        done = [run(chunks[0])]
+        done = [explore(chunks[0])]
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            done = list(pool.map(run, chunks))
-    results = [iter(chunk) for chunk in done]
-    return [next(results[q]) for q in deal]
+            done = list(pool.map(explore, chunks))
+    records = [iter(chunk) for chunk in done]
+    return [RunResult(name, selector, seed, start, next(records[q]))
+            for (name, _, selector, seed, start), q in zip(specs, deal)]
 
 
 def cmd_run(cfg: ExperimentConfig, jobs: int) -> int:

@@ -435,12 +435,6 @@ def check_pose(truth: OccupancyGrid, pose: Pose) -> None:
         raise PoseInsideObstacleError(f"pose cell ({pi}, {pj}) is occupied")
 
 
-def _beam_offsets(lidar: LidarModel) -> np.ndarray:
-    """Beam k's angle from pose.theta: angular_span * k / beam_count."""
-    k = np.arange(lidar.beam_count, dtype=np.float64)
-    return lidar.angular_span * k / lidar.beam_count
-
-
 def adjacent_to(mask: np.ndarray) -> np.ndarray:
     """Cells with a 4-neighbour in mask; leading axes index a stack of masks."""
     out = np.zeros(mask.shape, dtype=bool)
@@ -463,13 +457,8 @@ _OUTSIDE = 3
 
 
 class BeamScanner:
-    """The cull and the march of many runs' reveals, in one batched call.
-
-    Built once for a batch of runs, from each run's truth grid; the truths
-    are read through one flat buffer. scan() takes the live runs' beliefs
-    and poses and returns, per run, the cells its beams entered: the share
-    of the scan that raycast_reveal writes into that run's belief.
-    """
+    """The cull and the march of many runs' reveals, one batched call per
+    round; built once per batch from each run's truth grid."""
 
     def __init__(self, truths: list[OccupancyGrid], lidar: LidarModel):
         self.truths = truths
@@ -487,8 +476,9 @@ class BeamScanner:
         starts = np.cumsum([0] + [(t.width + 2) * (t.height + 2) for t in unique.values()])
         start = dict(zip(unique, starts.tolist()))
         self.start = [start[id(t)] for t in truths]
-        self.beams = _beam_offsets(lidar)
-        # Beam offsets on the circle, sorted.
+        # Beam k's angle from pose.theta, and the offsets on the circle, sorted.
+        k = np.arange(lidar.beam_count, dtype=np.float64)
+        self.beams = lidar.angular_span * k / lidar.beam_count
         ring = np.mod(self.beams, 2.0 * math.pi)
         self.order = np.argsort(ring, kind="stable")
         self.ring = ring[self.order]
@@ -496,9 +486,10 @@ class BeamScanner:
     def scan(self, runs: list[tuple[int, OccupancyGrid, Pose]]) -> list[np.ndarray]:
         """Cull and march the beams of each (truth index, belief, pose).
 
-        Returns, run by run, the index i + width * j of the pose cell and of
-        every cell a marched beam entered. Every pose is checked before any
-        run's cells are read, so one run's bad pose never reads another's map.
+        Returns each run's share of the scan, for raycast_reveal: the index
+        i + width * j of the pose cell and of every cell a marched beam
+        entered. Every pose is checked before any run's cells are read, so
+        one run's bad pose never reads another's map.
         """
         floats, ints, pose_cells, crossings = [], [], [], 0
         for run, belief, pose in runs:
@@ -523,15 +514,14 @@ class BeamScanner:
         rb, beam = np.nonzero(self._cull(runs, f, i))
         # March in groups, each run's cells after those of the runs before
         # it, so a large batch never holds every beam's crossings at once.
-        parts = []
+        parts = [(np.empty(0, dtype=np.intp),) * 2]
         for a in range(0, len(rb), _MARCH_GROUP):
             group = slice(a, a + _MARCH_GROUP)
             fb, ib = f[rb[group]], i[rb[group]]
             cells, counts = _march(self.flat, ib[:, 2], ib[:, 3], fb[:, :2],
                                    fb[:, 2] + self.beams[beam[group]], fb[:, 3], crossings)
             parts.append((self.local[cells], counts))
-        cells, counts = (map(np.concatenate, zip(*parts)) if len(parts) > 1
-                         else parts[0] if parts else (np.empty(0, dtype=np.intp),) * 2)
+        cells, counts = map(np.concatenate, zip(*parts))
         ends = np.bincount(rb, counts, len(runs)).cumsum().astype(np.int64).tolist()
         return [np.concatenate((pose_cell, cells[a:b]))
                 for pose_cell, a, b in zip(pose_cells, [0] + ends, ends)]

@@ -18,7 +18,7 @@ from explorebench.gridmap import (COST_INSCRIBED, COST_LETHAL, COST_UNKNOWN,
                                   Pose,
                                   PoseInsideObstacleError,
                                   PoseOutOfBoundsError, StartUnreachableError,
-                                  ZeroResolutionError, _beam_offsets,
+                                  ZeroResolutionError,
                                   exploration_rate, inflate,
                                   load_belief, load_map, load_map_file,
                                   raycast_reveal, reachable_free_mask,
@@ -610,10 +610,10 @@ class TestRaycastReveal:
 def assert_march_matches_walks(grid, pose, beams, max_range):
     # With the belief all Unknown every beam is marched; the share holds the
     # pose cell, then each beam's cells in the order it entered them.
-    lidar = LidarModel(beam_count=beams, max_range=max_range)
-    angles = pose.theta + _beam_offsets(lidar)
+    scanner = BeamScanner([grid], LidarModel(beam_count=beams, max_range=max_range))
+    angles = pose.theta + scanner.beams
     belief = OccupancyGrid.unknown(grid.width, grid.height, grid.resolution)
-    seen = BeamScanner([grid], lidar).scan([(0, belief, pose)])[0]
+    seen = scanner.scan([(0, belief, pose)])[0]
     walks = oracle_beam_walks(grid, pose, angles, max_range)
     vj, vi = np.divmod(seen, grid.width)
     assert list(zip(vi.tolist(), vj.tolist())) == [
