@@ -8,13 +8,14 @@ target segment disappears from the frontier mask. Runs are pure functions
 of their inputs; repeated runs produce identical records. The run
 matrix over maps, seeds and selectors lives in cli.run_all.
 
-Runs advance in lockstep. Each run is a stepper (a generator) that stops
-before every reveal; explore_lockstep makes one batched scan
-(gridmap.BeamScanner) for all live runs per round and sends each run its
-share, which the run writes into its own belief through raycast_reveal.
-Most of a reveal's cost is the fixed cost of numpy calls, so sharing the
-scan across runs makes each reveal cheaper; a run's record is the same
-whichever runs share its batch. run_exploration is a batch of one.
+Runs advance in lockstep: each run is a stepper (a generator) that stops
+before every reveal. Per round, explore_lockstep makes one batched scan
+(gridmap.BeamScanner) that culls, marches and filters the beams of all live
+runs and re-inflates every run that changed with one distance transform.
+Each run writes its share into its belief through raycast_reveal, then
+samples coverage (after a change only), decides, plans and steps alone.
+The batch shares a reveal's fixed cost of numpy calls; a run's record does
+not depend on its batch. run_exploration is a batch of one.
 """
 
 from __future__ import annotations
@@ -189,10 +190,10 @@ def _explore(truth: OccupancyGrid, start: Pose, selector: SelectorKind,
     record = RunRecord(selector=selector, params=params,
                        start=Pose(start.x, start.y, start.theta))
 
-    seen = yield belief, pose
-    raycast_reveal(belief, truth, pose, lidar, seen)
-    rate = exploration_rate(belief, reachable)
-    cumdist = 0.0
+    rate = cumdist = 0.0  # no cell is known yet; only a change moves the rate
+    share = yield belief, pose
+    if raycast_reveal(belief, truth, pose, lidar, share)[0].size:
+        rate = exploration_rate(belief, reachable)
     record.samples.append((0.0, pose.x, pose.y, pose.theta, cumdist, rate))
 
     waypoints: list[tuple[float, float]] = []
@@ -246,9 +247,9 @@ def _explore(truth: OccupancyGrid, start: Pose, selector: SelectorKind,
         cumdist += moved
         no_progress = 0 if moved > 0.0 else no_progress + 1
 
-        seen = yield belief, pose
-        raycast_reveal(belief, truth, pose, lidar, seen)
-        rate = exploration_rate(belief, reachable)
+        share = yield belief, pose
+        if raycast_reveal(belief, truth, pose, lidar, share)[0].size:
+            rate = exploration_rate(belief, reachable)
         record.samples.append((tick * kin.dt, pose.x, pose.y, pose.theta, cumdist, rate))
     record.final_belief = belief
     return record
@@ -272,9 +273,9 @@ def explore_lockstep(runs: list[tuple[OccupancyGrid, Pose, SelectorKind]],
     live = {k: next(stepper) for k, stepper in enumerate(steppers)}
     while live:
         shares = scanner.scan([(k, belief, pose) for k, (belief, pose) in live.items()])
-        for k, seen in zip(list(live), shares):
+        for k, share in zip(list(live), shares):
             try:
-                live[k] = steppers[k].send(seen)
+                live[k] = steppers[k].send(share)
             except StopIteration as done:
                 records[k] = done.value
                 del live[k]

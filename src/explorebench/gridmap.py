@@ -325,10 +325,8 @@ def _inflation_costs(states, resolution, inscribed_radius, inflation_radius, dec
     if occupied.any():
         dist = ndimage.distance_transform_edt(~occupied) * resolution
         band = (dist > inscribed_radius) & (dist <= inflation_radius)
-        decayed = np.floor(
-            252.0 * np.exp(-decay_rate * (dist - inscribed_radius)) + 0.5
-        )
-        costs[band] = decayed[band].astype(np.uint8)
+        decayed = np.floor(252.0 * np.exp(-decay_rate * (dist[band] - inscribed_radius)) + 0.5)
+        costs[band] = decayed.astype(np.uint8)
         costs[(dist <= inscribed_radius) & ~occupied] = COST_INSCRIBED
         costs[occupied] = COST_LETHAL
     costs[states == UNKNOWN] = COST_UNKNOWN
@@ -351,26 +349,47 @@ def inflate(grid: OccupancyGrid, inscribed_radius: float, inflation_radius: floa
     )
 
 
-def reinflate_window(grid: OccupancyGrid, i0: int, j0: int, i1: int, j1: int) -> None:
-    """Recompute costs for the cell window [i0, i1] x [j0, j1] only.
+def reinflate_window(reveals: list[tuple[OccupancyGrid, np.ndarray, np.ndarray]]
+                     ) -> list[tuple[tuple[slice, slice], np.ndarray]]:
+    """Costs around the cells (i + width * j, ascending, at least one) that
+    take the states in each (grid, cells, states); no grid is written.
 
-    Obstacles up to inflation_radius outside the window influence costs
-    inside it, so the distance field is evaluated on a window padded twice:
-    once for the cells whose costs may have changed, once more for the
-    obstacles that can reach those cells.
+    Returns per grid a window (rows, columns), the cells' box padded by
+    pad = ceil(inflation_radius / resolution) + 1, and its new costs, from
+    the states on the window padded once more (every obstacle that reaches
+    it). The read windows of all grids with one resolution and
+    InflationParams lie on one canvas, pad Free columns apart, for one
+    distance transform. That equals each window inflated alone, and a full
+    inflate: the transform is exact, and another window's obstacles lie pad
+    + 1 columns or more, beyond inflation_radius, away, so no cell enters or
+    leaves the decay band or the inscribed disc.
     """
-    p = grid.inflation
-    pad = int(math.ceil(p.inflation_radius / grid.resolution)) + 1
-    wj0, wj1 = max(0, j0 - pad), min(grid.height - 1, j1 + pad)
-    wi0, wi1 = max(0, i0 - pad), min(grid.width - 1, i1 + pad)
-    rj0, rj1 = max(0, wj0 - pad), min(grid.height - 1, wj1 + pad)
-    ri0, ri1 = max(0, wi0 - pad), min(grid.width - 1, wi1 + pad)
-    window = grid.states[rj0 : rj1 + 1, ri0 : ri1 + 1]
-    costs = _inflation_costs(window, grid.resolution, p.inscribed_radius,
-                             p.inflation_radius, p.decay_rate)
-    grid.costs[wj0 : wj1 + 1, wi0 : wi1 + 1] = costs[
-        wj0 - rj0 : wj1 - rj0 + 1, wi0 - ri0 : wi1 - ri0 + 1
-    ]
+    out, groups = [None] * len(reveals), {}
+    for n, (grid, _, _) in enumerate(reveals):
+        groups.setdefault((grid.resolution, grid.inflation), []).append(n)
+    for (resolution, p), members in groups.items():
+        pad = int(math.ceil(p.inflation_radius / resolution)) + 1
+        tiles, x = [], 0
+        for grid, cells, states in (reveals[n] for n in members):
+            cj, ci = np.divmod(cells, grid.width)
+            wj0, wj1 = max(0, int(cj[0]) - pad), min(grid.height - 1, int(cj[-1]) + pad)
+            wi0, wi1 = max(0, int(ci.min()) - pad), min(grid.width - 1, int(ci.max()) + pad)
+            rj0, rj1 = max(0, wj0 - pad), min(grid.height - 1, wj1 + pad)
+            ri0, ri1 = max(0, wi0 - pad), min(grid.width - 1, wi1 + pad)
+            di = x - ri0  # the grid's cell (i, j) lies at canvas (j - rj0, i + di)
+            tiles.append((grid.states[rj0 : rj1 + 1, ri0 : ri1 + 1], x, (cj - rj0, ci + di),
+                          states, (slice(wj0, wj1 + 1), slice(wi0, wi1 + 1)),
+                          (slice(wj0 - rj0, wj1 - rj0 + 1), slice(wi0 + di, wi1 + di + 1))))
+            x += ri1 - ri0 + 1 + pad
+        canvas = np.full((max(t[0].shape[0] for t in tiles), x - pad), FREE, dtype=np.uint8)
+        for block, x0, cells, states, _, _ in tiles:
+            canvas[: block.shape[0], x0 : x0 + block.shape[1]] = block
+            canvas[cells] = states
+        costs = _inflation_costs(canvas, resolution, p.inscribed_radius,
+                                 p.inflation_radius, p.decay_rate)
+        for n, (*_, window, place) in zip(members, tiles):
+            out[n] = (window, costs[place])
+    return out
 
 
 def remap_costs(costs: np.ndarray) -> np.ndarray:
@@ -476,6 +495,12 @@ class BeamScanner:
         starts = np.cumsum([0] + [(t.width + 2) * (t.height + 2) for t in unique.values()])
         start = dict(zip(unique, starts.tolist()))
         self.start = [start[id(t)] for t in truths]
+        # Each run's belief states, copied in by each scan, laid out as its
+        # map is in flat: the cell at flat[c] lies at beliefs[c + shift[run]].
+        starts = np.cumsum([0] + [(t.width + 2) * (t.height + 2) for t in truths])
+        self.beliefs, self.shift = np.empty(starts[-1], dtype=np.uint8), starts[:-1] - self.start
+        self.inner = [b.reshape(t.height + 2, t.width + 2)[1:-1, 1:-1]
+                      for b, t in zip(np.split(self.beliefs, starts[1:-1]), truths)]
         # Beam k's angle from pose.theta, and the offsets on the circle, sorted.
         k = np.arange(lidar.beam_count, dtype=np.float64)
         self.beams = lidar.angular_span * k / lidar.beam_count
@@ -483,15 +508,17 @@ class BeamScanner:
         self.order = np.argsort(ring, kind="stable")
         self.ring = ring[self.order]
 
-    def scan(self, runs: list[tuple[int, OccupancyGrid, Pose]]) -> list[np.ndarray]:
-        """Cull and march the beams of each (truth index, belief, pose).
+    def scan(self, runs: list[tuple[int, OccupancyGrid, Pose]]) -> list[tuple]:
+        """Cull, march and filter the beams of each (truth index, belief, pose),
+        each truth index at most once.
 
-        Returns each run's share of the scan, for raycast_reveal: the index
-        i + width * j of the pose cell and of every cell a marched beam
-        entered. Every pose is checked before any run's cells are read, so
-        one run's bad pose never reads another's map.
+        Returns each run's share, for raycast_reveal: the indices i + width
+        * j, ascending, of the cells that become known, and the window and
+        costs from one reinflate_window call for all runs that changed (None
+        for the others). Every pose is checked before any run's cells are
+        read, so one run's bad pose never reads another's map.
         """
-        floats, ints, pose_cells, crossings = [], [], [], 0
+        floats, ints, crossings = [], [], 0
         for run, belief, pose in runs:
             truth = self.truths[run]
             if (belief.states.shape != truth.states.shape
@@ -501,32 +528,63 @@ class BeamScanner:
             w, h, res = truth.width, truth.height, truth.resolution
             gx, gy = pose.x / res, pose.y / res
             range_cells = self.lidar.max_range / res
-            floats.append((gx, gy, pose.theta, range_cells, (range_cells + _CULL_EPS) ** 2))
+            floats.append((gx, gy, pose.theta, range_cells, (range_cells + _CULL_EPS) ** 2,
+                           pose.x, pose.y, res))
             pi, pj = math.floor(gx), math.floor(gy)
-            ints.append((pi, pj, self.start[run] + (pj + 1) * (w + 2) + pi + 1, w + 2))
-            pose_cells.append([pi + w * pj])
+            ints.append((pi, pj, self.start[run] + (pj + 1) * (w + 2) + pi + 1, w + 2, w))
             # Enough crossings per axis to pass the range or to leave the grid.
             crossings = max(crossings, math.ceil(min(range_cells, max(w, h))) + 2)
-        # Per run: the pose in cells, theta, the range in cells and the
-        # cull's squared range; the pose cell, its index in the buffer and
-        # the buffer's row length there.
+        # Per run, f: pose in cells, theta, range in cells, squared cull range,
+        # pose, resolution; i: pose cell, its index in the buffer, row length, width.
         f, i = np.array(floats), np.array(ints)
-        rb, beam = np.nonzero(self._cull(runs, f, i))
-        # March in groups, each run's cells after those of the runs before
-        # it, so a large batch never holds every beam's crossings at once.
-        parts = [(np.empty(0, dtype=np.intp),) * 2]
+        r = math.ceil(f[:, 3].max()) + 2
+        stack = np.full((len(runs), 2 * r + 1, 2 * r + 1), OCCUPIED, dtype=np.uint8)
+        for s, ((run, belief, _), (i0, j0)) in enumerate(zip(runs, (i[:, :2] - r).tolist())):
+            self.inner[run][...] = belief.states
+            a, c = max(j0, 0), max(i0, 0)
+            window = belief.states[a : j0 + 2 * r + 1, c : i0 + 2 * r + 1]
+            stack[s, a - j0 : a - j0 + window.shape[0],
+                  c - i0 : c - i0 + window.shape[1]] = window
+        span, shift = len(self.flat), self.shift[[run for run, _, _ in runs]]
+
+        def known(run, cells):
+            # Keys run * span + c of the entered cells flat[c] still Unknown
+            # that become known: hits (Occupied), and Free cells whose centre
+            # lies within range, so the revealed set is the rasterized disk.
+            unknown = self.beliefs[cells + shift[run]] == UNKNOWN
+            run, cells = run[unknown], cells[unknown]
+            cj, ci = np.divmod(self.local[cells], i[run, 4])
+            res = f[run, 7]
+            dx, dy = (ci + 0.5) * res - f[run, 5], (cj + 0.5) * res - f[run, 6]
+            keep = (dx**2 + dy**2 <= self.lidar.max_range**2) | (self.flat[cells] == OCCUPIED)
+            return np.unique(run[keep] * span + cells[keep])
+
+        rb, beam = np.nonzero(self._cull(stack, f, i))
+        # The pose cells still Unknown (before a run's first reveal only),
+        # then the beams, marched and filtered a group at a time so a large
+        # batch never holds every beam's crossings or entered cells at once;
+        # each group's keys come out unique.
+        pose = np.flatnonzero(stack[:, r, r] == UNKNOWN)
+        keys = [known(pose, i[pose, 2]) if pose.size else np.empty(0, dtype=np.int64)]
         for a in range(0, len(rb), _MARCH_GROUP):
             group = slice(a, a + _MARCH_GROUP)
             fb, ib = f[rb[group]], i[rb[group]]
             cells, counts = _march(self.flat, ib[:, 2], ib[:, 3], fb[:, :2],
                                    fb[:, 2] + self.beams[beam[group]], fb[:, 3], crossings)
-            parts.append((self.local[cells], counts))
-        cells, counts = map(np.concatenate, zip(*parts))
-        ends = np.bincount(rb, counts, len(runs)).cumsum().astype(np.int64).tolist()
-        return [np.concatenate((pose_cell, cells[a:b]))
-                for pose_cell, a, b in zip(pose_cells, [0] + ends, ends)]
+            keys.append(known(np.repeat(rb[group], counts), cells))
+        keys = keys[1] if len(keys) == 2 and not keys[0].size else np.unique(np.concatenate(keys))
+        if not keys.size:
+            return [(keys, None, None)] * len(runs)
+        run, cells = np.divmod(keys, span)
+        ends = np.searchsorted(run, np.arange(len(runs) + 1)).tolist()
+        delta = [slice(a, b) for a, b in zip(ends, ends[1:])]
+        changed = [k for k, d in enumerate(delta) if d.start < d.stop]
+        local, states = self.local[cells], self.flat[cells]
+        windows = dict(zip(changed, reinflate_window(
+            [(runs[k][1], local[delta[k]], states[delta[k]]) for k in changed])))
+        return [(local[d], *windows.get(k, (None, None))) for k, d in enumerate(delta)]
 
-    def _cull(self, runs, f, i) -> np.ndarray:
+    def _cull(self, stack, f, i) -> np.ndarray:
         """(runs, beams) mask of the beams that can enter an Unknown belief cell.
 
         The candidates are the Unknown cells near the pose that have a Free
@@ -537,19 +595,12 @@ class BeamScanner:
         smallest and the largest of its four corner angles, padded by
         _CULL_EPS. All beams are marked while the pose cell is Unknown.
 
-        Each run's candidates come from the same-shape window of belief
-        cells around its pose; cells outside the grid read as Occupied, so
+        Each run's candidates come from its window of the stack of belief
+        cells around the poses; cells outside the grid read as Occupied, so
         they are never candidates and never make a neighbour one.
         """
-        m, n = len(runs), self.lidar.beam_count
-        g, theta, p = f[:, :2], f[:, 2], i[:, :2]
-        r = math.ceil(f[:, 3].max()) + 2
-        stack = np.full((m, 2 * r + 1, 2 * r + 1), OCCUPIED, dtype=np.uint8)
-        for s, ((_, belief, _), (i0, j0)) in enumerate(zip(runs, (p - r).tolist())):
-            a, c = max(j0, 0), max(i0, 0)
-            window = belief.states[a : j0 + 2 * r + 1, c : i0 + 2 * r + 1]
-            stack[s, a - j0 : a - j0 + window.shape[0],
-                  c - i0 : c - i0 + window.shape[1]] = window
+        (m, width, _), n = stack.shape, self.lidar.beam_count
+        g, theta, p, r = f[:, :2], f[:, 2], i[:, :2], width // 2
         # Offsets from the pose, in cells, of the left (edges[0]) and right
         # (edges[1]) edge of each window column ([:, :, 0]) and row
         # ([:, :, 1]), and of the point of its squares nearest the pose.
@@ -588,7 +639,7 @@ class BeamScanner:
 
 
 def raycast_reveal(belief: OccupancyGrid, truth: OccupancyGrid, pose: Pose,
-                   lidar: LidarModel, seen: np.ndarray | None = None,
+                   lidar: LidarModel, share: tuple | None = None,
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Reveal truth cells visible to the scanner; return the cells that changed.
 
@@ -597,12 +648,13 @@ def raycast_reveal(belief: OccupancyGrid, truth: OccupancyGrid, pose: Pose,
     belief when their center lies within max_range of the pose; the hit
     cell becomes Occupied. Returns the (i, j) arrays, in raster order, of
     the cells that were Unknown before this reveal and are known after it.
-    Belief costs are re-inflated around those cells only, and not at all
+    Belief costs are rewritten around those cells only, and not at all
     when there are none.
 
-    seen is this run's share of a BeamScanner scan of the same belief and
-    pose (the index i + width * j of the pose cell and of every cell a
-    marched beam entered); without it, the reveal scans a batch of one.
+    share is this run's share of a BeamScanner scan of the same belief and
+    pose, which the reveal only writes: the cells that become known take
+    their truth states, and the window reinflate_window gave takes its
+    costs, a full inflate's. Without it, the reveal scans a batch of one.
 
     Precondition: the belief agrees with the truth wherever it is known
     (run_exploration guarantees it, since only reveals write the belief).
@@ -611,26 +663,13 @@ def raycast_reveal(belief: OccupancyGrid, truth: OccupancyGrid, pose: Pose,
     beam enters is 4-adjacent to a known Free cell or to the pose cell,
     with its nearest point within max_range.
     """
-    if seen is None:
-        seen = BeamScanner([truth], lidar).scan([(0, belief, pose)])[0]
-
-    # Of the entered cells still Unknown, the Occupied ones are hits and
-    # become known; Free ones become known when their center lies within
-    # range, which keeps the revealed set equal to the rasterized
-    # visibility disk.
-    none = np.empty(0, dtype=np.intp)
-    seen = seen[belief.states.ravel()[seen] == UNKNOWN]
-    if not seen.size:
-        return none, none
-    cx, cy = truth.cell_center(*np.divmod(seen, truth.width)[::-1])
-    in_range = (cx - pose.x) ** 2 + (cy - pose.y) ** 2 <= lidar.max_range**2
-    known = in_range | (truth.states.ravel()[seen] == OCCUPIED)
-    if not known.any():
-        return none, none
-    flat = np.unique(seen[known])
-    belief.states.flat[flat] = truth.states.flat[flat]
-    cj, ci = np.divmod(flat, truth.width)
-    reinflate_window(belief, int(ci.min()), int(cj.min()), int(ci.max()), int(cj.max()))
+    if share is None:
+        share = BeamScanner([truth], lidar).scan([(0, belief, pose)])[0]
+    cells, window, costs = share
+    if cells.size:
+        belief.states.flat[cells] = truth.states.flat[cells]
+        belief.costs[window] = costs
+    cj, ci = np.divmod(cells, truth.width)
     return ci, cj
 
 

@@ -1,6 +1,8 @@
 import math
 import re
 import tracemalloc
+from dataclasses import astuple
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -278,6 +280,63 @@ class TestInflate:
             inflate(grid, 0.0, 1.0, 1.0)
         with pytest.raises(InvalidRadiiError):
             inflate(grid, 2.0, 1.0, 1.0)
+
+
+# Two parameter sets: at resolution 0.25 the second's inflation_radius is
+# two cells exactly.
+INFLATIONS = (InflationParams(), InflationParams(0.25, 0.5, 2.0))
+
+
+class TestReinflateWindow:
+    """One call re-inflates many grids' windows on shared canvases."""
+
+    @staticmethod
+    def _reveals(rng):
+        # Per resolution and parameter set: boxes of up to 2 x 2 changed
+        # cells on each edge and corner of a grid and inside it, on grids
+        # with and without Occupied cells, and a 1 x 1 grid. The changed
+        # cells are Unknown in the grid and take their truth states.
+        reveals = []
+        for res in (0.1, 0.25, 0.5):
+            for params in INFLATIONS:
+                for w, h, p_occupied in ((14, 11, 0.25), (9, 16, 0.0), (1, 1, 0.0)):
+                    truth = np.where(rng.rand(h, w) < p_occupied, OCCUPIED,
+                                     FREE).astype(np.uint8)
+                    for i, j in {(0, 0), (w - 1, 0), (0, h - 1), (w - 1, h - 1),
+                                 (w // 2, 0), (w // 2, h - 1), (0, h // 2),
+                                 (w - 1, h // 2), (w // 2, h // 2)}:
+                        box = np.zeros((h, w), dtype=bool)
+                        box[j : j + 1 + rng.randint(2), i : i + 1 + rng.randint(2)] = True
+                        states = truth.copy()
+                        states[box | (rng.rand(h, w) < 0.2)] = UNKNOWN
+                        grid = OccupancyGrid(w, h, res, states, np.zeros_like(states))
+                        inflate(grid, *astuple(params))
+                        cells = np.flatnonzero(box)
+                        reveals.append((grid, cells, truth.flat[cells]))
+        return reveals
+
+    def test_batch_equals_each_window_alone_and_full_inflate(self, rng):
+        for _ in range(3):
+            reveals = self._reveals(rng)
+            windows = gridmap.reinflate_window(reveals)
+            assert len(windows) == len(reveals)
+            for (grid, cells, new), (window, costs) in zip(reveals, windows):
+                p = grid.inflation
+                states = grid.states.copy()
+                states.flat[cells] = new
+                full = clone_grid(grid)
+                full.states = states
+                inflate(full, *astuple(p))
+                assert (costs == full.costs[window]).all()
+                # The window padded once more, inflated on its own.
+                pad = math.ceil(p.inflation_radius / grid.resolution) + 1
+                rows, cols = ((max(0, s.start - pad), min(n, s.stop + pad))
+                              for s, n in zip(window, states.shape))
+                alone = gridmap._inflation_costs(
+                    states[slice(*rows), slice(*cols)], grid.resolution, *astuple(p))
+                assert (costs == alone[window[0].start - rows[0] : window[0].stop - rows[0],
+                                       window[1].start - cols[0] : window[1].stop - cols[0]]
+                        ).all()
 
 
 class TestRemapCost:
@@ -608,16 +667,20 @@ class TestRaycastReveal:
 
 
 def assert_march_matches_walks(grid, pose, beams, max_range):
-    # With the belief all Unknown every beam is marched; the share holds the
-    # pose cell, then each beam's cells in the order it entered them.
+    # With the belief all Unknown every beam is marched; the scan's march
+    # calls give each beam's cells in the order it entered them.
     scanner = BeamScanner([grid], LidarModel(beam_count=beams, max_range=max_range))
     angles = pose.theta + scanner.beams
     belief = OccupancyGrid.unknown(grid.width, grid.height, grid.resolution)
-    seen = scanner.scan([(0, belief, pose)])[0]
+    marched, march = [], gridmap._march
+    with mock.patch.object(gridmap, "_march",
+                           lambda *args: marched.append(march(*args)) or marched[-1]):
+        scanner.scan([(0, belief, pose)])
+    cells, counts = (np.concatenate(parts) for parts in zip(*marched))
     walks = oracle_beam_walks(grid, pose, angles, max_range)
-    vj, vi = np.divmod(seen, grid.width)
-    assert list(zip(vi.tolist(), vj.tolist())) == [
-        grid.world_to_cell(pose.x, pose.y), *(c for entered in walks for c in entered)]
+    vj, vi = np.divmod(scanner.local[cells], grid.width)
+    assert list(zip(vi.tolist(), vj.tolist())) == [c for entered in walks for c in entered]
+    assert counts.tolist() == [len(entered) for entered in walks]
 
 
 class TestTraverseBeams:
@@ -670,17 +733,18 @@ class TestBeamScanner:
 
     @staticmethod
     def _runs(rng, count, lidar):
-        # Truths of mixed shapes and resolutions, the last two runs on maps
-        # of the first two. Beliefs cycle through all Unknown (the pose cell
-        # too), partly revealed, and all known (no candidate); poses through
-        # a cell centre, a cell corner and a cell on the grid's edge.
+        # Truths of mixed shapes, resolutions and inflation parameters, the
+        # last two runs on maps of the first two. Beliefs cycle through all
+        # Unknown (the pose cell too), partly revealed, and all known (no
+        # candidate); poses through a cell centre, a cell corner and a cell
+        # on the grid's edge.
         truths = []
         for k in range(count - 2):
             w, h = int(rng.randint(2, 30)), int(rng.randint(2, 30))
             states = np.where(rng.rand(h, w) < 0.2, OCCUPIED, FREE).astype(np.uint8)
             states[h // 2, :] = FREE
             truth = OccupancyGrid(w, h, (0.25, 0.5)[k % 2], states, np.zeros_like(states))
-            inflate(truth, 0.12, 0.6, 4.0)
+            inflate(truth, *astuple(INFLATIONS[k // 2 % 2]))
             truths.append(truth)
         truths += truths[:2]
         runs = []
@@ -706,6 +770,8 @@ class TestBeamScanner:
         return runs
 
     def test_batch_equals_batches_of_one(self, rng):
+        # Each run's share, written, leaves the states and costs that a
+        # reveal of the run alone leaves, and the costs of a full inflate.
         lidar = LidarModel(beam_count=180, max_range=2.0)
         for _ in range(12):
             runs = self._runs(rng, 8, lidar)
@@ -714,8 +780,15 @@ class TestBeamScanner:
                                    for k, (_, belief, pose) in enumerate(runs)])
             assert len(shares) == len(runs)
             for (truth, belief, pose), share in zip(runs, shares):
-                alone = BeamScanner([truth], lidar).scan([(0, belief, pose)])[0]
-                assert share.tolist() == alone.tolist()
+                alone = clone_grid(belief)
+                expected = raycast_reveal(alone, truth, pose, lidar)
+                changed = raycast_reveal(belief, truth, pose, lidar, share)
+                assert [c.tolist() for c in changed] == [c.tolist() for c in expected]
+                assert (belief.states == alone.states).all()
+                assert (belief.costs == alone.costs).all()
+                reference = clone_grid(belief)
+                inflate(reference, *astuple(belief.inflation))
+                assert (reference.costs == belief.costs).all()
 
     @pytest.mark.parametrize("where,error", [
         ("past-east-edge", PoseOutOfBoundsError), ("in-obstacle", PoseInsideObstacleError)])
