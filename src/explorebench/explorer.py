@@ -11,9 +11,9 @@ matrix over maps, seeds and selectors lives in cli.run_all.
 Runs advance in lockstep: each run is a stepper (a generator) that stops
 before every reveal. Per round, explore_lockstep makes one batched scan
 (gridmap.BeamScanner) that culls, marches and filters the beams of all live
-runs and re-inflates every run that changed with one distance transform.
-Each run writes its share into its belief through raycast_reveal, then
-samples coverage (after a change only), decides, plans and steps alone.
+runs and stamps a cached inflation kernel at every run's new cells. Each
+run writes its share into its belief through raycast_reveal, then decides,
+plans and steps alone, and skips what a reveal that changed nothing keeps.
 The batch shares a reveal's fixed cost of numpy calls; a run's record does
 not depend on its batch. run_exploration is a batch of one.
 """
@@ -168,13 +168,9 @@ def rank_segments(selector: SelectorKind, segments: list[FrontierSegment],
 
 
 def _path_cells_valid(belief, waypoints, robot_cell):
-    for x, y in waypoints:
-        i, j = belief.world_to_cell(x, y)
-        if (i, j) == robot_cell:
-            continue
-        if belief.states[j, i] != FREE or belief.costs[j, i] >= COST_INSCRIBED:
-            return False
-    return True
+    cells = {belief.world_to_cell(x, y) for x, y in waypoints} - {robot_cell}
+    return all(belief.states[j, i] == FREE and belief.costs[j, i] < COST_INSCRIBED
+               for i, j in cells)
 
 
 def _explore(truth: OccupancyGrid, start: Pose, selector: SelectorKind,
@@ -192,7 +188,7 @@ def _explore(truth: OccupancyGrid, start: Pose, selector: SelectorKind,
 
     rate = cumdist = 0.0  # no cell is known yet; only a change moves the rate
     share = yield belief, pose
-    if raycast_reveal(belief, truth, pose, lidar, share)[0].size:
+    if changed := raycast_reveal(belief, truth, pose, lidar, share)[0].size:
         rate = exploration_rate(belief, reachable)
     record.samples.append((0.0, pose.x, pose.y, pose.theta, cumdist, rate))
 
@@ -207,17 +203,22 @@ def _explore(truth: OccupancyGrid, start: Pose, selector: SelectorKind,
             record.outcome = OUTCOME_COMPLETE
             break
 
-        mask = detect_frontiers(belief)
+        # After a reveal that changed nothing the target is still alive, and
+        # the path needs a check only off the cell the last check exempted.
+        mask = detect_frontiers(belief) if changed or not waypoints else None
         robot_cell = belief.world_to_cell(pose.x, pose.y)
         if waypoints:
-            vanished = not mask[target_cells[:, 1], target_cells[:, 0]].any()
-            if (vanished or no_progress >= stuck_limit
-                    or not _path_cells_valid(belief, waypoints, robot_cell)):
+            if (no_progress >= stuck_limit
+                    or changed and not mask[target_cells[:, 1], target_cells[:, 0]].any()
+                    or (changed or robot_cell != checked)
+                    and not _path_cells_valid(belief, waypoints, robot_cell)):
                 waypoints = []
                 no_progress = 0
+            checked = robot_cell
 
         if not waypoints:
-            segments = cluster_segments(mask, belief, min_segment_size)
+            segments = cluster_segments(detect_frontiers(belief) if mask is None else mask,
+                                        belief, min_segment_size)
             if not segments:
                 record.outcome = OUTCOME_COMPLETE
                 break
@@ -240,7 +241,7 @@ def _explore(truth: OccupancyGrid, start: Pose, selector: SelectorKind,
                 record.outcome = OUTCOME_STALLED
                 break
             seg = segments[chosen]
-            target_cells = seg.cells
+            target_cells, checked = seg.cells, None
             record.decisions.append(Decision(tick, chosen, seg.centroid, breakdowns))
 
         moved = kin_advance(pose, kin, waypoints, belief)
@@ -248,7 +249,7 @@ def _explore(truth: OccupancyGrid, start: Pose, selector: SelectorKind,
         no_progress = 0 if moved > 0.0 else no_progress + 1
 
         share = yield belief, pose
-        if raycast_reveal(belief, truth, pose, lidar, share)[0].size:
+        if changed := raycast_reveal(belief, truth, pose, lidar, share)[0].size:
             rate = exploration_rate(belief, reachable)
         record.samples.append((tick * kin.dt, pose.x, pose.y, pose.theta, cumdist, rate))
     record.final_belief = belief

@@ -9,9 +9,10 @@ usual costmap convention: 0..252 decaying inflation, 253 inscribed,
 
 from __future__ import annotations
 
+import functools
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 from scipy import ndimage
@@ -349,47 +350,41 @@ def inflate(grid: OccupancyGrid, inscribed_radius: float, inflation_radius: floa
     )
 
 
-def reinflate_window(reveals: list[tuple[OccupancyGrid, np.ndarray, np.ndarray]]
-                     ) -> list[tuple[tuple[slice, slice], np.ndarray]]:
-    """Costs around the cells (i + width * j, ascending, at least one) that
-    take the states in each (grid, cells, states); no grid is written.
+@functools.lru_cache(maxsize=64)
+def _kernel(resolution: float, p: InflationParams, extent: int):
+    """(r, dj, di, costs): the offsets, at most r <= extent cells in each
+    axis, and the costs of the Free cells one obstacle inflates, from
+    _inflation_costs of a one-obstacle patch (the same distances)."""
+    r = int(min(p.inflation_radius / resolution + 1.0, extent))
+    patch = np.full((2 * r + 1, 2 * r + 1), FREE, dtype=np.uint8)
+    patch[r, r] = OCCUPIED
+    costs = _inflation_costs(patch, resolution, *astuple(p))
+    dj, di = np.nonzero((costs > 0) & (costs < COST_LETHAL))
+    return r, dj - r, di - r, costs[dj, di]
 
-    Returns per grid a window (rows, columns), the cells' box padded by
-    pad = ceil(inflation_radius / resolution) + 1, and its new costs, from
-    the states on the window padded once more (every obstacle that reaches
-    it). The read windows of all grids with one resolution and
-    InflationParams lie on one canvas, pad Free columns apart, for one
-    distance transform. That equals each window inflated alone, and a full
-    inflate: the transform is exact, and another window's obstacles lie pad
-    + 1 columns or more, beyond inflation_radius, away, so no cell enters or
-    leaves the decay band or the inscribed disc.
+
+def reinflate_window(states, costs, cells, offsets, weights):
+    """Stamp the costs around newly known cells of grids in flat buffers.
+
+    states holds the grids row by row, each inside a border (neither Free
+    nor Occupied) as wide as its kernel, and the cells' new states; costs
+    a full inflate's of the states before. Cell cells[n]'s kernel is the
+    buffer offsets offsets[n] with the costs weights[n], padded with 0s.
+    A cost only falls with distance, so a Free cell's is the largest an
+    Occupied cell in its kernel gives; a reveal only adds known cells, so
+    the costs that change are the new cells' and those of the Free cells
+    in a new obstacle's kernel. Writes them; returns their indices,
+    ascending, and values.
     """
-    out, groups = [None] * len(reveals), {}
-    for n, (grid, _, _) in enumerate(reveals):
-        groups.setdefault((grid.resolution, grid.inflation), []).append(n)
-    for (resolution, p), members in groups.items():
-        pad = int(math.ceil(p.inflation_radius / resolution)) + 1
-        tiles, x = [], 0
-        for grid, cells, states in (reveals[n] for n in members):
-            cj, ci = np.divmod(cells, grid.width)
-            wj0, wj1 = max(0, int(cj[0]) - pad), min(grid.height - 1, int(cj[-1]) + pad)
-            wi0, wi1 = max(0, int(ci.min()) - pad), min(grid.width - 1, int(ci.max()) + pad)
-            rj0, rj1 = max(0, wj0 - pad), min(grid.height - 1, wj1 + pad)
-            ri0, ri1 = max(0, wi0 - pad), min(grid.width - 1, wi1 + pad)
-            di = x - ri0  # the grid's cell (i, j) lies at canvas (j - rj0, i + di)
-            tiles.append((grid.states[rj0 : rj1 + 1, ri0 : ri1 + 1], x, (cj - rj0, ci + di),
-                          states, (slice(wj0, wj1 + 1), slice(wi0, wi1 + 1)),
-                          (slice(wj0 - rj0, wj1 - rj0 + 1), slice(wi0 + di, wi1 + di + 1))))
-            x += ri1 - ri0 + 1 + pad
-        canvas = np.full((max(t[0].shape[0] for t in tiles), x - pad), FREE, dtype=np.uint8)
-        for block, x0, cells, states, _, _ in tiles:
-            canvas[: block.shape[0], x0 : x0 + block.shape[1]] = block
-            canvas[cells] = states
-        costs = _inflation_costs(canvas, resolution, p.inscribed_radius,
-                                 p.inflation_radius, p.decay_rate)
-        for n, (*_, window, place) in zip(members, tiles):
-            out[n] = (window, costs[place])
-    return out
+    near = cells[:, None] + offsets
+    lethal = states[cells] == OCCUPIED
+    costs[cells] = np.where(lethal, COST_LETHAL, np.where(
+        states[near] == OCCUPIED, weights, 0).max(axis=1, initial=0))
+    near, weights = near[lethal], weights[lethal]
+    free = states[near] == FREE
+    np.maximum.at(costs, near[free], weights[free])
+    stamped = np.unique(np.concatenate((cells, near[free])))
+    return stamped, costs[stamped]
 
 
 def remap_costs(costs: np.ndarray) -> np.ndarray:
@@ -482,25 +477,38 @@ class BeamScanner:
     def __init__(self, truths: list[OccupancyGrid], lidar: LidarModel):
         self.truths = truths
         self.lidar = lidar
+        # Each map's inflation kernel, clamped to its extent. Every grid's
+        # border is as wide as the widest, so none reaches another grid.
+        kernels = [_kernel(t.resolution, t.inflation, max(t.width, t.height) - 1)
+                   for t in truths]
+        b = self.border = max(1, *(k[0] for k in kernels))
         # Each map's states, once however many runs share it, inside a
         # border of _OUTSIDE cells; and each cell's index i + width * j, -1
         # on the border.
         unique = {id(t): t for t in truths}
-        self.flat = np.concatenate([np.pad(t.states, 1, constant_values=_OUTSIDE).ravel()
+        self.flat = np.concatenate([np.pad(t.states, b, constant_values=_OUTSIDE).ravel()
                                     for t in unique.values()])
         index = np.int32 if max(t.states.size for t in truths) < 2**31 else np.int64
         self.local = np.concatenate([
-            np.pad(np.arange(t.states.size, dtype=index).reshape(t.states.shape), 1,
+            np.pad(np.arange(t.states.size, dtype=index).reshape(t.states.shape), b,
                    constant_values=-1).ravel() for t in unique.values()])
-        starts = np.cumsum([0] + [(t.width + 2) * (t.height + 2) for t in unique.values()])
+        starts = np.cumsum([0] + [(t.width + 2 * b) * (t.height + 2 * b) for t in unique.values()])
         start = dict(zip(unique, starts.tolist()))
+        # Each run's belief states and costs, copied in by each scan, laid
+        # out as its map is in flat: the cell at flat[c] lies at beliefs[c +
+        # shift[run]], in beliefs[bounds[run] : bounds[run + 1]].
+        self.bounds = np.cumsum([0] + [(t.width + 2 * b) * (t.height + 2 * b) for t in truths])
         self.start = [start[id(t)] for t in truths]
-        # Each run's belief states, copied in by each scan, laid out as its
-        # map is in flat: the cell at flat[c] lies at beliefs[c + shift[run]].
-        starts = np.cumsum([0] + [(t.width + 2) * (t.height + 2) for t in truths])
-        self.beliefs, self.shift = np.empty(starts[-1], dtype=np.uint8), starts[:-1] - self.start
-        self.inner = [b.reshape(t.height + 2, t.width + 2)[1:-1, 1:-1]
-                      for b, t in zip(np.split(self.beliefs, starts[1:-1]), truths)]
+        self.shift = self.bounds[:-1] - self.start
+        self.beliefs, self.costs = np.full((2, self.bounds[-1]), _OUTSIDE, dtype=np.uint8)
+        self.inner = [[a[lo:hi].reshape(t.height + 2 * b, -1)[b:-b, b:-b]
+                       for a in (self.beliefs, self.costs)]
+                      for lo, hi, t in zip(self.bounds, self.bounds[1:], truths)]
+        # Each run's kernel as offsets in the buffer and costs, padded to one length.
+        n = max(len(k[3]) for k in kernels)
+        self.offsets = np.array([np.pad(dj * (t.width + 2 * b) + di, (0, n - len(dj)))
+                                 for (_, dj, di, _), t in zip(kernels, truths)])
+        self.weights = np.array([np.pad(w, (0, n - len(w))) for *_, w in kernels])
         # Beam k's angle from pose.theta, and the offsets on the circle, sorted.
         k = np.arange(lidar.beam_count, dtype=np.float64)
         self.beams = lidar.angular_span * k / lidar.beam_count
@@ -513,15 +521,15 @@ class BeamScanner:
         each truth index at most once.
 
         Returns each run's share, for raycast_reveal: the indices i + width
-        * j, ascending, of the cells that become known, and the window and
-        costs from one reinflate_window call for all runs that changed (None
-        for the others). Every pose is checked before any run's cells are
-        read, so one run's bad pose never reads another's map.
+        * j, ascending, of the cells that become known, and of the cells
+        whose costs change with their costs, from one reinflate_window stamp
+        for all runs that changed. Every pose is checked before any run's
+        cells are read, so one run's bad pose never reads another's map.
         """
-        floats, ints, crossings = [], [], 0
+        floats, ints, crossings, b = [], [], 0, self.border
         for run, belief, pose in runs:
             truth = self.truths[run]
-            if (belief.states.shape != truth.states.shape
+            if (belief.states.shape != truth.states.shape or belief.inflation != truth.inflation
                     or belief.resolution != truth.resolution):
                 raise MapError("belief and truth grids must share geometry")
             check_pose(truth, pose)
@@ -531,7 +539,7 @@ class BeamScanner:
             floats.append((gx, gy, pose.theta, range_cells, (range_cells + _CULL_EPS) ** 2,
                            pose.x, pose.y, res))
             pi, pj = math.floor(gx), math.floor(gy)
-            ints.append((pi, pj, self.start[run] + (pj + 1) * (w + 2) + pi + 1, w + 2, w))
+            ints.append((pi, pj, self.start[run] + (pj + b) * (w + 2 * b) + pi + b, w + 2 * b, w))
             # Enough crossings per axis to pass the range or to leave the grid.
             crossings = max(crossings, math.ceil(min(range_cells, max(w, h))) + 2)
         # Per run, f: pose in cells, theta, range in cells, squared cull range,
@@ -540,12 +548,13 @@ class BeamScanner:
         r = math.ceil(f[:, 3].max()) + 2
         stack = np.full((len(runs), 2 * r + 1, 2 * r + 1), OCCUPIED, dtype=np.uint8)
         for s, ((run, belief, _), (i0, j0)) in enumerate(zip(runs, (i[:, :2] - r).tolist())):
-            self.inner[run][...] = belief.states
+            self.inner[run][0][...], self.inner[run][1][...] = belief.states, belief.costs
             a, c = max(j0, 0), max(i0, 0)
             window = belief.states[a : j0 + 2 * r + 1, c : i0 + 2 * r + 1]
             stack[s, a - j0 : a - j0 + window.shape[0],
                   c - i0 : c - i0 + window.shape[1]] = window
-        span, shift = len(self.flat), self.shift[[run for run, _, _ in runs]]
+        ids = np.array([run for run, _, _ in runs])
+        span, shift = len(self.flat), self.shift[ids]
 
         def known(run, cells):
             # Keys run * span + c of the entered cells flat[c] still Unknown
@@ -574,15 +583,19 @@ class BeamScanner:
             keys.append(known(np.repeat(rb[group], counts), cells))
         keys = keys[1] if len(keys) == 2 and not keys[0].size else np.unique(np.concatenate(keys))
         if not keys.size:
-            return [(keys, None, None)] * len(runs)
+            return [(keys, keys, keys)] * len(runs)
         run, cells = np.divmod(keys, span)
         ends = np.searchsorted(run, np.arange(len(runs) + 1)).tolist()
         delta = [slice(a, b) for a, b in zip(ends, ends[1:])]
-        changed = [k for k, d in enumerate(delta) if d.start < d.stop]
-        local, states = self.local[cells], self.flat[cells]
-        windows = dict(zip(changed, reinflate_window(
-            [(runs[k][1], local[delta[k]], states[delta[k]]) for k in changed])))
-        return [(local[d], *windows.get(k, (None, None))) for k, d in enumerate(delta)]
+        # The new states, then one stamp for every run that changed.
+        at = cells + shift[run]
+        self.beliefs[at] = self.flat[cells]
+        stamped, costs = reinflate_window(self.beliefs, self.costs, at,
+                                          self.offsets[ids[run]], self.weights[ids[run]])
+        lo, hi = (np.searchsorted(stamped, self.bounds[t]).tolist() for t in (ids, ids + 1))
+        local = self.local[cells]
+        return [(local[d], self.local[stamped[a:b] - s], costs[a:b])
+                for d, a, b, s in zip(delta, lo, hi, shift.tolist())]
 
     def _cull(self, stack, f, i) -> np.ndarray:
         """(runs, beams) mask of the beams that can enter an Unknown belief cell.
@@ -648,16 +661,16 @@ def raycast_reveal(belief: OccupancyGrid, truth: OccupancyGrid, pose: Pose,
     belief when their center lies within max_range of the pose; the hit
     cell becomes Occupied. Returns the (i, j) arrays, in raster order, of
     the cells that were Unknown before this reveal and are known after it.
-    Belief costs are rewritten around those cells only, and not at all
-    when there are none.
 
     share is this run's share of a BeamScanner scan of the same belief and
     pose, which the reveal only writes: the cells that become known take
-    their truth states, and the window reinflate_window gave takes its
-    costs, a full inflate's. Without it, the reveal scans a batch of one.
+    their truth states, and the cells reinflate_window stamped take its
+    costs, so the costs stay a full inflate's. Without it, the reveal scans
+    a batch of one.
 
     Precondition: the belief agrees with the truth wherever it is known
-    (run_exploration guarantees it, since only reveals write the belief).
+    and holds a full inflate's costs (run_exploration guarantees both,
+    since only reveals write the belief).
     Only beams that can enter an Unknown cell are marched: a beam that
     enters none only re-marks known cells, and the first Unknown cell a
     beam enters is 4-adjacent to a known Free cell or to the pose cell,
@@ -665,10 +678,9 @@ def raycast_reveal(belief: OccupancyGrid, truth: OccupancyGrid, pose: Pose,
     """
     if share is None:
         share = BeamScanner([truth], lidar).scan([(0, belief, pose)])[0]
-    cells, window, costs = share
-    if cells.size:
-        belief.states.flat[cells] = truth.states.flat[cells]
-        belief.costs[window] = costs
+    cells, stamped, costs = share
+    belief.states.flat[cells] = truth.states.flat[cells]
+    belief.costs.flat[stamped] = costs
     cj, ci = np.divmod(cells, truth.width)
     return ci, cj
 

@@ -28,10 +28,13 @@ from explorebench.scoring import (HeuristicParams, distance_score, heuristic,
                                   occupancy_score)
 from scenes import case_study_scene, frontier_type_scenes
 
-BENCH_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
-                            "benchmark.cfg")
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+BENCH_CONFIG = os.path.join(ROOT, "configs", "benchmark.cfg")
 # sha256 of record_json of the 200 corpus records, in corpus order.
 CORPUS_DIGEST = "99cd13d407be4fbdaa1df8b636a112b5cc09211217f0c9220852095c124cbb3c"
+# sha256 of record_json of the 24 corridor records of
+# test_corridor_records_pinned, in run order.
+CORRIDOR_DIGEST = "448fded6676380abf108b2e8a0e46f0a1b301a85fed1e6276d594e2c4f93b479"
 
 
 def report(criterion, text):
@@ -292,6 +295,22 @@ def test_corpus_records_pinned(benchmark_corpus):
     for *_, record in runs:
         digest.update(record_json(record).encode())
     assert digest.hexdigest() == CORPUS_DIGEST
+
+
+def test_corridor_records_pinned():
+    # The bundled corridors with a wider inflation (a kernel of radius 3 at
+    # 0.25 m, an inscribed band) and every selector: runs that stand on
+    # inscribed cells, which the path check exempts, as the corpus never does.
+    maps = " ".join(os.path.join(ROOT, "maps", f"corridor_{x}.txt") for x in "ab")
+    cfg = parse_config(
+        f"[maps]\nfiles = {maps}\n"
+        "[inflation]\ninscribed_radius = 0.26\ninflation_radius = 0.8\ndecay_rate = 3.0\n"
+        "[selectors]\nselectors = heuristic nearest largest random:3\n"
+        "[heuristic]\nmin_segment_size = 1\n[run]\nseeds = 1 2 3\n")
+    digest = hashlib.sha256()
+    for result in run_all(cfg, jobs=1):
+        digest.update(record_json(result.record).encode())
+    assert digest.hexdigest() == CORRIDOR_DIGEST
 
 
 def test_corpus_run_invariants(benchmark_corpus):

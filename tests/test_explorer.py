@@ -9,8 +9,8 @@ from explorebench.explorer import (OUTCOME_COMPLETE, RunLimits, SelectorKind,
                                    aggregate_results, rank_segments,
                                    run_exploration)
 from explorebench.frontier import FrontierSegment
-from explorebench.gridmap import (FREE, UNKNOWN, LidarModel, Pose, inflate,
-                                  reachable_free_mask)
+from explorebench.gridmap import (FREE, UNKNOWN, InflationParams, LidarModel,
+                                  Pose, inflate, reachable_free_mask)
 from explorebench.mapgen import TIERS, generate_map, pick_start
 from explorebench.navigator import KinematicState
 from explorebench.scoring import HeuristicParams, NoFrontiersError
@@ -232,6 +232,62 @@ class TestRunExploration:
         record = run(truth, pick_start(truth, 1), selector)
         assert record.outcome == OUTCOME_COMPLETE
         assert len(checked) == len(record.samples)
+
+    def test_tick_after_empty_reveal_skips_rechecks(self, monkeypatch):
+        # While a path is followed, a tick after a reveal that changed
+        # nothing, with the robot on the cell of the last tick, calls
+        # neither detect_frontiers nor _path_cells_valid; after a reveal
+        # that changed something, it calls both.
+        events, reveal = [], explorer.raycast_reveal
+
+        def log(name, fn):
+            return lambda *args: events.append(name) or fn(*args)
+
+        def logged_reveal(belief, truth, pose, *args):
+            changed = reveal(belief, truth, pose, *args)
+            events.append((changed[0].size, truth.world_to_cell(pose.x, pose.y)))
+            return changed
+
+        monkeypatch.setattr(explorer, "raycast_reveal", logged_reveal)
+        for name in ("detect_frontiers", "_path_cells_valid"):
+            monkeypatch.setattr(explorer, name, log(name, getattr(explorer, name)))
+        truth = generate_map("medium", seed=100)
+        record = run(truth, pick_start(truth, 1), "nearest")
+        # ticks[t]: the reveal before tick t, and the calls tick t made.
+        ticks, calls = [], []
+        for event in events:
+            if isinstance(event, tuple):
+                ticks.append((event, calls))
+                calls = []
+            else:
+                calls.append(event)
+        ticks.append((None, calls))
+        decided = {d.tick for d in record.decisions}
+        skipped = checked = 0
+        for t in range(2, len(ticks) - 1):
+            (size, cell), calls = ticks[t - 1][0], ticks[t][1]
+            if t in decided or t - 1 in decided:
+                continue
+            if size == 0 and cell == ticks[t - 2][0][1]:
+                assert calls == [], t
+                skipped += 1
+            elif size:
+                assert calls == ["detect_frontiers", "_path_cells_valid"], t
+                checked += 1
+        assert skipped > 20 and checked > 20
+
+    def test_huge_inflation_radius_run(self):
+        # A radius beyond every grid, whose cell count overflows an int:
+        # the kernel is clamped to the grid's extent.
+        inflation = InflationParams(0.12, 1e308, 4.0)
+        truth = generate_map("low", 100, inflation=inflation)
+        record = run(truth, pick_start(truth, 1), limits=RunLimits(max_ticks=200))
+        assert record.outcome == OUTCOME_COMPLETE
+        belief = record.final_belief
+        full = clone_grid(belief)
+        inflate(full, inflation.inscribed_radius, inflation.inflation_radius,
+                inflation.decay_rate)
+        assert (belief.costs == full.costs).all()
 
     def test_random_maps_fuzz_invariants(self, rng):
         for trial in range(6):

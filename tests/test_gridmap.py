@@ -287,18 +287,41 @@ class TestInflate:
 INFLATIONS = (InflationParams(), InflationParams(0.25, 0.5, 2.0))
 
 
+def stamp(reveals):
+    """One reinflate_window call for every (grid, cells, states), on the
+    buffers of a scanner built from the grids; writes each grid's share."""
+    scanner = BeamScanner([grid for grid, _, _ in reveals], LidarModel())
+    b, at = scanner.border, []
+    for k, (grid, cells, states) in enumerate(reveals):
+        scanner.inner[k][0][...], scanner.inner[k][1][...] = grid.states, grid.costs
+        cj, ci = np.divmod(cells, grid.width)
+        at.append(scanner.bounds[k] + (cj + b) * (grid.width + 2 * b) + ci + b)
+        scanner.beliefs[at[-1]] = states
+    ids = np.repeat(np.arange(len(reveals)), [len(a) for a in at])
+    stamped, costs = gridmap.reinflate_window(scanner.beliefs, scanner.costs,
+                                              np.concatenate(at), scanner.offsets[ids],
+                                              scanner.weights[ids])
+    for k, (grid, cells, states) in enumerate(reveals):
+        mine = (scanner.bounds[k] <= stamped) & (stamped < scanner.bounds[k + 1])
+        grid.states.flat[cells] = states
+        grid.costs.flat[scanner.local[stamped[mine] - scanner.shift[k]]] = costs[mine]
+
+
 class TestReinflateWindow:
-    """One call re-inflates many grids' windows on shared canvases."""
+    """One call stamps the costs of many grids' newly known cells."""
 
     @staticmethod
     def _reveals(rng):
-        # Per resolution and parameter set: boxes of up to 2 x 2 changed
-        # cells on each edge and corner of a grid and inside it, on grids
-        # with and without Occupied cells, and a 1 x 1 grid. The changed
-        # cells are Unknown in the grid and take their truth states.
+        # Per resolution and parameter set (one with an inscribed band
+        # wider than the cells, one whose radius the grid's extent clamps):
+        # boxes of up to 2 x 2 changed cells on each edge and corner of a
+        # grid and inside it, on grids with and without Occupied cells, and
+        # a 1 x 1 grid. The changed cells are Unknown in the grid and take
+        # their truth states; the grid's costs are a full inflate's.
         reveals = []
-        for res in (0.1, 0.25, 0.5):
-            for params in INFLATIONS:
+        for res in (0.0625, 0.1, 0.25, 0.5):
+            for params in (*INFLATIONS, InflationParams(0.3, 0.7, 3.0),
+                           InflationParams(0.12, 1e308, 0.5)):
                 for w, h, p_occupied in ((14, 11, 0.25), (9, 16, 0.0), (1, 1, 0.0)):
                     truth = np.where(rng.rand(h, w) < p_occupied, OCCUPIED,
                                      FREE).astype(np.uint8)
@@ -315,28 +338,19 @@ class TestReinflateWindow:
                         reveals.append((grid, cells, truth.flat[cells]))
         return reveals
 
-    def test_batch_equals_each_window_alone_and_full_inflate(self, rng):
-        for _ in range(3):
+    def test_stamp_equals_full_inflate(self, rng):
+        for _ in range(2):
             reveals = self._reveals(rng)
-            windows = gridmap.reinflate_window(reveals)
-            assert len(windows) == len(reveals)
-            for (grid, cells, new), (window, costs) in zip(reveals, windows):
-                p = grid.inflation
-                states = grid.states.copy()
-                states.flat[cells] = new
+            stamp(reveals)
+            for grid, _, _ in reveals:
                 full = clone_grid(grid)
-                full.states = states
-                inflate(full, *astuple(p))
-                assert (costs == full.costs[window]).all()
-                # The window padded once more, inflated on its own.
-                pad = math.ceil(p.inflation_radius / grid.resolution) + 1
-                rows, cols = ((max(0, s.start - pad), min(n, s.stop + pad))
-                              for s, n in zip(window, states.shape))
-                alone = gridmap._inflation_costs(
-                    states[slice(*rows), slice(*cols)], grid.resolution, *astuple(p))
-                assert (costs == alone[window[0].start - rows[0] : window[0].stop - rows[0],
-                                       window[1].start - cols[0] : window[1].stop - cols[0]]
-                        ).all()
+                inflate(full, *astuple(grid.inflation))
+                assert (grid.costs == full.costs).all()
+
+    def test_kernel_clamped_to_extent(self):
+        r, dj, di, costs = gridmap._kernel(0.1, InflationParams(0.12, 1e308, 4.0), 5)
+        assert r == max(np.abs(dj).max(), np.abs(di).max()) == 5
+        assert len(costs) == 11 * 11 - 1 and (costs > 0).all()
 
 
 class TestRemapCost:
@@ -824,6 +838,24 @@ class TestBeamScanner:
         finally:
             tracemalloc.stop()
         assert batch <= 3 * one
+
+    def test_huge_radius_memory_bounded(self):
+        # The kernel is clamped to the grid's extent; unclamped, a radius
+        # of 1e12 m would need a patch of about 6e25 cells.
+        lidar, peaks = LidarModel(), []
+        for radius in (0.6, 1e12):
+            truth = generate_map("high", 100, inflation=InflationParams(0.12, radius, 4.0))
+            belief = make_belief_like(truth)
+            tracemalloc.start()
+            try:
+                raycast_reveal(belief, truth, pick_start(truth, 1), lidar)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            full = clone_grid(belief)
+            inflate(full, *astuple(belief.inflation))
+            assert (belief.costs == full.costs).all()
+        assert peaks[1] <= 3 * peaks[0]
 
 
 # ---------------------------------------------------------------------------
