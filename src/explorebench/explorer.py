@@ -13,7 +13,8 @@ before every reveal. Per round, explore_lockstep makes one batched scan
 (gridmap.BeamScanner) that culls, marches and filters the beams of all live
 runs and stamps a cached inflation kernel at every run's new cells. Each
 run writes its share into its belief through raycast_reveal, then decides,
-plans and steps alone, and skips what a reveal that changed nothing keeps.
+plans and steps alone. After a reveal that changed nothing, the coverage,
+the frontier mask and the path's validity are as they were.
 The batch shares a reveal's fixed cost of numpy calls; a run's record does
 not depend on its batch. run_exploration is a batch of one.
 """
