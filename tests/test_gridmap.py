@@ -818,6 +818,13 @@ class TestBeamScanner:
                           (2, beliefs[2], Pose(0.5, 0.5))])
         assert all((b.states == UNKNOWN).all() and (b.costs == 255).all() for b in beliefs)
 
+    def test_belief_with_other_inflation_rejected(self):
+        # The stamp uses the truth's kernel, so the belief must share it.
+        truth = grid_from_rows(["....", "....", "...."], resolution=1.0)
+        belief = OccupancyGrid.unknown(4, 3, 1.0, InflationParams(0.5, 1.0, 1.0))
+        with pytest.raises(MapError):
+            BeamScanner([truth], LidarModel(beam_count=8)).scan([(0, belief, Pose(0.5, 0.5))])
+
     def test_first_round_memory_bounded(self):
         # Without marching in groups, 20 first reveals at once held 5 to 17
         # times the memory of one.
