@@ -10,13 +10,14 @@ matrix over maps, seeds and selectors lives in cli.run_all.
 
 Runs advance in lockstep: each run is a stepper (a generator) that stops
 before every reveal. Per round, explore_lockstep makes one batched scan
-(gridmap.BeamScanner) that culls, marches and filters the beams of all live
-runs and stamps a cached inflation kernel at every run's new cells. Each
-run writes its share into its belief through raycast_reveal, then decides,
-plans and steps alone. After a reveal that changed nothing, the coverage,
-the frontier mask and the path's validity are as they were.
-The batch shares a reveal's fixed cost of numpy calls; a run's record does
-not depend on its batch. run_exploration is a batch of one.
+(gridmap.BeamScanner, one buffer slot per run) that culls, marches and
+filters the beams of all live runs and stamps a cached inflation kernel
+at every run's new cells. Each run copies its slot into its belief
+through raycast_reveal, then decides, plans and steps alone. After a
+reveal that changed nothing, the coverage, the frontier mask and the
+path's validity are as they were. The batch shares a reveal's fixed cost
+of numpy calls; a run's record does not depend on its batch.
+run_exploration is a batch of one.
 """
 
 from __future__ import annotations

@@ -373,8 +373,7 @@ def reinflate_window(states, costs, cells, offsets, weights):
     A cost only falls with distance, so a Free cell's is the largest an
     Occupied cell in its kernel gives; a reveal only adds known cells, so
     the costs that change are the new cells' and those of the Free cells
-    in a new obstacle's kernel. Writes them; returns their indices,
-    ascending, and values.
+    in a new obstacle's kernel. Writes them into costs.
     """
     near = cells[:, None] + offsets
     lethal = states[cells] == OCCUPIED
@@ -383,8 +382,6 @@ def reinflate_window(states, costs, cells, offsets, weights):
     near, weights = near[lethal], weights[lethal]
     free = states[near] == FREE
     np.maximum.at(costs, near[free], weights[free])
-    stamped = np.unique(np.concatenate((cells, near[free])))
-    return stamped, costs[stamped]
 
 
 def remap_costs(costs: np.ndarray) -> np.ndarray:
@@ -472,34 +469,31 @@ _OUTSIDE = 3
 
 class BeamScanner:
     """The cull and the march of many runs' reveals, one batched call per
-    round; built once per batch from each run's truth grid."""
+    round; built once per batch from each run's truth grid. Run k's slot,
+    bounds[k] : bounds[k + 1] in flat (its truth's states), local (each
+    cell's index i + width * j, -1 on the border), beliefs and costs (its
+    belief's, copied in by each scan), holds its grid row by row inside a
+    border of _OUTSIDE cells that no kernel and no cull window crosses."""
 
     def __init__(self, truths: list[OccupancyGrid], lidar: LidarModel):
         self.truths = truths
         self.lidar = lidar
-        # Each map's inflation kernel, clamped to its extent. Every grid's
-        # border is as wide as the widest, so none reaches another grid.
+        # Each run's range, clamped past its grid's diagonal: no cell is farther.
+        self.ranges = [min(lidar.max_range, (math.hypot(t.width, t.height) + 1) * t.resolution)
+                       for t in truths]
+        # Each map's inflation kernel, clamped to its extent.
         kernels = [_kernel(t.resolution, t.inflation, max(t.width, t.height) - 1)
                    for t in truths]
-        b = self.border = max(1, *(k[0] for k in kernels))
-        # Each map's states, once however many runs share it, inside a
-        # border of _OUTSIDE cells; and each cell's index i + width * j, -1
-        # on the border.
-        unique = {id(t): t for t in truths}
+        b = self.border = max(1, *(k[0] for k in kernels),
+                              *(math.ceil(rng / t.resolution) + 2
+                                for rng, t in zip(self.ranges, truths)))
         self.flat = np.concatenate([np.pad(t.states, b, constant_values=_OUTSIDE).ravel()
-                                    for t in unique.values()])
+                                    for t in truths])
         index = np.int32 if max(t.states.size for t in truths) < 2**31 else np.int64
         self.local = np.concatenate([
             np.pad(np.arange(t.states.size, dtype=index).reshape(t.states.shape), b,
-                   constant_values=-1).ravel() for t in unique.values()])
-        starts = np.cumsum([0] + [(t.width + 2 * b) * (t.height + 2 * b) for t in unique.values()])
-        start = dict(zip(unique, starts.tolist()))
-        # Each run's belief states and costs, copied in by each scan, laid
-        # out as its map is in flat: the cell at flat[c] lies at beliefs[c +
-        # shift[run]], in beliefs[bounds[run] : bounds[run + 1]].
+                   constant_values=-1).ravel() for t in truths])
         self.bounds = np.cumsum([0] + [(t.width + 2 * b) * (t.height + 2 * b) for t in truths])
-        self.start = [start[id(t)] for t in truths]
-        self.shift = self.bounds[:-1] - self.start
         self.beliefs, self.costs = np.full((2, self.bounds[-1]), _OUTSIDE, dtype=np.uint8)
         self.inner = [[a[lo:hi].reshape(t.height + 2 * b, -1)[b:-b, b:-b]
                        for a in (self.beliefs, self.costs)]
@@ -521,10 +515,10 @@ class BeamScanner:
         each truth index at most once.
 
         Returns each run's share, for raycast_reveal: the indices i + width
-        * j, ascending, of the cells that become known, and of the cells
-        whose costs change with their costs, from one reinflate_window stamp
-        for all runs that changed. Every pose is checked before any run's
-        cells are read, so one run's bad pose never reads another's map.
+        * j, ascending, of the cells that become known, and the run's slot
+        views of the states and costs after them, from one reinflate_window
+        stamp for all runs that changed. Every pose is checked before any
+        run's cells are read, so one run's bad pose never reads another's map.
         """
         floats, ints, crossings, b = [], [], 0, self.border
         for run, belief, pose in runs:
@@ -533,69 +527,60 @@ class BeamScanner:
                     or belief.resolution != truth.resolution):
                 raise MapError("belief and truth grids must share geometry")
             check_pose(truth, pose)
-            w, h, res = truth.width, truth.height, truth.resolution
+            self.inner[run][0][...], self.inner[run][1][...] = belief.states, belief.costs
+            w, h, res, rng = truth.width, truth.height, truth.resolution, self.ranges[run]
             gx, gy = pose.x / res, pose.y / res
-            range_cells = self.lidar.max_range / res
+            range_cells = rng / res
             floats.append((gx, gy, pose.theta, range_cells, (range_cells + _CULL_EPS) ** 2,
-                           pose.x, pose.y, res))
+                           pose.x, pose.y, res, rng**2))
             pi, pj = math.floor(gx), math.floor(gy)
-            ints.append((pi, pj, self.start[run] + (pj + b) * (w + 2 * b) + pi + b, w + 2 * b, w))
+            ints.append((pi, pj, self.bounds[run] + (pj + b) * (w + 2 * b) + pi + b, w + 2 * b, w))
             # Enough crossings per axis to pass the range or to leave the grid.
             crossings = max(crossings, math.ceil(min(range_cells, max(w, h))) + 2)
         # Per run, f: pose in cells, theta, range in cells, squared cull range,
-        # pose, resolution; i: pose cell, its index in the buffer, row length, width.
+        # pose, resolution, squared range; i: pose cell, its buffer index, row length, width.
         f, i = np.array(floats), np.array(ints)
+        # The belief cells around each pose, border cells past its grid.
         r = math.ceil(f[:, 3].max()) + 2
-        stack = np.full((len(runs), 2 * r + 1, 2 * r + 1), OCCUPIED, dtype=np.uint8)
-        for s, ((run, belief, _), (i0, j0)) in enumerate(zip(runs, (i[:, :2] - r).tolist())):
-            self.inner[run][0][...], self.inner[run][1][...] = belief.states, belief.costs
-            a, c = max(j0, 0), max(i0, 0)
-            window = belief.states[a : j0 + 2 * r + 1, c : i0 + 2 * r + 1]
-            stack[s, a - j0 : a - j0 + window.shape[0],
-                  c - i0 : c - i0 + window.shape[1]] = window
-        ids = np.array([run for run, _, _ in runs])
-        span, shift = len(self.flat), self.shift[ids]
+        window = np.arange(-r, r + 1)
+        stack = self.beliefs[i[:, 2, None, None] + window[:, None] * i[:, 3, None, None]
+                             + window]
 
         def known(run, cells):
-            # Keys run * span + c of the entered cells flat[c] still Unknown
-            # that become known: hits (Occupied), and Free cells whose centre
-            # lies within range, so the revealed set is the rasterized disk.
-            unknown = self.beliefs[cells + shift[run]] == UNKNOWN
+            # The entered cells still Unknown that become known: hits
+            # (Occupied), and Free cells whose centre lies within range, so
+            # the revealed set is the rasterized disk.
+            unknown = self.beliefs[cells] == UNKNOWN
             run, cells = run[unknown], cells[unknown]
             cj, ci = np.divmod(self.local[cells], i[run, 4])
             res = f[run, 7]
             dx, dy = (ci + 0.5) * res - f[run, 5], (cj + 0.5) * res - f[run, 6]
-            keep = (dx**2 + dy**2 <= self.lidar.max_range**2) | (self.flat[cells] == OCCUPIED)
-            return np.unique(run[keep] * span + cells[keep])
+            keep = (dx**2 + dy**2 <= f[run, 8]) | (self.flat[cells] == OCCUPIED)
+            return np.unique(cells[keep])
 
         rb, beam = np.nonzero(self._cull(stack, f, i))
         # The pose cells still Unknown (before a run's first reveal only),
         # then the beams, marched and filtered a group at a time so a large
         # batch never holds every beam's crossings or entered cells at once;
-        # each group's keys come out unique.
+        # each group's cells come out unique.
         pose = np.flatnonzero(stack[:, r, r] == UNKNOWN)
-        keys = [known(pose, i[pose, 2]) if pose.size else np.empty(0, dtype=np.int64)]
+        found = [known(pose, i[pose, 2]) if pose.size else np.empty(0, dtype=np.int64)]
         for a in range(0, len(rb), _MARCH_GROUP):
             group = slice(a, a + _MARCH_GROUP)
             fb, ib = f[rb[group]], i[rb[group]]
-            cells, counts = _march(self.flat, ib[:, 2], ib[:, 3], fb[:, :2],
-                                   fb[:, 2] + self.beams[beam[group]], fb[:, 3], crossings)
-            keys.append(known(np.repeat(rb[group], counts), cells))
-        keys = keys[1] if len(keys) == 2 and not keys[0].size else np.unique(np.concatenate(keys))
-        if not keys.size:
-            return [(keys, keys, keys)] * len(runs)
-        run, cells = np.divmod(keys, span)
-        ends = np.searchsorted(run, np.arange(len(runs) + 1)).tolist()
-        delta = [slice(a, b) for a, b in zip(ends, ends[1:])]
-        # The new states, then one stamp for every run that changed.
-        at = cells + shift[run]
-        self.beliefs[at] = self.flat[cells]
-        stamped, costs = reinflate_window(self.beliefs, self.costs, at,
-                                          self.offsets[ids[run]], self.weights[ids[run]])
-        lo, hi = (np.searchsorted(stamped, self.bounds[t]).tolist() for t in (ids, ids + 1))
-        local = self.local[cells]
-        return [(local[d], self.local[stamped[a:b] - s], costs[a:b])
-                for d, a, b, s in zip(delta, lo, hi, shift.tolist())]
+            entered, counts = _march(self.flat, ib[:, 2], ib[:, 3], fb[:, :2],
+                                     fb[:, 2] + self.beams[beam[group]], fb[:, 3], crossings)
+            found.append(known(np.repeat(rb[group], counts), entered))
+        cells = np.unique(np.concatenate(found))
+        # Each slot's new cells, then their states and one stamp for every run.
+        ends = np.searchsorted(cells, self.bounds)
+        if cells.size:
+            owner = np.repeat(np.arange(len(self.truths)), np.diff(ends))
+            self.beliefs[cells] = self.flat[cells]
+            reinflate_window(self.beliefs, self.costs, cells,
+                             self.offsets[owner], self.weights[owner])
+        local, ends = self.local[cells], ends.tolist()
+        return [(local[ends[run] : ends[run + 1]], *self.inner[run]) for run, _, _ in runs]
 
     def _cull(self, stack, f, i) -> np.ndarray:
         """(runs, beams) mask of the beams that can enter an Unknown belief cell.
@@ -609,8 +594,8 @@ class BeamScanner:
         _CULL_EPS. All beams are marked while the pose cell is Unknown.
 
         Each run's candidates come from its window of the stack of belief
-        cells around the poses; cells outside the grid read as Occupied, so
-        they are never candidates and never make a neighbour one.
+        cells around the poses; cells past the grid read _OUTSIDE, so they
+        are never candidates and never make a neighbour one.
         """
         (m, width, _), n = stack.shape, self.lidar.beam_count
         g, theta, p, r = f[:, :2], f[:, 2], i[:, :2], width // 2
@@ -663,10 +648,9 @@ def raycast_reveal(belief: OccupancyGrid, truth: OccupancyGrid, pose: Pose,
     the cells that were Unknown before this reveal and are known after it.
 
     share is this run's share of a BeamScanner scan of the same belief and
-    pose, which the reveal only writes: the cells that become known take
-    their truth states, and the cells reinflate_window stamped take its
-    costs, so the costs stay a full inflate's. Without it, the reveal scans
-    a batch of one.
+    pose: the cells that become known, and its slot's states and costs
+    after the scan's writes and stamp, which the reveal copies into the
+    belief. Without it, the reveal scans a batch of one.
 
     Precondition: the belief agrees with the truth wherever it is known
     and holds a full inflate's costs (run_exploration guarantees both,
@@ -678,9 +662,7 @@ def raycast_reveal(belief: OccupancyGrid, truth: OccupancyGrid, pose: Pose,
     """
     if share is None:
         share = BeamScanner([truth], lidar).scan([(0, belief, pose)])[0]
-    cells, stamped, costs = share
-    belief.states.flat[cells] = truth.states.flat[cells]
-    belief.costs.flat[stamped] = costs
+    cells, belief.states[...], belief.costs[...] = share
     cj, ci = np.divmod(cells, truth.width)
     return ci, cj
 

@@ -35,6 +35,9 @@ CORPUS_DIGEST = "99cd13d407be4fbdaa1df8b636a112b5cc09211217f0c9220852095c124cbb3
 # sha256 of record_json of the 24 corridor records of
 # test_corridor_records_pinned, in run order.
 CORRIDOR_DIGEST = "448fded6676380abf108b2e8a0e46f0a1b301a85fed1e6276d594e2c4f93b479"
+# sha256 of the 36 artifacts of test_criterion_9_artifact_determinism, in
+# name order: the CSV, SVG and JSON writers' bytes.
+ARTIFACT_DIGEST = "4c7df7eec4a1e6b950930d9d1617446e22ce786439ea22ac8c7a38a9b652aa01"
 
 
 def report(criterion, text):
@@ -353,6 +356,10 @@ def test_criterion_9_artifact_determinism(tmp_path):
     second = {p.name: p.read_bytes() for p in (tmp_path / "a").iterdir()}
     assert first == second
     assert len(first) == 2 * 3 * 2 * 3  # maps x selectors x seeds x formats
+    digest = hashlib.sha256()
+    for name in sorted(first):
+        digest.update(first[name])
+    assert digest.hexdigest() == ARTIFACT_DIGEST
     payload = json.loads(first["low00_heuristic_1.json"].decode())
     assert payload["outcome"] == OUTCOME_COMPLETE
     report(9, f"{len(first)} artifacts byte-identical across reruns")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -21,12 +23,12 @@ PARAMS = HeuristicParams()
 LIMITS = RunLimits(max_ticks=3000, expr_target=0.99)
 
 
-def run(truth, start, selector="heuristic", limits=LIMITS, **kw):
+def run(truth, start, selector="heuristic", limits=LIMITS, lidar=LIDAR, **kw):
     kw.setdefault("min_segment_size", 1)
     kw.setdefault("cost_weight", 3.0)
     kw.setdefault("goal_relax_radius", 5)
     return run_exploration(truth, start, SelectorKind.parse(selector), PARAMS,
-                           LIDAR, KIN, limits, **kw)
+                           lidar, KIN, limits, **kw)
 
 
 class TestSelectorKind:
@@ -288,6 +290,19 @@ class TestRunExploration:
         inflate(full, inflation.inscribed_radius, inflation.inflation_radius,
                 inflation.decay_rate)
         assert (belief.costs == full.costs).all()
+
+    def test_huge_lidar_range_run(self):
+        # Every range past the grid's diagonal reveals the same cells, so
+        # the scan clamps it: a range whose cell count or square overflows
+        # runs as one just past the diagonal.
+        truth = generate_map("low", 100)
+        start = pick_start(truth, 1)
+        diagonal = math.hypot(truth.width, truth.height) * truth.resolution
+        records = [run(truth, start, lidar=LidarModel(max_range=max_range))
+                   for max_range in (1e308, diagonal + truth.resolution,
+                                     diagonal + truth.resolution / 2)]
+        assert records[0].outcome == OUTCOME_COMPLETE
+        assert record_json(records[0]) == record_json(records[1]) == record_json(records[2])
 
     def test_random_maps_fuzz_invariants(self, rng):
         for trial in range(6):

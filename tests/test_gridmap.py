@@ -289,7 +289,7 @@ INFLATIONS = (InflationParams(), InflationParams(0.25, 0.5, 2.0))
 
 def stamp(reveals):
     """One reinflate_window call for every (grid, cells, states), on the
-    buffers of a scanner built from the grids; writes each grid's share."""
+    buffers of a scanner built from the grids; copies each grid's slot back."""
     scanner = BeamScanner([grid for grid, _, _ in reveals], LidarModel())
     b, at = scanner.border, []
     for k, (grid, cells, states) in enumerate(reveals):
@@ -298,13 +298,10 @@ def stamp(reveals):
         at.append(scanner.bounds[k] + (cj + b) * (grid.width + 2 * b) + ci + b)
         scanner.beliefs[at[-1]] = states
     ids = np.repeat(np.arange(len(reveals)), [len(a) for a in at])
-    stamped, costs = gridmap.reinflate_window(scanner.beliefs, scanner.costs,
-                                              np.concatenate(at), scanner.offsets[ids],
-                                              scanner.weights[ids])
-    for k, (grid, cells, states) in enumerate(reveals):
-        mine = (scanner.bounds[k] <= stamped) & (stamped < scanner.bounds[k + 1])
-        grid.states.flat[cells] = states
-        grid.costs.flat[scanner.local[stamped[mine] - scanner.shift[k]]] = costs[mine]
+    gridmap.reinflate_window(scanner.beliefs, scanner.costs, np.concatenate(at),
+                             scanner.offsets[ids], scanner.weights[ids])
+    for k, (grid, _, _) in enumerate(reveals):
+        grid.states[...], grid.costs[...] = scanner.inner[k]
 
 
 class TestReinflateWindow:
@@ -748,10 +745,10 @@ class TestBeamScanner:
     @staticmethod
     def _runs(rng, count, lidar):
         # Truths of mixed shapes, resolutions and inflation parameters, the
-        # last two runs on maps of the first two. Beliefs cycle through all
-        # Unknown (the pose cell too), partly revealed, and all known (no
-        # candidate); poses through a cell centre, a cell corner and a cell
-        # on the grid's edge.
+        # last two runs on the truth objects of the first two (each run has
+        # a slot of its own). Beliefs cycle through all Unknown (the pose
+        # cell too), partly revealed, and all known (no candidate); poses
+        # through a cell centre, a cell corner and a cell on the grid's edge.
         truths = []
         for k in range(count - 2):
             w, h = int(rng.randint(2, 30)), int(rng.randint(2, 30))
