@@ -56,7 +56,9 @@ def cluster_segments(marks: np.ndarray, belief: OccupancyGrid,
     Only the bounding box of the marks is labelled, and the box offset is
     added back to the cell indices. Unmarked rows and columns join no two
     cells, and a raster scan of the box meets the cells in their whole-grid
-    flat-index order, so the segments are those of the whole grid.
+    flat-index order, so the segments are those of the whole grid. Each
+    label's size, mean cell and radius come from one reduceat over the
+    cells sorted by label (each label's in raster order), not a loop.
     """
     if marks.shape != belief.states.shape:
         raise ValueError("mask dimensions do not match belief grid")
@@ -68,24 +70,20 @@ def cluster_segments(marks: np.ndarray, belief: OccupancyGrid,
     labels, _ = ndimage.label(marks[j0:rows[-1] + 1, i0:cols[-1] + 1],
                               structure=_EIGHT_CONNECTED)
     jj, ii = np.nonzero(labels)
-    members_by_label = ndimage.value_indices(labels[jj, ii]).values()
-    jj += j0
-    ii += i0
-    segments = []
-    for (members,) in members_by_label:
-        n = len(members)
-        if n < min_size:
-            continue
-        si, sj = ii[members], jj[members]
-        mean_i, mean_j = si.sum() / n, sj.sum() / n
-        # Squared center-to-centroid distance per cell, in cell units.
-        d2 = (si - mean_i) ** 2 + (sj - mean_j) ** 2
-        segments.append(FrontierSegment(
-            cells=np.column_stack((si, sj)),
-            centroid=belief.cell_center(mean_i, mean_j),
-            length_af=n * belief.resolution,
-            radius_r=float(np.sqrt(d2.max()) * belief.resolution),
-        ))
+    lab = labels[jj, ii]
+    by_label = np.argsort(lab, kind="stable")
+    si, sj = ii[by_label] + i0, jj[by_label] + j0
+    sizes = np.bincount(lab)[1:]
+    starts = np.cumsum(sizes) - sizes
+    mean_i, mean_j = (np.add.reduceat(a, starts) / sizes for a in (si, sj))
+    d2 = (si - np.repeat(mean_i, sizes)) ** 2 + (sj - np.repeat(mean_j, sizes)) ** 2
+    radii = (np.sqrt(np.maximum.reduceat(d2, starts)) * belief.resolution).tolist()
+    cx, cy = (c.tolist() for c in belief.cell_center(mean_i, mean_j))
+    cells = np.column_stack((si, sj))
+    segments = [FrontierSegment(cells=cells[a : a + n], centroid=(cx[k], cy[k]),
+                                length_af=n * belief.resolution, radius_r=radii[k])
+                for k, (a, n) in enumerate(zip(starts.tolist(), sizes.tolist()))
+                if n >= min_size]
     segments.sort(key=lambda s: (s.centroid[1], s.centroid[0],
                                  int(s.cells[0][1]) * width + int(s.cells[0][0])))
     return segments

@@ -363,19 +363,19 @@ def _kernel(resolution: float, p: InflationParams, extent: int):
     return r, dj - r, di - r, costs[dj, di]
 
 
-def reinflate_window(states, costs, cells, offsets, weights):
+def reinflate_window(states, costs, cells, near, weights):
     """Stamp the costs around newly known cells of grids in flat buffers.
 
     states holds the grids row by row, each inside a border (neither Free
     nor Occupied) as wide as its kernel, and the cells' new states; costs
     a full inflate's of the states before. Cell cells[n]'s kernel is the
-    buffer offsets offsets[n] with the costs weights[n], padded with 0s.
+    buffer cells near[n] with the costs weights[n], padded with cells[n]
+    at cost 0.
     A cost only falls with distance, so a Free cell's is the largest an
     Occupied cell in its kernel gives; a reveal only adds known cells, so
     the costs that change are the new cells' and those of the Free cells
     in a new obstacle's kernel. Writes them into costs.
     """
-    near = cells[:, None] + offsets
     lethal = states[cells] == OCCUPIED
     costs[cells] = np.where(lethal, COST_LETHAL, np.where(
         states[near] == OCCUPIED, weights, 0).max(axis=1, initial=0))
@@ -391,6 +391,9 @@ def remap_costs(costs: np.ndarray) -> np.ndarray:
     m[costs == COST_LETHAL] = 1.0
     m[costs == COST_UNKNOWN] = 0.0
     return m
+
+
+REMAPPED = remap_costs(np.arange(256))  # indexed by uint8 cost
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +413,9 @@ def _march(flat, start, stride, g, angles, range_cells, k):
     on ties, so corner hits visit both adjacent cells (supercover behavior:
     diagonal walls block diagonally passing rays). A beam enters cells until
     its next crossing lies beyond range_cells[b], it would enter the
-    border, or it enters an Occupied cell (a hit).
+    border, or it enters an Occupied cell (a hit). So a walk is the prefix
+    of sorted crossings within range (counted on the unsorted t), cut at its
+    first Occupied (kept) or border cell; none is marched further.
 
     Returns (cells, counts): the flat index of every cell the beams entered
     (hit cells included), beam by beam, and how many each entered.
@@ -418,23 +423,25 @@ def _march(flat, start, stride, g, angles, range_cells, k):
     n = len(angles)
     c = np.floor(g)
     d = np.concatenate((np.cos(angles)[:, None], np.sin(angles)[:, None]), axis=1)
-    step = np.sign(d).astype(np.int64)
+    step = np.sign(d).astype(start.dtype)
     with np.errstate(divide="ignore", invalid="ignore"):
         inv = np.where(d != 0.0, 1.0 / d, np.inf)
         t0 = np.where(d > 0, (c + 1 - g) * inv, np.where(d < 0, (c - g) * inv, np.inf))
     increments = np.repeat(np.abs(inv)[:, :, None], k, axis=2)
     increments[:, :, 0] = t0
     t = np.cumsum(increments, axis=2).reshape(n, 2 * k)
-    order = np.argsort(t, axis=1, kind="stable")
+    within = np.count_nonzero(t <= range_cells[:, None], axis=1)
+    order = np.argsort(t, axis=1, kind="stable")[:, :max(1, within.max())]
     # Each crossing steps one cell along x, or one row along y.
     moves = np.where(order < k, step[:, :1], step[:, 1:] * stride[:, None])
-    cells = start[:, None] + np.cumsum(moves, axis=1)
+    cells = np.cumsum(moves, axis=1, out=moves)
+    cells += start[:, None]
     # Past the border the walk may leave the buffer; it is never seen there.
     state = np.take(flat, cells, mode="clip")
-    # Cells after an Occupied one or at the border: the hit cell alone is seen.
-    stopped = np.cumsum(state >= OCCUPIED, axis=1) - (state == OCCUPIED)
-    seen = (np.sort(t, axis=1) <= range_cells[:, None]) & (stopped == 0)
-    return cells[seen], seen.sum(axis=1)
+    first = (state >= OCCUPIED).argmax(axis=1)
+    stop = np.take_along_axis(state, first[:, None], axis=1)[:, 0]
+    counts = np.where(stop >= OCCUPIED, np.minimum(within, first + (stop == OCCUPIED)), within)
+    return cells[np.arange(cells.shape[1]) < counts[:, None]], counts
 
 
 def check_pose(truth: OccupancyGrid, pose: Pose) -> None:
@@ -481,19 +488,20 @@ class BeamScanner:
         # Each run's range, clamped past its grid's diagonal: no cell is farther.
         self.ranges = [min(lidar.max_range, (math.hypot(t.width, t.height) + 1) * t.resolution)
                        for t in truths]
-        # Each map's inflation kernel, clamped to its extent.
+        # Each map's inflation kernel, clamped to its extent, and its cull
+        # window's reach: past its range, or past the grid from any pose.
         kernels = [_kernel(t.resolution, t.inflation, max(t.width, t.height) - 1)
                    for t in truths]
-        b = self.border = max(1, *(k[0] for k in kernels),
-                              *(math.ceil(rng / t.resolution) + 2
-                                for rng, t in zip(self.ranges, truths)))
+        self.reach = [min(math.ceil(rng / t.resolution) + 2, max(t.width, t.height) + 1)
+                      for rng, t in zip(self.ranges, truths)]
+        b = self.border = max(1, *(k[0] for k in kernels), *self.reach)
         self.flat = np.concatenate([np.pad(t.states, b, constant_values=_OUTSIDE).ravel()
                                     for t in truths])
-        index = np.int32 if max(t.states.size for t in truths) < 2**31 else np.int64
+        self.bounds = np.cumsum([0] + [(t.width + 2 * b) * (t.height + 2 * b) for t in truths])
+        index = np.int32 if self.bounds[-1] < 2**31 else np.int64
         self.local = np.concatenate([
             np.pad(np.arange(t.states.size, dtype=index).reshape(t.states.shape), b,
                    constant_values=-1).ravel() for t in truths])
-        self.bounds = np.cumsum([0] + [(t.width + 2 * b) * (t.height + 2 * b) for t in truths])
         self.beliefs, self.costs = np.full((2, self.bounds[-1]), _OUTSIDE, dtype=np.uint8)
         self.inner = [[a[lo:hi].reshape(t.height + 2 * b, -1)[b:-b, b:-b]
                        for a in (self.beliefs, self.costs)]
@@ -501,7 +509,7 @@ class BeamScanner:
         # Each run's kernel as offsets in the buffer and costs, padded to one length.
         n = max(len(k[3]) for k in kernels)
         self.offsets = np.array([np.pad(dj * (t.width + 2 * b) + di, (0, n - len(dj)))
-                                 for (_, dj, di, _), t in zip(kernels, truths)])
+                                 for (_, dj, di, _), t in zip(kernels, truths)], dtype=index)
         self.weights = np.array([np.pad(w, (0, n - len(w))) for *_, w in kernels])
         # Beam k's angle from pose.theta, and the offsets on the circle, sorted.
         k = np.arange(lidar.beam_count, dtype=np.float64)
@@ -529,19 +537,19 @@ class BeamScanner:
             check_pose(truth, pose)
             self.inner[run][0][...], self.inner[run][1][...] = belief.states, belief.costs
             w, h, res, rng = truth.width, truth.height, truth.resolution, self.ranges[run]
-            gx, gy = pose.x / res, pose.y / res
-            range_cells = rng / res
+            gx, gy, range_cells = pose.x / res, pose.y / res, rng / res
             floats.append((gx, gy, pose.theta, range_cells, (range_cells + _CULL_EPS) ** 2,
                            pose.x, pose.y, res, rng**2))
             pi, pj = math.floor(gx), math.floor(gy)
             ints.append((pi, pj, self.bounds[run] + (pj + b) * (w + 2 * b) + pi + b, w + 2 * b, w))
             # Enough crossings per axis to pass the range or to leave the grid.
-            crossings = max(crossings, math.ceil(min(range_cells, max(w, h))) + 2)
+            crossings = max(crossings,
+                            math.ceil(min(range_cells, max(pi, w - 1 - pi, pj, h - 1 - pj))) + 2)
         # Per run, f: pose in cells, theta, range in cells, squared cull range,
         # pose, resolution, squared range; i: pose cell, its buffer index, row length, width.
-        f, i = np.array(floats), np.array(ints)
+        f, i = np.array(floats), np.array(ints, dtype=self.local.dtype)
         # The belief cells around each pose, border cells past its grid.
-        r = math.ceil(f[:, 3].max()) + 2
+        r = max(self.reach[run] for run, _, _ in runs)
         window = np.arange(-r, r + 1)
         stack = self.beliefs[i[:, 2, None, None] + window[:, None] * i[:, 3, None, None]
                              + window]
@@ -564,7 +572,7 @@ class BeamScanner:
         # batch never holds every beam's crossings or entered cells at once;
         # each group's cells come out unique.
         pose = np.flatnonzero(stack[:, r, r] == UNKNOWN)
-        found = [known(pose, i[pose, 2]) if pose.size else np.empty(0, dtype=np.int64)]
+        found = [known(pose, i[pose, 2]) if pose.size else np.empty(0, dtype=i.dtype)]
         for a in range(0, len(rb), _MARCH_GROUP):
             group = slice(a, a + _MARCH_GROUP)
             fb, ib = f[rb[group]], i[rb[group]]
@@ -578,24 +586,23 @@ class BeamScanner:
             owner = np.repeat(np.arange(len(self.truths)), np.diff(ends))
             self.beliefs[cells] = self.flat[cells]
             reinflate_window(self.beliefs, self.costs, cells,
-                             self.offsets[owner], self.weights[owner])
+                             self.offsets[owner] + cells[:, None], self.weights[owner])
         local, ends = self.local[cells], ends.tolist()
         return [(local[ends[run] : ends[run + 1]], *self.inner[run]) for run, _, _ in runs]
 
     def _cull(self, stack, f, i) -> np.ndarray:
         """(runs, beams) mask of the beams that can enter an Unknown belief cell.
 
-        The candidates are the Unknown cells near the pose that have a Free
-        4-neighbour and whose nearest point lies within max_range. A
-        candidate whose closed square contains the pose marks every beam (at
-        t = 0 the x-first tie-break enters it whatever the beam's
-        direction); any other marks the beams whose angle lies between the
-        smallest and the largest of its four corner angles, padded by
-        _CULL_EPS. All beams are marked while the pose cell is Unknown.
-
-        Each run's candidates come from its window of the stack of belief
-        cells around the poses; cells past the grid read _OUTSIDE, so they
-        are never candidates and never make a neighbour one.
+        All beams are marked while the pose cell is Unknown; else a beam
+        enters its first Unknown cell U from a known Free 4-neighbour F,
+        across their shared edge. Each F|U edge whose line has the pose on
+        F's side (within _CULL_EPS), so that U's nearest point lies on it,
+        and that point within max_range, marks the beams whose angle lies
+        between those of its ends, padded by _CULL_EPS; all of them if its
+        closed segment holds the pose (the x-first tie-break crosses it at t
+        = 0 whatever the beam's direction). Each run's edges come from its
+        window of the stack of belief cells around the poses; cells past the
+        grid read _OUTSIDE, so they are never U or F.
         """
         (m, width, _), n = stack.shape, self.lidar.beam_count
         g, theta, p, r = f[:, :2], f[:, 2], i[:, :2], width // 2
@@ -604,21 +611,27 @@ class BeamScanner:
         # ([:, :, 1]), and of the point of its squares nearest the pose.
         edges = np.add.outer((0.0, 1.0), (p[:, :, None] + np.arange(-r, r + 1))
                              - g[:, :, None])
-        nearest = np.maximum(edges[0], np.minimum(edges[1], 0.0))
-        sq = nearest * nearest
+        sq = np.maximum(edges[0], np.minimum(edges[1], 0.0)) ** 2
         near = sq[:, 1, :, None] + sq[:, 0, None, :] <= f[:, 4, None, None]
         s, cj, ci = np.nonzero((stack == UNKNOWN) & near & adjacent_to(stack == FREE))
         pose_unknown = stack[:, r, r, None] == UNKNOWN
-        if not s.size:
+        # Each U's (never on the window's rim) left, right, bottom and top edge
+        # as a box (x0, x1, y0, y1) where F lies across it, facing the pose.
+        (xl, xr), (yb, yt) = edges[:, s, 0, ci], edges[:, s, 1, cj]
+        free = stack[s, cj + [[0], [0], [-1], [1]], ci + [[-1], [1], [0], [0]]] == FREE
+        side, e = np.nonzero(free & (np.array((xl, -xr, yb, -yt)) > -_CULL_EPS))
+        if not e.size:
             return np.broadcast_to(pose_unknown, (m, n))
-        (x0, x1), (y0, y1) = edges[:, s, 0, ci], edges[:, s, 1, cj]
-        # Seen from outside the square, every corner lies within 3 pi / 4 of
-        # the direction of its centre, so offsets from that direction never
-        # wrap; offsets from a corner can wrap for a pose just off an edge.
+        boxes = np.array(((xl, xl, yb, yt), (xr, xr, yb, yt), (xl, xr, yb, yb), (xl, xr, yt, yt)))
+        x0, x1, y0, y1 = boxes[side, :, e].T
+        s = s[e]
+        # Seen from outside U, every corner of U lies within 3 pi / 4 of the
+        # direction of its centre, so offsets from it never wrap; offsets
+        # from an edge's midpoint can, for a pose just off the edge's line.
         two_pi = 2.0 * math.pi
-        centre = np.arctan2(y0 + 0.5, x0 + 0.5)
-        corners = np.arctan2((y0, y0, y1, y1), (x0, x1, x0, x1))
-        offsets = np.mod(corners - centre + math.pi, two_pi) - math.pi
+        centre = np.arctan2(yb + 0.5, xl + 0.5)[e]
+        angles = np.arctan2((y0, y1), (x0, x1))
+        offsets = np.mod(angles - centre + math.pi, two_pi) - math.pi
         lo = np.mod(centre + offsets.min(axis=0) - (theta[s] + _CULL_EPS), two_pi)
         hi = lo + np.ptp(offsets, axis=0) + 2.0 * _CULL_EPS
         hi[(x0 <= 0.0) & (0.0 <= x1) & (y0 <= 0.0) & (0.0 <= y1)] = np.inf
@@ -650,7 +663,7 @@ def raycast_reveal(belief: OccupancyGrid, truth: OccupancyGrid, pose: Pose,
     share is this run's share of a BeamScanner scan of the same belief and
     pose: the cells that become known, and its slot's states and costs
     after the scan's writes and stamp, which the reveal copies into the
-    belief. Without it, the reveal scans a batch of one.
+    belief if a cell became known. Without it, the reveal scans a batch of one.
 
     Precondition: the belief agrees with the truth wherever it is known
     and holds a full inflate's costs (run_exploration guarantees both,
@@ -662,8 +675,9 @@ def raycast_reveal(belief: OccupancyGrid, truth: OccupancyGrid, pose: Pose,
     """
     if share is None:
         share = BeamScanner([truth], lidar).scan([(0, belief, pose)])[0]
-    cells, belief.states[...], belief.costs[...] = share
-    cj, ci = np.divmod(cells, truth.width)
+    if share[0].size:
+        belief.states[...], belief.costs[...] = share[1:]
+    cj, ci = np.divmod(share[0], truth.width)
     return ci, cj
 
 

@@ -20,14 +20,15 @@ bit-identical to that of a whole-grid search.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gridmap import (COST_INSCRIBED, FREE, OCCUPIED, OccupancyGrid, Pose,
-                      remap_costs, wrap_angle)
+from .gridmap import (COST_INSCRIBED, FREE, OCCUPIED, REMAPPED, OccupancyGrid,
+                      Pose, wrap_angle)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -79,6 +80,11 @@ def _nearest_traversable(trav, gi, gj, radius):
     return int(wi[k]) + i0, int(wj[k]) + j0
 
 
+@functools.lru_cache(maxsize=16)
+def _multipliers(cost_weight: float) -> tuple[float, ...]:  # edge weight factors by uint8 cost
+    return tuple((1.0 + cost_weight * REMAPPED).tolist())
+
+
 def plan_path(belief: OccupancyGrid, start: Pose, to_world: tuple[float, float],
               cost_weight: float, goal_relax_radius: int) -> PlannedPath:
     """Optimal A* path from the start pose to the cell nearest to_world.
@@ -110,9 +116,11 @@ def plan_path(belief: OccupancyGrid, start: Pose, to_world: tuple[float, float],
     box = np.s_[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1]
     i0, j0 = int(cols[0]) - 1, int(rows[0]) - 1
     w, h = int(cols[-1] - cols[0]) + 3, int(rows[-1] - rows[0]) + 3
-    # Memoryviews read the cells the search reaches as Python values.
-    passable, cost = (memoryview(np.pad(a[box], 1).ravel()) for a in (trav, belief.costs))
-    mult = (1.0 + cost_weight * remap_costs(np.arange(256))).tolist()  # by uint8 cost
+    # The box ringed by 0s; memoryviews read the cells reached as Python values.
+    ring = np.zeros((2, h, w), dtype=np.uint8)
+    ring[0, 1:-1, 1:-1], ring[1, 1:-1, 1:-1] = trav[box], belief.costs[box]
+    passable, cost = (memoryview(a.ravel()) for a in ring)
+    mult = _multipliers(cost_weight)
     # Flat offsets of the step and of the two cells a diagonal must not cut.
     moves = [(di + dj * w, di, dj * w, step * res) for di, dj, step in _STEPS]
 

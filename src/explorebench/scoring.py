@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frontier import FrontierSegment
-from .gridmap import OccupancyGrid, Pose, remap_costs
+from .gridmap import REMAPPED, OccupancyGrid, Pose
 
 _ONE_BELOW_1 = float(np.nextafter(1.0, 0.0))
 # The largest argument math.exp takes without overflowing.
@@ -149,7 +149,7 @@ def occupancy_score(segment: FrontierSegment, belief: OccupancyGrid,
     if not in_disk.any():
         return 0.0
     window = belief.costs[j_lo : j_hi + 1, i_lo : i_hi + 1]
-    mean_m = float(remap_costs(window)[in_disk].mean())
+    mean_m = float(REMAPPED[window[in_disk]].mean())
     return mean_m * _sech(params.af_scale * segment.length_af)
 
 

@@ -297,9 +297,9 @@ def stamp(reveals):
         cj, ci = np.divmod(cells, grid.width)
         at.append(scanner.bounds[k] + (cj + b) * (grid.width + 2 * b) + ci + b)
         scanner.beliefs[at[-1]] = states
-    ids = np.repeat(np.arange(len(reveals)), [len(a) for a in at])
-    gridmap.reinflate_window(scanner.beliefs, scanner.costs, np.concatenate(at),
-                             scanner.offsets[ids], scanner.weights[ids])
+    ids, cells = np.repeat(np.arange(len(reveals)), [len(a) for a in at]), np.concatenate(at)
+    gridmap.reinflate_window(scanner.beliefs, scanner.costs, cells,
+                             scanner.offsets[ids] + cells[:, None], scanner.weights[ids])
     for k, (grid, _, _) in enumerate(reveals):
         grid.states[...], grid.costs[...] = scanner.inner[k]
 
@@ -576,6 +576,8 @@ class TestRaycastReveal:
         raycast_reveal(belief, truth, pose, lidar)
         assert len(calls) == 1
         states, costs = belief.states.copy(), belief.costs.copy()
+        # The slot equals the belief after an empty reveal: nothing writes it.
+        belief.states.flags.writeable = belief.costs.flags.writeable = False
         ci, cj = raycast_reveal(belief, truth, pose, lidar)
         assert ci.size == 0 and cj.size == 0
         assert (belief.states == states).all() and (belief.costs == costs).all()
@@ -652,8 +654,21 @@ class TestRaycastReveal:
         *((["..."] * 3, ["...", ".?.", "..."], pose,
            LidarModel(beam_count=1, max_range=2.0), [(1, 1)])
           for pose in _NEAR_EDGE_POSES.values()),
+        # The pose lies on the edge x = 1 between the pose cell (1, 1) and the
+        # Unknown (0, 1); the beam crosses it at t = 0.
+        (["..."] * 3, ["...", "?..", "..."], Pose(1.0, 1.5, math.pi),
+         LidarModel(beam_count=1, max_range=2.0), [(0, 1)]),
+        # The pose lies 4 ulps past that edge's line, on the Unknown cell's
+        # side, in (0, 0); the beam enters (0, 1) across its bottom edge.
+        (["..."] * 3, ["...", "?..", "..."], Pose(_off_edge(1.0, 0.0, 4), 0.5, math.pi / 2),
+         LidarModel(beam_count=1, max_range=2.0), [(0, 1)]),
+        # The beam passes through (1, 1), the end of (0, 1)'s right and
+        # bottom edges, and enters it across the right one.
+        (["..."] * 3, ["...", "?..", "..."], Pose(1.5, 0.5, 3 * math.pi / 4),
+         LidarModel(beam_count=1, max_range=2.0), [(0, 1)]),
     ], ids=["pose-on-corner-0", "pose-on-corner-1", "pose-on-corner-2",
-            "beam-through-corner", *_NEAR_EDGE_POSES])
+            "beam-through-corner", *_NEAR_EDGE_POSES, "pose-on-edge-line",
+            "pose-ulps-past-edge-line", "beam-through-edge-end"])
     def test_interval_edge_cases(self, truth_rows, belief_rows, pose, lidar, changed):
         truth = grid_from_rows(truth_rows, resolution=1.0)
         belief = grid_from_rows(belief_rows, resolution=1.0)
@@ -661,6 +676,51 @@ class TestRaycastReveal:
         assert list(zip(ci.tolist(), cj.tolist())) == changed
         assert (belief.states == truth.states).all()
         assert (belief.costs == truth.costs).all()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_cull_marks_every_beam_entering_unknown(self, data):
+        # Per beam: a beam whose walk on the truth enters a belief-Unknown
+        # cell is marked, even where another beam reveals that cell.
+        w = data.draw(st.integers(1, 30), label="width")
+        h = data.draw(st.integers(1, 30), label="height")
+        res = data.draw(st.sampled_from([0.1, 0.25, 0.5, 1.0]), label="res")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        p_occupied = data.draw(st.sampled_from([0.0, 0.15, 0.4]), label="p")
+        p_known = data.draw(st.sampled_from([0.3, 0.7, 0.95]), label="known")
+        rs = np.random.RandomState(seed)
+        states = np.where(rs.rand(h, w) < p_occupied, OCCUPIED, FREE).astype(np.uint8)
+        pi, pj = data.draw(st.integers(0, w - 1), label="ci"), data.draw(
+            st.integers(0, h - 1), label="cj")
+        states[pj, pi] = FREE
+        truth = OccupancyGrid(w, h, res, states, np.zeros_like(states))
+        inflate(truth, 0.12, 0.6, 4.0)
+        known = rs.rand(h, w) < p_known
+        known[pj, pi] = True  # else every beam is marked
+        belief = OccupancyGrid(w, h, res, np.where(known, states, UNKNOWN).astype(np.uint8),
+                               np.zeros_like(states))
+        inflate(belief, 0.12, 0.6, 4.0)
+        # Cell centres, edges, corners, or anywhere in a cell.
+        fraction = st.one_of(st.sampled_from([0.0, 0.5]),
+                             st.floats(0.0, 1.0, exclude_max=True))
+        pose = Pose((pi + data.draw(fraction, label="fx")) * res,
+                    (pj + data.draw(fraction, label="fy")) * res,
+                    data.draw(st.one_of(
+                        st.sampled_from([q * math.pi / 4 for q in range(-3, 5)]),
+                        st.floats(-math.pi, math.pi)), label="theta"))
+        assume(truth.world_to_cell(pose.x, pose.y) == (pi, pj))
+        lidar = LidarModel(beam_count=data.draw(st.integers(1, 360), label="beams"),
+                           max_range=data.draw(st.floats(0.05, 12.0), label="range") * res,
+                           angular_span=data.draw(st.sampled_from([2.0 * math.pi, 1.0]),
+                                                  label="span"))
+        scanner, masks, cull = BeamScanner([truth], lidar), [], BeamScanner._cull
+        with mock.patch.object(BeamScanner, "_cull",
+                               lambda *args: masks.append(cull(*args)) or masks[-1]):
+            scanner.scan([(0, belief, pose)])
+        walks = oracle_beam_walks(truth, pose, pose.theta + scanner.beams, lidar.max_range)
+        for beam, entered in enumerate(walks):
+            if any(belief.states[j, i] == UNKNOWN for i, j in entered):
+                assert masks[0][0, beam], (beam, entered)
 
     @staticmethod
     def _random_truth(rng, w, h):
@@ -842,6 +902,23 @@ class TestBeamScanner:
         finally:
             tracemalloc.stop()
         assert batch <= 3 * one
+
+    def test_range_past_grid_memory_bounded(self):
+        # The cull window and the border reach max(w, h) + 1 cells past the
+        # pose cell at most, which covers the grid from any pose; unclamped,
+        # they grew with the diagonal.
+        truth = generate_map("high", 100)
+        pose, peaks, side = pick_start(truth, 1), [], max(truth.width, truth.height)
+        for max_range in (side * truth.resolution, 1e308):
+            assert BeamScanner([truth], LidarModel(max_range=max_range)).border == side + 1
+            belief = make_belief_like(truth)
+            tracemalloc.start()
+            try:
+                raycast_reveal(belief, truth, pose, LidarModel(max_range=max_range))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]
 
     def test_huge_radius_memory_bounded(self):
         # The kernel is clamped to the grid's extent; unclamped, a radius
