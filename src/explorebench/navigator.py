@@ -8,14 +8,18 @@ away from inflated regions. Diagonal steps require both adjacent cardinal
 cells to be traversable (no corner cutting).
 
 A* only enters traversable cells, so it searches flat indices of their
-bounding box, ringed by one untraversable cell no step can cross, and reads
-only the cells it reaches. Edge weights, their summing order and the (f,
-push counter) heap order match a whole-grid search: paths and costs match.
-The octile heuristic reads a cell's goal distances from two per-plan lists,
-one entry per box column and one per box row, which cost the box's sides to
-build, not its area. The distances are the same integers and the formula is
-the same max/min expression split into its two branches, so every f is
-bit-identical to that of a whole-grid search.
+bounding box, ringed by one untraversable cell no step can cross. The box's
+traversable flags and uint8 costs are two bytes objects; g is a flat list
+and the closed set a bytearray over the same indices. Each expansion reads
+its four cardinal flags once, then takes the eight steps written out in a
+fixed order: E, W, S, N, then SE, NE, SW, NW, each diagonal only when both
+of its cardinal flags are set. Edge weights come from a table per step
+length indexed by cost. The octile heuristic of every box cell is one
+float64 table, built with numpy in the two-branch form of the max/min
+expression and read through a memoryview; it costs the box's area, which
+the ring already pays. Every edge weight, sum and f is the same IEEE
+operation as in a whole-grid search, and the (f, push counter) heap order
+is the same, so paths and costs match it.
 """
 
 from __future__ import annotations
@@ -32,9 +36,6 @@ from .gridmap import (COST_INSCRIBED, FREE, OCCUPIED, REMAPPED, OccupancyGrid,
 
 SQRT2 = math.sqrt(2.0)
 
-_STEPS = ((1, 0, 1.0), (-1, 0, 1.0), (0, 1, 1.0), (0, -1, 1.0),
-          (1, 1, SQRT2), (1, -1, SQRT2), (-1, 1, SQRT2), (-1, -1, SQRT2))
-
 
 class NoPathError(Exception):
     pass
@@ -46,6 +47,7 @@ class PlannedPath:
 
     waypoints: list[tuple[float, float]]
     total_cost: float
+    expanded: int  # cells A* closed before it reached the goal
 
 
 @dataclass(frozen=True)
@@ -81,8 +83,10 @@ def _nearest_traversable(trav, gi, gj, radius):
 
 
 @functools.lru_cache(maxsize=16)
-def _multipliers(cost_weight: float) -> tuple[float, ...]:  # edge weight factors by uint8 cost
-    return tuple((1.0 + cost_weight * REMAPPED).tolist())
+def _weights(cost_weight: float, res: float) -> tuple[tuple[float, ...], ...]:
+    """Edge weights by uint8 target cost: cardinal, then diagonal steps."""
+    mult = (1.0 + cost_weight * REMAPPED).tolist()
+    return tuple(tuple(length * m for m in mult) for length in (res, SQRT2 * res))
 
 
 def plan_path(belief: OccupancyGrid, start: Pose, to_world: tuple[float, float],
@@ -116,45 +120,59 @@ def plan_path(belief: OccupancyGrid, start: Pose, to_world: tuple[float, float],
     box = np.s_[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1]
     i0, j0 = int(cols[0]) - 1, int(rows[0]) - 1
     w, h = int(cols[-1] - cols[0]) + 3, int(rows[-1] - rows[0]) + 3
-    # The box ringed by 0s; memoryviews read the cells reached as Python values.
+    # The box ringed by 0s, as bytes that read each cell as a small int.
     ring = np.zeros((2, h, w), dtype=np.uint8)
     ring[0, 1:-1, 1:-1], ring[1, 1:-1, 1:-1] = trav[box], belief.costs[box]
-    passable, cost = (memoryview(a.ravel()) for a in ring)
-    mult = _multipliers(cost_weight)
-    # Flat offsets of the step and of the two cells a diagonal must not cut.
-    moves = [(di + dj * w, di, dj * w, step * res) for di, dj, step in _STEPS]
+    passable, cost = (a.tobytes() for a in ring)
+    w1, w2 = _weights(cost_weight, res)
 
-    # Admissible octile heuristic (every edge multiplier is >= 1), from the
-    # goal distances of each box column and row; the start's f is never read.
-    goal_di = [abs(i + i0 - gi) for i in range(w)]
-    goal_dj = [abs(j + j0 - gj) for j in range(h)]
+    # Admissible octile heuristic of every box cell (every edge multiplier
+    # is >= 1) in the two-branch form of max/min; the start's f is never read.
+    di = np.abs(np.arange(i0 - gi, i0 - gi + w))[None, :]
+    dj = np.abs(np.arange(j0 - gj, j0 - gj + h))[:, None]
     diag = SQRT2 - 1.0
+    octile = memoryview((np.where(di > dj, di + diag * dj, dj + diag * di) * res).ravel())
 
     start_k, goal_k = (sj - j0) * w + si - i0, (gj - j0) * w + gi - i0
-    g, parent, closed = {start_k: 0.0}, {}, set()
+    g, parent, closed = [math.inf] * (w * h), {}, bytearray(w * h)
+    g[start_k] = 0.0
     counter = 0
     open_heap = [(0.0, counter, start_k)]
+    push, pop = heapq.heappush, heapq.heappop
     while open_heap:
-        _, _, k = heapq.heappop(open_heap)
-        if k in closed:
+        k = pop(open_heap)[2]
+        if closed[k]:
             continue
         if k == goal_k:
             break
-        closed.add(k)
+        closed[k] = 1
         base = g[k]
-        for off, oi, oj, length in moves:
-            n = k + off
-            if not passable[n] or (oi and oj and not (passable[k + oi] and passable[k + oj])):
-                continue
-            tentative = base + length * mult[cost[n]]
-            if tentative < g.get(n, math.inf):
-                g[n] = tentative
-                parent[n] = k
-                counter += 1
-                j, i = divmod(n, w)
-                di, dj = goal_di[i], goal_dj[j]
-                octile = (di + diag * dj if di > dj else dj + diag * di) * res
-                heapq.heappush(open_heap, (tentative + octile, counter, n))
+        # E, W, S, N, then SE, NE, SW, NW; a diagonal needs both its cardinals.
+        pe, pw, ps, pn = passable[k + 1], passable[k - 1], passable[k + w], passable[k - w]
+        if pe and (t := base + w1[cost[m := k + 1]]) < g[m]:
+            g[m], parent[m], counter = t, k, counter + 1
+            push(open_heap, (t + octile[m], counter, m))
+        if pw and (t := base + w1[cost[m := k - 1]]) < g[m]:
+            g[m], parent[m], counter = t, k, counter + 1
+            push(open_heap, (t + octile[m], counter, m))
+        if ps and (t := base + w1[cost[m := k + w]]) < g[m]:
+            g[m], parent[m], counter = t, k, counter + 1
+            push(open_heap, (t + octile[m], counter, m))
+        if pn and (t := base + w1[cost[m := k - w]]) < g[m]:
+            g[m], parent[m], counter = t, k, counter + 1
+            push(open_heap, (t + octile[m], counter, m))
+        if pe and ps and passable[m := k + w + 1] and (t := base + w2[cost[m]]) < g[m]:
+            g[m], parent[m], counter = t, k, counter + 1
+            push(open_heap, (t + octile[m], counter, m))
+        if pe and pn and passable[m := k - w + 1] and (t := base + w2[cost[m]]) < g[m]:
+            g[m], parent[m], counter = t, k, counter + 1
+            push(open_heap, (t + octile[m], counter, m))
+        if pw and ps and passable[m := k + w - 1] and (t := base + w2[cost[m]]) < g[m]:
+            g[m], parent[m], counter = t, k, counter + 1
+            push(open_heap, (t + octile[m], counter, m))
+        if pw and pn and passable[m := k - w - 1] and (t := base + w2[cost[m]]) < g[m]:
+            g[m], parent[m], counter = t, k, counter + 1
+            push(open_heap, (t + octile[m], counter, m))
     else:
         raise NoPathError(f"no path from ({si}, {sj}) to ({gi}, {gj})")
 
@@ -162,7 +180,7 @@ def plan_path(belief: OccupancyGrid, start: Pose, to_world: tuple[float, float],
     while cells[-1] != start_k:
         cells.append(parent[cells[-1]])
     waypoints = [belief.cell_center(k % w + i0, k // w + j0) for k in reversed(cells)]
-    return PlannedPath(waypoints, g[goal_k])
+    return PlannedPath(waypoints, g[goal_k], closed.count(1))
 
 
 def advance(pose: Pose, kin: KinematicState, waypoints: list[tuple[float, float]],

@@ -1,0 +1,83 @@
+"""Plain reference implementations that tests compare the program with.
+
+Each one is written in the most direct form, with no buffers, boxes or
+tables, so that a test can check a fast layer against it exactly.
+"""
+
+import heapq
+import math
+
+from explorebench.gridmap import OCCUPIED, REMAPPED
+from explorebench.navigator import (SQRT2, NoPathError, _nearest_traversable,
+                                    traversable_mask)
+
+# Neighbour order of the search: E, W, S, N, then SE, NE, SW, NW.
+STEPS = ((1, 0, 1.0), (-1, 0, 1.0), (0, 1, 1.0), (0, -1, 1.0),
+         (1, 1, SQRT2), (1, -1, SQRT2), (-1, 1, SQRT2), (-1, -1, SQRT2))
+
+
+def reference_plan(belief, start, to_world, cost_weight, goal_relax_radius):
+    """A* over the whole grid with (i, j) cell keys: (waypoints, cost, expanded).
+
+    The search of the project's first version, with navigator's goal
+    relaxation and the REMAPPED cost table. The heap orders entries by
+    (f, push counter), and expanded counts the cells closed before the
+    goal was popped. Raises NoPathError where plan_path must.
+    """
+    res = belief.resolution
+    si, sj = belief.world_to_cell(start.x, start.y)
+    if not belief.in_bounds(si, sj) or belief.states[sj, si] == OCCUPIED:
+        raise NoPathError(f"start cell ({si}, {sj}) is not usable")
+    trav = traversable_mask(belief)
+    trav[sj, si] = True
+
+    gi, gj = belief.world_to_cell(*to_world)
+    gi = min(max(gi, 0), belief.width - 1)
+    gj = min(max(gj, 0), belief.height - 1)
+    if not trav[gj, gi]:
+        relaxed = _nearest_traversable(trav, gi, gj, goal_relax_radius)
+        if relaxed is None:
+            raise NoPathError("goal cell untraversable and no relaxation candidate")
+        gi, gj = relaxed
+
+    passable, costs = trav.tolist(), belief.costs.tolist()
+
+    def octile(i, j):
+        di, dj = abs(i - gi), abs(j - gj)
+        return (max(di, dj) + (SQRT2 - 1.0) * min(di, dj)) * res
+
+    start_key, goal_key = (si, sj), (gi, gj)
+    g_cost, parent, closed = {start_key: 0.0}, {}, set()
+    counter = 0
+    open_heap = [(octile(si, sj), counter, start_key)]
+    while open_heap:
+        _, _, current = heapq.heappop(open_heap)
+        if current in closed:
+            continue
+        if current == goal_key:
+            break
+        closed.add(current)
+        ci, cj = current
+        base = g_cost[current]
+        for di, dj, step in STEPS:
+            ni, nj = ci + di, cj + dj
+            if not belief.in_bounds(ni, nj) or not passable[nj][ni]:
+                continue
+            if di != 0 and dj != 0 and not (passable[cj][ni] and passable[nj][ci]):
+                continue
+            multiplier = 1.0 + cost_weight * float(REMAPPED[costs[nj][ni]])
+            tentative = base + step * res * multiplier
+            key = (ni, nj)
+            if tentative < g_cost.get(key, math.inf):
+                g_cost[key] = tentative
+                parent[key] = current
+                counter += 1
+                heapq.heappush(open_heap, (tentative + octile(ni, nj), counter, key))
+    else:
+        raise NoPathError(f"no path from ({si}, {sj}) to ({gi}, {gj})")
+
+    cells = [goal_key]
+    while cells[-1] != start_key:
+        cells.append(parent[cells[-1]])
+    waypoints = [belief.cell_center(i, j) for i, j in reversed(cells)]
+    return waypoints, g_cost[goal_key], len(closed)

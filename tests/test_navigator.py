@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import grid_from_rows, remap_cost
+from reference import reference_plan
 from explorebench.gridmap import (COST_INSCRIBED, FREE, OCCUPIED, UNKNOWN,
                                   OccupancyGrid, Pose, inflate)
 from explorebench.navigator import (SQRT2, KinematicState, NoPathError,
@@ -134,6 +135,7 @@ class TestPlanPath:
         assert len(path.waypoints) == 5
         ys = {y for _, y in path.waypoints}
         assert len(ys) == 1
+        assert path.expanded == 4  # every cell before the goal, nothing else
 
     def test_detour_cost_matches_dijkstra(self):
         belief = grid_from_rows([
@@ -192,6 +194,75 @@ class TestPlanPath:
             digest.update(outcome.encode() + b"\n")
         assert digest.hexdigest() == (
             "4c21012990a06641d0495a0346cfbb2cb82fe628ca1c031b91a984356fb58190")
+
+    def test_matches_reference_search(self):
+        # Exact equality with the whole-grid tuple-keyed A* (tests/reference.py):
+        # waypoints, cost, expansions and NoPathError. Open grids at
+        # cost_weight 0 have many equal-f ties. Mirror grids are symmetric
+        # about the row or column that holds start and goal, so each detour
+        # has a twin of equal cost and the step order alone picks one.
+        # Other grids sit in Unknown frames, start on Unknown or inflated
+        # cells, or aim at untraversable goals that must relax.
+        rng = np.random.RandomState(17)
+        seen = dict.fromkeys(("mirror detour", "framed", "odd start", "relaxed",
+                              "no path"), 0)
+        for case in range(400):
+            kind = ("open", "mirror", "mixed", "relax")[case % 4]
+            h, w = rng.randint(2, 50), rng.randint(2, 50)
+            wall = rng.choice([0.0, 0.03]) if kind == "open" else rng.choice([0.05, 0.15, 0.3])
+            states = np.where(rng.rand(h, w) < wall, OCCUPIED, FREE).astype(np.uint8)
+            if kind in ("mixed", "relax"):
+                states[rng.rand(h, w) < rng.choice([0.0, 0.05, 0.2])] = UNKNOWN
+            if kind == "mirror":
+                si, gi = (int(v) for v in rng.randint(w, size=2))
+                states[-1, [si, gi]] = FREE
+                states = np.vstack([states, states[-2::-1]])
+                (si, sj), (gi, gj), axis = (si, h - 1), (gi, h - 1), 1
+                if rng.rand() < 0.5:
+                    states = states.T.copy()
+                    (si, sj), (gi, gj), axis = (sj, si), (gj, gi), 0
+            elif rng.rand() < 0.5:
+                states = embed_in_unknown(states, rng)
+                seen["framed"] += 1
+            h, w = states.shape
+            res = float(rng.choice([0.1, 0.25, 0.5]))
+            belief = OccupancyGrid(w, h, res, states, np.zeros_like(states))
+            inflate(belief, 0.12, 0.5, 4.0)
+            trav = traversable_mask(belief)
+            blocked = np.argwhere(~trav)
+            if kind == "mirror":
+                goal = belief.cell_center(gi, gj)
+            else:
+                odd = np.argwhere((states != OCCUPIED) & ~trav)
+                pool = odd if len(odd) and rng.rand() < 0.3 or not trav.any() else np.argwhere(trav)
+                sj, si = (int(v) for v in pool[rng.randint(len(pool))])
+                if kind == "relax" and len(blocked):
+                    gj, gi = blocked[rng.randint(len(blocked))]
+                    goal = belief.cell_center(int(gi), int(gj))
+                else:
+                    goal = (rng.uniform(-1, w + 1) * res, rng.uniform(-1, h + 1) * res)
+            cost_weight = 0.0 if kind == "open" else float(rng.choice([0.0, 1.0, 3.0, 7.5]))
+            args = (belief, Pose(*belief.cell_center(si, sj)), goal, cost_weight,
+                    rng.randint(0, 7))
+            try:
+                expected = reference_plan(*args)
+            except NoPathError:
+                expected = "NoPathError"
+                seen["no path"] += 1
+            try:
+                path = plan_path(*args)
+                got = (path.waypoints, path.total_cost, path.expanded)
+            except NoPathError:
+                got = "NoPathError"
+            assert got == expected, case
+            if expected != "NoPathError":
+                gi, gj = belief.world_to_cell(*goal)
+                gi, gj = min(max(gi, 0), w - 1), min(max(gj, 0), h - 1)
+                seen["odd start"] += not trav[sj, si]
+                seen["relaxed"] += not trav[gj, gi]
+                seen["mirror detour"] += kind == "mirror" and len(
+                    {belief.world_to_cell(*p)[axis] for p in expected[0]}) > 1
+        assert min(seen.values()) >= 10, seen
 
     def test_goal_relaxes_to_nearest_traversable(self):
         belief = grid_from_rows([
