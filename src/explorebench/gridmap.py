@@ -454,12 +454,20 @@ def check_pose(truth: OccupancyGrid, pose: Pose) -> None:
 
 
 def adjacent_to(mask: np.ndarray) -> np.ndarray:
-    """Cells with a 4-neighbour in mask; leading axes index a stack of masks."""
-    out = np.zeros(mask.shape, dtype=bool)
-    out[..., 1:, :] = mask[..., :-1, :]
+    """Cells with a 4-neighbour in mask; leading axes index a stack of masks.
+
+    Row neighbours come from contiguous shifts of the raveled mask, which wrap
+    each row's ends into the next; the first and last columns are then reset."""
+    flat, out = np.ravel(mask), np.zeros(mask.size, dtype=bool)
+    out[1:] = flat[:-1]
+    out[:-1] |= flat[1:]
+    out = out.reshape(mask.shape)
+    if mask.shape[-1] > 1:
+        out[..., 0], out[..., -1] = mask[..., 1], mask[..., -2]
+    else:
+        out[..., :1] = False
+    out[..., 1:, :] |= mask[..., :-1, :]
     out[..., :-1, :] |= mask[..., 1:, :]
-    out[..., 1:] |= mask[..., :-1]
-    out[..., :-1] |= mask[..., 1:]
     return out
 
 

@@ -7,19 +7,20 @@ weights scale step length by (1 + cost_weight * m(target)), pushing paths
 away from inflated regions. Diagonal steps require both adjacent cardinal
 cells to be traversable (no corner cutting).
 
-A* only enters traversable cells, so it searches flat indices of their
-bounding box, ringed by one untraversable cell no step can cross. The box's
-traversable flags and uint8 costs are two bytes objects; g is a flat list
-and the closed set a bytearray over the same indices. Each expansion reads
-its four cardinal flags once, then takes the eight steps written out in a
-fixed order: E, W, S, N, then SE, NE, SW, NW, each diagonal only when both
-of its cardinal flags are set. Edge weights come from a table per step
-length indexed by cost. The octile heuristic of every box cell is one
-float64 table, built with numpy in the two-branch form of the max/min
-expression and read through a memoryview; it costs the box's area, which
-the ring already pays. Every edge weight, sum and f is the same IEEE
-operation as in a whole-grid search, and the (f, push counter) heap order
-is the same, so paths and costs match it.
+A* only enters traversable cells, which are known, so it searches flat
+indices of the bounding box of the known cells and the start, ringed by one
+untraversable cell no step can cross. traversable_mask takes that box, and
+the goal relaxes on the box's mask. Its traversable flags and uint8 costs
+are two bytes objects; g is a flat list and the closed set a bytearray over
+the same indices. Each expansion reads its four cardinal flags once, then
+takes the eight steps written out in a fixed order: E, W, S, N, then SE,
+NE, SW, NW, each diagonal only when both of its cardinal flags are set.
+Edge weights come from a table per step length indexed by cost. The octile
+heuristic of every box cell is one float64 table, built with numpy from the
+IEEE operations of the max/min expression and read through a memoryview; it
+costs the box's area, which the ring already pays. Every edge weight, sum
+and f is the same IEEE operation as in a whole-grid search, and the (f,
+push counter) heap order is the same, so paths and costs match it.
 """
 
 from __future__ import annotations
@@ -63,8 +64,9 @@ class KinematicState:
             raise ValueError("v_max, w_max and dt must all be > 0")
 
 
-def traversable_mask(belief: OccupancyGrid) -> np.ndarray:
-    return (belief.states == FREE) & (belief.costs < COST_INSCRIBED)
+def traversable_mask(belief: OccupancyGrid, box=np.s_[:, :]) -> np.ndarray:
+    """Known Free cells with a cost below the inscribed band, within box."""
+    return (belief.states[box] == FREE) & (belief.costs[box] < COST_INSCRIBED)
 
 
 def _nearest_traversable(trav, gi, gj, radius):
@@ -103,35 +105,43 @@ def plan_path(belief: OccupancyGrid, start: Pose, to_world: tuple[float, float],
     si, sj = belief.world_to_cell(start.x, start.y)
     if not belief.in_bounds(si, sj) or belief.states[sj, si] == OCCUPIED:
         raise NoPathError(f"start cell ({si}, {sj}) is not usable")
-    trav = traversable_mask(belief)
-    trav[sj, si] = True
+    # The box of the known cells and the start, at (bi, bj); no other cell
+    # is traversable.
+    known = [belief.states.max(axis=axis) for axis in (1, 0)]
+    known[0][sj] = known[1][si] = 1
+    rows, cols = (np.flatnonzero(k) for k in known)
+    bi, bj = int(cols[0]), int(rows[0])
+    box = np.s_[bj:rows[-1] + 1, bi:cols[-1] + 1]
+    trav = traversable_mask(belief, box)
+    trav[sj - bj, si - bi] = True
+    bh, bw = trav.shape
 
     gi, gj = belief.world_to_cell(*to_world)
     gi = min(max(gi, 0), belief.width - 1)
     gj = min(max(gj, 0), belief.height - 1)
-    if not trav[gj, gi]:
-        relaxed = _nearest_traversable(trav, gi, gj, goal_relax_radius)
+    if not (0 <= gi - bi < bw and 0 <= gj - bj < bh and trav[gj - bj, gi - bi]):
+        relaxed = _nearest_traversable(trav, gi - bi, gj - bj, goal_relax_radius)
         if relaxed is None:
             raise NoPathError("goal cell untraversable and no relaxation candidate")
-        gi, gj = relaxed
+        gi, gj = relaxed[0] + bi, relaxed[1] + bj
 
     # Flat index k of the search box is grid cell (k % w + i0, k // w + j0).
-    rows, cols = (np.flatnonzero(trav.any(axis=axis)) for axis in (1, 0))
-    box = np.s_[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1]
-    i0, j0 = int(cols[0]) - 1, int(rows[0]) - 1
-    w, h = int(cols[-1] - cols[0]) + 3, int(rows[-1] - rows[0]) + 3
+    i0, j0, w, h = bi - 1, bj - 1, bw + 2, bh + 2
     # The box ringed by 0s, as bytes that read each cell as a small int.
     ring = np.zeros((2, h, w), dtype=np.uint8)
-    ring[0, 1:-1, 1:-1], ring[1, 1:-1, 1:-1] = trav[box], belief.costs[box]
+    ring[0, 1:-1, 1:-1], ring[1, 1:-1, 1:-1] = trav, belief.costs[box]
     passable, cost = (a.tobytes() for a in ring)
     w1, w2 = _weights(cost_weight, res)
 
     # Admissible octile heuristic of every box cell (every edge multiplier
-    # is >= 1) in the two-branch form of max/min; the start's f is never read.
-    di = np.abs(np.arange(i0 - gi, i0 - gi + w))[None, :]
-    dj = np.abs(np.arange(j0 - gj, j0 - gj + h))[:, None]
-    diag = SQRT2 - 1.0
-    octile = memoryview((np.where(di > dj, di + diag * dj, dj + diag * di) * res).ravel())
+    # is >= 1), as (min * (sqrt 2 - 1) + max) * res: the same IEEE operations
+    # as the two-branch form of max/min. The start's f is never read.
+    di = np.abs(np.arange(i0 - gi, i0 - gi + w, dtype=np.float64))[None, :]
+    dj = np.abs(np.arange(j0 - gj, j0 - gj + h, dtype=np.float64))[:, None]
+    t = np.minimum(di, dj) * (SQRT2 - 1.0)
+    t += np.maximum(di, dj)
+    t *= res
+    octile = memoryview(t.ravel())
 
     start_k, goal_k = (sj - j0) * w + si - i0, (gj - j0) * w + gi - i0
     g, parent, closed = [math.inf] * (w * h), {}, bytearray(w * h)

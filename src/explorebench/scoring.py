@@ -163,12 +163,34 @@ def heuristic(D: float, O: float, params: HeuristicParams) -> float:
 def score_segments(segments: list[FrontierSegment], robot: Pose,
                    belief: OccupancyGrid,
                    params: HeuristicParams) -> list[ScoreBreakdown]:
-    """Score every segment against the robot pose."""
+    """Score every segment against the robot pose.
+
+    Every O comes from one gather. The segments' boxes, from occupancy_score's
+    expressions, are laid end to end, each row by row; one in-disk test and
+    one REMAPPED lookup read every disk. Each O sums its segment's slice in
+    the order and pairwise sum of np.mean, so it is occupancy_score's O.
+    """
+    res = belief.resolution
+    geo = np.array([(seg.radius_r, *seg.centroid) for seg in segments]).reshape(-1, 3).T
+    r, xy = np.maximum(geo[0], res), geo[1:]
+    # Each disk's box of candidate cells, clipped to the grid as in occupancy_score.
+    lo = np.maximum(0, np.floor((xy - r) / res - 0.5))
+    hi = np.minimum([[belief.width - 1], [belief.height - 1]], np.ceil((xy + r) / res - 0.5))
+    (i_lo, j_lo), (w, h) = lo.astype(np.intp), np.maximum(hi - lo + 1, 0).astype(np.intp)
+    n = w * h
+    owner = np.repeat(np.arange(len(segments)), n)
+    dj, di = np.divmod(np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n), w[owner])
+    i, j = di + i_lo[owner], dj + j_lo[owner]
+    cx, cy = belief.cell_center(i, j)
+    in_disk = (cx - xy[0, owner]) ** 2 + (cy - xy[1, owner]) ** 2 <= (r * r)[owner]
+    vals = REMAPPED[belief.costs[j[in_disk], i[in_disk]]]
+    ends = np.cumsum(np.bincount(owner[in_disk], minlength=len(segments))).tolist()
+
     breakdowns = []
-    for idx, seg in enumerate(segments):
+    for idx, (seg, a, b) in enumerate(zip(segments, [0] + ends, ends)):
         d = math.hypot(robot.x - seg.centroid[0], robot.y - seg.centroid[1])
         D = distance_score(d, params)
-        O = occupancy_score(seg, belief, params)
+        sech = _sech(params.af_scale * seg.length_af)
+        O = float(np.add.reduce(vals[a:b])) / (b - a) * sech if b > a else 0.0
         breakdowns.append(ScoreBreakdown(idx, d, D, O, heuristic(D, O, params)))
     return breakdowns
-

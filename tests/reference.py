@@ -7,6 +7,8 @@ tables, so that a test can check a fast layer against it exactly.
 import heapq
 import math
 
+import numpy as np
+
 from explorebench.gridmap import OCCUPIED, REMAPPED
 from explorebench.navigator import (SQRT2, NoPathError, _nearest_traversable,
                                     traversable_mask)
@@ -81,3 +83,15 @@ def reference_plan(belief, start, to_world, cost_weight, goal_relax_radius):
         cells.append(parent[cells[-1]])
     waypoints = [belief.cell_center(i, j) for i, j in reversed(cells)]
     return waypoints, g_cost[goal_key], len(closed)
+
+
+def reference_adjacent(mask):
+    """Cells with a 4-neighbour in mask, cell by cell; leading axes index a
+    stack of 2-D masks."""
+    out = np.zeros(mask.shape, dtype=bool)
+    *_, h, w = mask.shape
+    for *lead, j, i in np.ndindex(*mask.shape):
+        out[(*lead, j, i)] = any(
+            0 <= j + dj < h and 0 <= i + di < w and mask[(*lead, j + dj, i + di)]
+            for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)))
+    return out

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import STATE_CHARS, clone_grid, grid_from_rows, remap_cost
+from reference import reference_adjacent
 from explorebench import gridmap
 from explorebench.mapgen import TIERS, generate_map, pick_start
 from explorebench.gridmap import (COST_INSCRIBED, COST_LETHAL, COST_UNKNOWN,
@@ -20,7 +21,7 @@ from explorebench.gridmap import (COST_INSCRIBED, COST_LETHAL, COST_UNKNOWN,
                                   Pose,
                                   PoseInsideObstacleError,
                                   PoseOutOfBoundsError, StartUnreachableError,
-                                  ZeroResolutionError,
+                                  ZeroResolutionError, adjacent_to,
                                   exploration_rate, inflate,
                                   load_belief, load_map, load_map_file,
                                   raycast_reveal, reachable_free_mask,
@@ -937,6 +938,22 @@ class TestBeamScanner:
             inflate(full, *astuple(belief.inflation))
             assert (belief.costs == full.costs).all()
         assert peaks[1] <= 3 * peaks[0]
+
+
+def test_adjacent_to_matches_reference(rng):
+    # Random 2-D masks and stacks of them, with axes of length 1 and 2 (a
+    # row's first cell is its last), and transposed views, which ravel to
+    # copies in the transposed order.
+    short = transposed = 0
+    for _ in range(600):
+        shape = tuple(int(rng.choice([1, 2, 3, 7])) for _ in range(rng.randint(2, 4)))
+        mask = rng.rand(*shape) < rng.rand()
+        if rng.rand() < 0.3:
+            mask = mask.swapaxes(-1, -2)
+            transposed += 1
+        short += min(mask.shape[-2:]) <= 2
+        assert (adjacent_to(mask) == reference_adjacent(mask)).all(), mask.shape
+    assert short >= 100 and transposed >= 100
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from conftest import grid_from_rows, remap_cost
 from reference import reference_plan
@@ -202,15 +203,26 @@ class TestPlanPath:
         # about the row or column that holds start and goal, so each detour
         # has a twin of equal cost and the step order alone picks one.
         # Other grids sit in Unknown frames, start on Unknown or inflated
-        # cells, or aim at untraversable goals that must relax.
+        # cells, or aim at untraversable goals that must relax. Box grids
+        # know one rectangle, or no cell at all; their starts are Unknown
+        # cells, often next to the rectangle, and their goals lie outside it,
+        # to relax into it or find no candidate.
         rng = np.random.RandomState(17)
         seen = dict.fromkeys(("mirror detour", "framed", "odd start", "relaxed",
-                              "no path"), 0)
-        for case in range(400):
-            kind = ("open", "mirror", "mixed", "relax")[case % 4]
+                              "no path", "start alone", "start outside box",
+                              "relaxed into box", "no candidate"), 0)
+        for case in range(500):
+            kind = ("open", "mirror", "mixed", "relax")[case % 4] if case < 400 else "box"
             h, w = rng.randint(2, 50), rng.randint(2, 50)
-            wall = rng.choice([0.0, 0.03]) if kind == "open" else rng.choice([0.05, 0.15, 0.3])
+            wall = (rng.choice([0.0, 0.03]) if kind in ("open", "box")
+                    else rng.choice([0.05, 0.15, 0.3]))
             states = np.where(rng.rand(h, w) < wall, OCCUPIED, FREE).astype(np.uint8)
+            if kind == "box":
+                rect = np.zeros((h, w), dtype=bool)
+                if case % 10:
+                    j0, i0 = rng.randint(h), rng.randint(w)
+                    rect[j0:rng.randint(j0, h) + 1, i0:rng.randint(i0, w) + 1] = True
+                states[~rect] = UNKNOWN
             if kind in ("mixed", "relax"):
                 states[rng.rand(h, w) < rng.choice([0.0, 0.05, 0.2])] = UNKNOWN
             if kind == "mirror":
@@ -232,6 +244,16 @@ class TestPlanPath:
             blocked = np.argwhere(~trav)
             if kind == "mirror":
                 goal = belief.cell_center(gi, gj)
+            elif kind == "box":
+                if rect.all():
+                    continue
+                cells = []
+                for k in (1, 4):  # starts next to the rectangle, goals within 4 cells
+                    near = ndimage.binary_dilation(rect, iterations=k) & ~rect
+                    pool = np.argwhere(near if near.any() and rng.rand() < 0.8 else ~rect)
+                    cells.append([int(v) for v in pool[rng.randint(len(pool))]])
+                (sj, si), (gj, gi) = cells
+                goal = belief.cell_center(gi, gj)
             else:
                 odd = np.argwhere((states != OCCUPIED) & ~trav)
                 pool = odd if len(odd) and rng.rand() < 0.3 or not trav.any() else np.argwhere(trav)
@@ -246,16 +268,24 @@ class TestPlanPath:
                     rng.randint(0, 7))
             try:
                 expected = reference_plan(*args)
-            except NoPathError:
-                expected = "NoPathError"
+            except NoPathError as e:
+                expected = str(e)
                 seen["no path"] += 1
             try:
                 path = plan_path(*args)
                 got = (path.waypoints, path.total_cost, path.expanded)
-            except NoPathError:
-                got = "NoPathError"
+            except NoPathError as e:
+                got = str(e)
             assert got == expected, case
-            if expected != "NoPathError":
+            if kind == "box":
+                seen["start alone"] += not rect.any()
+                seen["no candidate"] += expected == (
+                    "goal cell untraversable and no relaxation candidate")
+                if not isinstance(expected, str) and len(expected[0]) > 1:
+                    ei, ej = belief.world_to_cell(*expected[0][-1])
+                    seen["start outside box"] += 1
+                    seen["relaxed into box"] += bool(rect[ej, ei])
+            if not isinstance(expected, str):
                 gi, gj = belief.world_to_cell(*goal)
                 gi, gj = min(max(gi, 0), w - 1), min(max(gj, 0), h - 1)
                 seen["odd start"] += not trav[sj, si]

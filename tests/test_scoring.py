@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from explorebench.gridmap import COST_LETHAL, FREE, UNKNOWN, OccupancyGrid, Pose
 from explorebench.explorer import SelectorKind, rank_segments
 from explorebench.scoring import (HeuristicParams, InputOutOfRangeError,
                                   NegativeDistanceError, NoFrontiersError,
-                                  distance_score, heuristic, occupancy_score)
+                                  ScoreBreakdown, distance_score, heuristic,
+                                  occupancy_score, score_segments)
 
 # Frozen golden values, computed with a 60-digit mpmath evaluator of
 # tanh(E * sigmoid(E * (1 - csch(d/alpha)))), E = exp(d/beta), before any
@@ -176,6 +178,61 @@ class TestOccupancyScore:
         x = params.af_scale * seg.length_af
         sech = 0.0 if x > 709 else 1.0 / math.cosh(x)
         return (total / count) * sech
+
+
+class TestScoreSegments:
+    def test_matches_one_segment_scores_exactly(self, rng):
+        # Each breakdown equals the one-segment forms bit for bit: the frontier
+        # segments of random beliefs (many of one cell), plus disks around
+        # random points that the grid clips at each border, some with a
+        # radius below one resolution.
+        seen = dict.fromkeys(("left", "right", "bottom", "top", "small", "one cell"), 0)
+        for _ in range(60):
+            h, w = rng.randint(3, 40), rng.randint(3, 40)
+            belief = TestOccupancyScore.random_belief(rng, w, h)
+            params = HeuristicParams(af_scale=float(rng.choice([0.1, 0.7, 3.0])))
+            segments = cluster_segments(detect_frontiers(belief), belief, min_size=1)
+            for _ in range(rng.randint(0, 6)):
+                xf, yf = rng.uniform(-1, w * 0.25 + 1), rng.uniform(-1, h * 0.25 + 1)
+                segments.append(FrontierSegment(
+                    np.array([[0, 0]]), (float(xf), float(yf)), float(rng.uniform(0, 4.0)),
+                    float(rng.choice([0.0, 0.1, rng.uniform(0, 3.0)]))))
+            robot = Pose(float(rng.uniform(0, w * 0.25)), float(rng.uniform(0, h * 0.25)))
+            expected = []
+            for idx, seg in enumerate(segments):
+                d = math.hypot(robot.x - seg.centroid[0], robot.y - seg.centroid[1])
+                D, O = distance_score(d, params), occupancy_score(seg, belief, params)
+                expected.append(ScoreBreakdown(idx, d, D, O, heuristic(D, O, params)))
+                (xf, yf), r = seg.centroid, max(seg.radius_r, belief.resolution)
+                seen["left"] += xf - r < 0
+                seen["right"] += xf + r > w * belief.resolution
+                seen["bottom"] += yf - r < 0
+                seen["top"] += yf + r > h * belief.resolution
+                seen["small"] += seg.radius_r < belief.resolution
+                seen["one cell"] += len(seg.cells) == 1
+            assert score_segments(segments, robot, belief, params) == expected
+        assert min(seen.values()) >= 20, seen
+
+    def test_no_segments(self):
+        belief = grid_from_rows(["..."] * 3)
+        assert score_segments([], Pose(0.1, 0.1), belief, HeuristicParams()) == []
+
+    def test_gather_memory_bounded(self):
+        # The gather holds each segment's own box, not segments x the largest
+        # box: a padded gather of these 51 segments peaked at 3.2 MB.
+        states = np.full((200, 200), FREE, dtype=np.uint8)
+        belief = OccupancyGrid(200, 200, 0.25, states, np.zeros_like(states))
+        big = FrontierSegment(np.array([[100, 100]]), belief.cell_center(100, 100),
+                              0.25, 40 * 0.25)
+        segments = [big] + [FrontierSegment(np.array([[i, 10]]), belief.cell_center(i, 10),
+                                            0.25, 0.0) for i in range(50)]
+        tracemalloc.start()
+        try:
+            score_segments(segments, Pose(1.0, 1.0), belief, HeuristicParams())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestHeuristic:
