@@ -12,8 +12,8 @@ Runs advance in lockstep: each run is a stepper (a generator) that stops
 before every reveal. Per round, explore_lockstep makes one batched scan
 (gridmap.BeamScanner, one buffer slot per run) that culls, marches and
 filters the beams of all live runs and stamps a cached inflation kernel
-at every run's new cells. Each run copies its slot into its belief
-through raycast_reveal, then decides, plans and steps alone. After a
+at every run's new cells. A run's belief is its slot, so the scan has
+written the reveal; the run then decides, plans and steps alone. After a
 reveal that changed nothing, the coverage, the frontier mask and the
 path's validity are as they were. The batch shares a reveal's fixed cost
 of numpy calls; a run's record does not depend on its batch.
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -175,22 +175,21 @@ def _path_cells_valid(belief, waypoints, robot_cell):
                for i, j in cells)
 
 
-def _explore(truth: OccupancyGrid, start: Pose, selector: SelectorKind,
-             params: HeuristicParams, lidar: LidarModel, kin: KinematicState,
-             limits: RunLimits, min_segment_size: int, cost_weight: float,
-             goal_relax_radius: int):
-    """One run as a stepper: yields (belief, pose) before each reveal, is
-    sent that reveal's share of a batched scan, and returns the record."""
+def _explore(truth: OccupancyGrid, belief: OccupancyGrid, start: Pose,
+             selector: SelectorKind, params: HeuristicParams, lidar: LidarModel,
+             kin: KinematicState, limits: RunLimits, min_segment_size: int,
+             cost_weight: float, goal_relax_radius: int):
+    """One run as a stepper on its belief, a BeamScanner slot: yields its
+    pose before each reveal, is sent the cells that the batched scan made
+    known there, and returns the record with a copy of the final belief."""
     reachable = reachable_free_mask(truth, start)
-    belief = OccupancyGrid.unknown(truth.width, truth.height, truth.resolution,
-                                   truth.inflation)
     pose = Pose(start.x, start.y, start.theta)
     record = RunRecord(selector=selector, params=params,
                        start=Pose(start.x, start.y, start.theta))
 
     rate = cumdist = 0.0  # no cell is known yet; only a change moves the rate
-    share = yield belief, pose
-    if changed := raycast_reveal(belief, truth, pose, lidar, share)[0].size:
+    cells = yield pose
+    if changed := raycast_reveal(belief, truth, pose, lidar, cells)[0].size:
         rate = exploration_rate(belief, reachable)
     record.samples.append((0.0, pose.x, pose.y, pose.theta, cumdist, rate))
 
@@ -250,11 +249,11 @@ def _explore(truth: OccupancyGrid, start: Pose, selector: SelectorKind,
         cumdist += moved
         no_progress = 0 if moved > 0.0 else no_progress + 1
 
-        share = yield belief, pose
-        if changed := raycast_reveal(belief, truth, pose, lidar, share)[0].size:
+        cells = yield pose
+        if changed := raycast_reveal(belief, truth, pose, lidar, cells)[0].size:
             rate = exploration_rate(belief, reachable)
         record.samples.append((tick * kin.dt, pose.x, pose.y, pose.theta, cumdist, rate))
-    record.final_belief = belief
+    record.final_belief = replace(belief, states=belief.states.copy(), costs=belief.costs.copy())
     return record
 
 
@@ -265,20 +264,19 @@ def explore_lockstep(runs: list[tuple[OccupancyGrid, Pose, SelectorKind]],
     """Explore each (truth, start, selector) run; records in input order.
 
     The runs advance in lockstep: each round makes one batched scan for
-    every live run, and each run then steps to its next reveal with its
-    share of it. A run's record does not depend on the runs beside it.
+    every live run, and each run then steps to its next reveal with the
+    cells it revealed. A run's record does not depend on the runs beside it.
     """
-    steppers = [_explore(truth, start, selector, params, lidar, kin, limits,
-                         min_segment_size, cost_weight, goal_relax_radius)
-                for truth, start, selector in runs]
     scanner = BeamScanner([truth for truth, _, _ in runs], lidar)
+    steppers = [_explore(truth, belief, start, selector, params, lidar, kin, limits,
+                         min_segment_size, cost_weight, goal_relax_radius)
+                for (truth, start, selector), belief in zip(runs, scanner.grids)]
     records: list[RunRecord] = [None] * len(runs)
     live = {k: next(stepper) for k, stepper in enumerate(steppers)}
     while live:
-        shares = scanner.scan([(k, belief, pose) for k, (belief, pose) in live.items()])
-        for k, share in zip(list(live), shares):
+        for k, cells in zip(list(live), scanner.scan(list(live.items()))):
             try:
-                live[k] = steppers[k].send(share)
+                live[k] = steppers[k].send(cells)
             except StopIteration as done:
                 records[k] = done.value
                 del live[k]

@@ -487,8 +487,10 @@ class BeamScanner:
     round; built once per batch from each run's truth grid. Run k's slot,
     bounds[k] : bounds[k + 1] in flat (its truth's states), local (each
     cell's index i + width * j, -1 on the border), beliefs and costs (its
-    belief's, copied in by each scan), holds its grid row by row inside a
-    border of _OUTSIDE cells that no kernel and no cull window crosses."""
+    belief, all Unknown at first), holds its grid row by row inside a
+    border of _OUTSIDE cells that no kernel and no cull window crosses.
+    grids[k] is run k's belief: an OccupancyGrid whose states and costs
+    are views of its slot, which only scans write."""
 
     def __init__(self, truths: list[OccupancyGrid], lidar: LidarModel):
         self.truths = truths
@@ -510,10 +512,11 @@ class BeamScanner:
         self.local = np.concatenate([
             np.pad(np.arange(t.states.size, dtype=index).reshape(t.states.shape), b,
                    constant_values=-1).ravel() for t in truths])
-        self.beliefs, self.costs = np.full((2, self.bounds[-1]), _OUTSIDE, dtype=np.uint8)
-        self.inner = [[a[lo:hi].reshape(t.height + 2 * b, -1)[b:-b, b:-b]
-                       for a in (self.beliefs, self.costs)]
-                      for lo, hi, t in zip(self.bounds, self.bounds[1:], truths)]
+        self.beliefs, self.costs = np.where(self.local < 0, np.uint8(_OUTSIDE),
+                                            np.uint8([[UNKNOWN], [COST_UNKNOWN]]))
+        self.grids = [OccupancyGrid(t.width, t.height, t.resolution, *(
+            a[lo:hi].reshape(t.height + 2 * b, -1)[b:-b, b:-b] for a in (self.beliefs, self.costs)),
+            t.inflation) for lo, hi, t in zip(self.bounds, self.bounds[1:], truths)]
         # Each run's kernel as offsets in the buffer and costs, padded to one length.
         n = max(len(k[3]) for k in kernels)
         self.offsets = np.array([np.pad(dj * (t.width + 2 * b) + di, (0, n - len(dj)))
@@ -526,24 +529,20 @@ class BeamScanner:
         self.order = np.argsort(ring, kind="stable")
         self.ring = ring[self.order]
 
-    def scan(self, runs: list[tuple[int, OccupancyGrid, Pose]]) -> list[tuple]:
-        """Cull, march and filter the beams of each (truth index, belief, pose),
-        each truth index at most once.
+    def scan(self, runs: list[tuple[int, Pose]]) -> list[np.ndarray]:
+        """Cull, march and filter the beams of each (run, pose), each run at
+        most once, and write what they reveal into the runs' beliefs.
 
-        Returns each run's share, for raycast_reveal: the indices i + width
-        * j, ascending, of the cells that become known, and the run's slot
-        views of the states and costs after them, from one reinflate_window
-        stamp for all runs that changed. Every pose is checked before any
-        run's cells are read, so one run's bad pose never reads another's map.
+        Returns, per run, the indices i + width * j, ascending, of its cells
+        that become known; their states and one reinflate_window stamp for
+        all runs that changed are written into the slots. Every pose is
+        checked before any run's cells are read, so one run's bad pose
+        never reads another's map.
         """
         floats, ints, crossings, b = [], [], 0, self.border
-        for run, belief, pose in runs:
+        for run, pose in runs:
             truth = self.truths[run]
-            if (belief.states.shape != truth.states.shape or belief.inflation != truth.inflation
-                    or belief.resolution != truth.resolution):
-                raise MapError("belief and truth grids must share geometry")
             check_pose(truth, pose)
-            self.inner[run][0][...], self.inner[run][1][...] = belief.states, belief.costs
             w, h, res, rng = truth.width, truth.height, truth.resolution, self.ranges[run]
             gx, gy, range_cells = pose.x / res, pose.y / res, rng / res
             floats.append((gx, gy, pose.theta, range_cells, (range_cells + _CULL_EPS) ** 2,
@@ -557,7 +556,7 @@ class BeamScanner:
         # pose, resolution, squared range; i: pose cell, its buffer index, row length, width.
         f, i = np.array(floats), np.array(ints, dtype=self.local.dtype)
         # The belief cells around each pose, border cells past its grid.
-        r = max(self.reach[run] for run, _, _ in runs)
+        r = max(self.reach[run] for run, _ in runs)
         window = np.arange(-r, r + 1)
         stack = self.beliefs[i[:, 2, None, None] + window[:, None] * i[:, 3, None, None]
                              + window]
@@ -596,7 +595,7 @@ class BeamScanner:
             reinflate_window(self.beliefs, self.costs, cells,
                              self.offsets[owner] + cells[:, None], self.weights[owner])
         local, ends = self.local[cells], ends.tolist()
-        return [(local[ends[run] : ends[run + 1]], *self.inner[run]) for run, _, _ in runs]
+        return [local[ends[run] : ends[run + 1]] for run, _ in runs]
 
     def _cull(self, stack, f, i) -> np.ndarray:
         """(runs, beams) mask of the beams that can enter an Unknown belief cell.
@@ -658,7 +657,7 @@ class BeamScanner:
 
 
 def raycast_reveal(belief: OccupancyGrid, truth: OccupancyGrid, pose: Pose,
-                   lidar: LidarModel, share: tuple | None = None,
+                   lidar: LidarModel, cells: np.ndarray | None = None,
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Reveal truth cells visible to the scanner; return the cells that changed.
 
@@ -668,10 +667,10 @@ def raycast_reveal(belief: OccupancyGrid, truth: OccupancyGrid, pose: Pose,
     cell becomes Occupied. Returns the (i, j) arrays, in raster order, of
     the cells that were Unknown before this reveal and are known after it.
 
-    share is this run's share of a BeamScanner scan of the same belief and
-    pose: the cells that become known, and its slot's states and costs
-    after the scan's writes and stamp, which the reveal copies into the
-    belief if a cell became known. Without it, the reveal scans a batch of one.
+    cells are this run's cells from a BeamScanner scan of the same pose
+    whose slot is the belief: the scan has written them, so the reveal
+    writes nothing. Without them, the reveal scans a batch of one on a
+    copy of the belief and copies the slot back if a cell became known.
 
     Precondition: the belief agrees with the truth wherever it is known
     and holds a full inflate's costs (run_exploration guarantees both,
@@ -681,11 +680,16 @@ def raycast_reveal(belief: OccupancyGrid, truth: OccupancyGrid, pose: Pose,
     beam enters is 4-adjacent to a known Free cell or to the pose cell,
     with its nearest point within max_range.
     """
-    if share is None:
-        share = BeamScanner([truth], lidar).scan([(0, belief, pose)])[0]
-    if share[0].size:
-        belief.states[...], belief.costs[...] = share[1:]
-    cj, ci = np.divmod(share[0], truth.width)
+    if cells is None:
+        if (belief.states.shape != truth.states.shape or belief.inflation != truth.inflation
+                or belief.resolution != truth.resolution):
+            raise MapError("belief and truth grids must share geometry")
+        scanner = BeamScanner([truth], lidar)
+        slot = scanner.grids[0]
+        slot.states[...], slot.costs[...] = belief.states, belief.costs
+        if (cells := scanner.scan([(0, pose)])[0]).size:
+            belief.states[...], belief.costs[...] = slot.states, slot.costs
+    cj, ci = np.divmod(cells, truth.width)
     return ci, cj
 
 

@@ -10,7 +10,7 @@ published typesetting is ambiguous; see RewardConfig.distance_term_form.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass, fields
 
 DISTANCE_FORMS = ("paren_minus_one", "literal")
@@ -34,7 +34,8 @@ class StepObservation:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if not math.isfinite(value):
+            # False for NaN, the infinities, and integers past every float.
+            if not abs(value) <= sys.float_info.max:
                 raise ValueError(f"{f.name} must be finite, got {value}")
         if self.lidar_min < 0.0:
             raise ValueError(f"lidar_min must be >= 0, got {self.lidar_min}")

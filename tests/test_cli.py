@@ -472,7 +472,9 @@ class TestCmdReward:
 
     @pytest.mark.parametrize("field,value", [("lidar_min", "NaN"),
                                              ("d_goal_init", "Infinity"),
-                                             ("goal_angle", "-Infinity")])
+                                             ("goal_angle", "-Infinity"),
+                                             pytest.param("lidar_min", "9" * 400,
+                                                          id="lidar_min-400-digits")])
     def test_non_finite_field_exit_1(self, tmp_path, capsys, field, value):
         fields = {"lidar_min": "10.0", "d_goal_init": "5.0", "d_goal_now": "5.0",
                   "goal_angle": "0.0", "action_linear": "0.26",

@@ -278,6 +278,36 @@ class TestRunExploration:
                 checked += 1
         assert skipped > 20 and checked > 20
 
+    def test_lockstep_beliefs_are_scanner_slots(self, monkeypatch):
+        # Each lockstep run reveals into its slot of the batch's scanner, and
+        # its record keeps a copy of its slot of its own: two runs on one
+        # truth object share neither a slot nor a final belief.
+        scanners, beliefs = [], {}
+        scanner_class, reveal = explorer.BeamScanner, explorer.raycast_reveal
+        monkeypatch.setattr(explorer, "BeamScanner",
+                            lambda *args: scanners.append(scanner_class(*args)) or scanners[-1])
+        monkeypatch.setattr(explorer, "raycast_reveal", lambda belief, *args: (
+            beliefs.setdefault(id(belief), belief), reveal(belief, *args))[1])
+        low, medium = generate_map("low", seed=100), generate_map("medium", seed=100)
+        runs = [(low, pick_start(low, 1), SelectorKind("heuristic")),
+                (medium, pick_start(medium, 1), SelectorKind("nearest")),
+                (low, pick_start(low, 2), SelectorKind("random", 3))]
+        records = explorer.explore_lockstep(runs, PARAMS, LIDAR, KIN, RunLimits(max_ticks=40),
+                                            min_segment_size=1, cost_weight=3.0,
+                                            goal_relax_radius=5)
+        (scanner,) = scanners
+        assert len(beliefs) == len(runs)
+        for belief in beliefs.values():
+            assert np.shares_memory(belief.states, scanner.beliefs)
+            assert np.shares_memory(belief.costs, scanner.costs)
+        finals = [record.final_belief for record in records]
+        for k, (final, slot) in enumerate(zip(finals, scanner.grids)):
+            assert (final.states == slot.states).all() and (final.costs == slot.costs).all()
+            for a in (final.states, final.costs):
+                others = [scanner.beliefs, scanner.costs,
+                          *(b for other in finals[k + 1:] for b in (other.states, other.costs))]
+                assert not any(np.may_share_memory(a, b) for b in others)
+
     def test_huge_inflation_radius_run(self):
         # A radius beyond every grid, whose cell count overflows an int:
         # the kernel is clamped to the grid's extent.

@@ -290,19 +290,20 @@ INFLATIONS = (InflationParams(), InflationParams(0.25, 0.5, 2.0))
 
 def stamp(reveals):
     """One reinflate_window call for every (grid, cells, states), on the
-    buffers of a scanner built from the grids; copies each grid's slot back."""
+    buffers of a scanner built from the grids, each slot seeded from its
+    grid; copies each slot back."""
     scanner = BeamScanner([grid for grid, _, _ in reveals], LidarModel())
     b, at = scanner.border, []
     for k, (grid, cells, states) in enumerate(reveals):
-        scanner.inner[k][0][...], scanner.inner[k][1][...] = grid.states, grid.costs
+        scanner.grids[k].states[...], scanner.grids[k].costs[...] = grid.states, grid.costs
         cj, ci = np.divmod(cells, grid.width)
         at.append(scanner.bounds[k] + (cj + b) * (grid.width + 2 * b) + ci + b)
         scanner.beliefs[at[-1]] = states
     ids, cells = np.repeat(np.arange(len(reveals)), [len(a) for a in at]), np.concatenate(at)
     gridmap.reinflate_window(scanner.beliefs, scanner.costs, cells,
                              scanner.offsets[ids] + cells[:, None], scanner.weights[ids])
-    for k, (grid, _, _) in enumerate(reveals):
-        grid.states[...], grid.costs[...] = scanner.inner[k]
+    for (grid, _, _), slot in zip(reveals, scanner.grids):
+        grid.states[...], grid.costs[...] = slot.states, slot.costs
 
 
 class TestReinflateWindow:
@@ -715,9 +716,11 @@ class TestRaycastReveal:
                            angular_span=data.draw(st.sampled_from([2.0 * math.pi, 1.0]),
                                                   label="span"))
         scanner, masks, cull = BeamScanner([truth], lidar), [], BeamScanner._cull
+        slot = scanner.grids[0]
+        slot.states[...], slot.costs[...] = belief.states, belief.costs
         with mock.patch.object(BeamScanner, "_cull",
                                lambda *args: masks.append(cull(*args)) or masks[-1]):
-            scanner.scan([(0, belief, pose)])
+            scanner.scan([(0, pose)])
         walks = oracle_beam_walks(truth, pose, pose.theta + scanner.beams, lidar.max_range)
         for beam, entered in enumerate(walks):
             if any(belief.states[j, i] == UNKNOWN for i, j in entered):
@@ -739,15 +742,15 @@ class TestRaycastReveal:
 
 
 def assert_march_matches_walks(grid, pose, beams, max_range):
-    # With the belief all Unknown every beam is marched; the scan's march
-    # calls give each beam's cells in the order it entered them.
+    # With the belief (a new slot) all Unknown every beam is marched; the
+    # scan's march calls give each beam's cells in the order it entered them.
     scanner = BeamScanner([grid], LidarModel(beam_count=beams, max_range=max_range))
     angles = pose.theta + scanner.beams
-    belief = OccupancyGrid.unknown(grid.width, grid.height, grid.resolution)
+    assert (scanner.grids[0].states == UNKNOWN).all()
     marched, march = [], gridmap._march
     with mock.patch.object(gridmap, "_march",
                            lambda *args: marched.append(march(*args)) or marched[-1]):
-        scanner.scan([(0, belief, pose)])
+        scanner.scan([(0, pose)])
     cells, counts = (np.concatenate(parts) for parts in zip(*marched))
     walks = oracle_beam_walks(grid, pose, angles, max_range)
     vj, vi = np.divmod(scanner.local[cells], grid.width)
@@ -842,46 +845,47 @@ class TestBeamScanner:
         return runs
 
     def test_batch_equals_batches_of_one(self, rng):
-        # Each run's share, written, leaves the states and costs that a
-        # reveal of the run alone leaves, and the costs of a full inflate.
+        # Each slot, seeded from its run's belief, is left with the states
+        # and costs that a reveal of the run alone leaves, and the costs of
+        # a full inflate; raycast_reveal given the scan's cells writes nothing.
         lidar = LidarModel(beam_count=180, max_range=2.0)
         for _ in range(12):
             runs = self._runs(rng, 8, lidar)
             scanner = BeamScanner([truth for truth, _, _ in runs], lidar)
-            shares = scanner.scan([(k, belief, pose)
-                                   for k, (_, belief, pose) in enumerate(runs)])
-            assert len(shares) == len(runs)
-            for (truth, belief, pose), share in zip(runs, shares):
-                alone = clone_grid(belief)
-                expected = raycast_reveal(alone, truth, pose, lidar)
-                changed = raycast_reveal(belief, truth, pose, lidar, share)
+            for (_, belief, _), slot in zip(runs, scanner.grids):
+                slot.states[...], slot.costs[...] = belief.states, belief.costs
+            found = scanner.scan([(k, pose) for k, (_, _, pose) in enumerate(runs)])
+            assert len(found) == len(runs)
+            for (truth, belief, pose), cells, slot in zip(runs, found, scanner.grids):
+                expected = raycast_reveal(belief, truth, pose, lidar)
+                slot.states.flags.writeable = slot.costs.flags.writeable = False
+                changed = raycast_reveal(slot, truth, pose, lidar, cells)
                 assert [c.tolist() for c in changed] == [c.tolist() for c in expected]
-                assert (belief.states == alone.states).all()
-                assert (belief.costs == alone.costs).all()
-                reference = clone_grid(belief)
-                inflate(reference, *astuple(belief.inflation))
-                assert (reference.costs == belief.costs).all()
+                assert (slot.states == belief.states).all()
+                assert (slot.costs == belief.costs).all()
+                reference = clone_grid(slot)
+                inflate(reference, *astuple(slot.inflation))
+                assert (reference.costs == slot.costs).all()
 
     @pytest.mark.parametrize("where,error", [
         ("past-east-edge", PoseOutOfBoundsError), ("in-obstacle", PoseInsideObstacleError)])
     def test_bad_pose_raises_before_any_read(self, where, error):
         truth = grid_from_rows(["....", ".#..", "...."], resolution=1.0)
         other = grid_from_rows(["...", "...", "...", "..."], resolution=1.0)
-        beliefs = [make_belief_like(t) for t in (truth, truth, other)]
         # Past the east edge, the cell's flat index lies in the next row.
         bad = Pose(4.5, 0.5) if where == "past-east-edge" else Pose(1.5, 1.5)
         scanner = BeamScanner([truth, truth, other], LidarModel(beam_count=8))
         with pytest.raises(error):
-            scanner.scan([(0, beliefs[0], Pose(0.5, 0.5)), (1, beliefs[1], bad),
-                          (2, beliefs[2], Pose(0.5, 0.5))])
-        assert all((b.states == UNKNOWN).all() and (b.costs == 255).all() for b in beliefs)
+            scanner.scan([(0, Pose(0.5, 0.5)), (1, bad), (2, Pose(0.5, 0.5))])
+        assert all((g.states == UNKNOWN).all() and (g.costs == 255).all()
+                   for g in scanner.grids)
 
     def test_belief_with_other_inflation_rejected(self):
         # The stamp uses the truth's kernel, so the belief must share it.
         truth = grid_from_rows(["....", "....", "...."], resolution=1.0)
         belief = OccupancyGrid.unknown(4, 3, 1.0, InflationParams(0.5, 1.0, 1.0))
         with pytest.raises(MapError):
-            BeamScanner([truth], LidarModel(beam_count=8)).scan([(0, belief, Pose(0.5, 0.5))])
+            raycast_reveal(belief, truth, Pose(0.5, 0.5), LidarModel(beam_count=8))
 
     def test_first_round_memory_bounded(self):
         # Without marching in groups, 20 first reveals at once held 5 to 17
@@ -889,16 +893,15 @@ class TestBeamScanner:
         lidar = LidarModel()
         truths = [generate_map(TIERS[k % 3], 100 + k) for k in range(20)]
         poses = [pick_start(truth, 1) for truth in truths]
-        beliefs = [make_belief_like(truth) for truth in truths]
         tracemalloc.start()
         try:
             raycast_reveal(make_belief_like(truths[2]), truths[2], poses[2], lidar)
             one = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
             scanner = BeamScanner(truths, lidar)
-            shares = scanner.scan(list(zip(range(20), beliefs, poses)))
-            for truth, belief, pose, share in zip(truths, beliefs, poses, shares):
-                raycast_reveal(belief, truth, pose, lidar, share)
+            found = scanner.scan(list(zip(range(20), poses)))
+            for truth, slot, pose, cells in zip(truths, scanner.grids, poses, found):
+                raycast_reveal(slot, truth, pose, lidar, cells)
             batch = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
