@@ -4,7 +4,7 @@ Each tick reveals the world through the simulated scanner, samples the
 coverage metric, and advances the robot along its current path. Waypoint
 selection is event driven: the loop re-scores frontiers only when the
 current path is consumed, invalidated by newly revealed obstacles, or its
-target segment disappears from the frontier mask. Runs are pure functions
+target segment no longer borders Unknown space. Runs are pure functions
 of their inputs; repeated runs produce identical records. The run
 matrix over maps, seeds and selectors lives in cli.run_all.
 
@@ -14,10 +14,11 @@ before every reveal. Per round, explore_lockstep makes one batched scan
 filters the beams of all live runs and stamps a cached inflation kernel
 at every run's new cells. A run's belief is its slot, so the scan has
 written the reveal; the run then decides, plans and steps alone. After a
-reveal that changed nothing, the coverage, the frontier mask and the
-path's validity are as they were. The batch shares a reveal's fixed cost
-of numpy calls; a run's record does not depend on its batch.
-run_exploration is a batch of one.
+reveal that changed nothing, the coverage, the target and the path's
+validity are as they were; after any other, only the target's own cells
+are checked. Only a decision builds the frontier mask. The batch shares a
+reveal's fixed cost of numpy calls; a run's record does not depend on its
+batch. run_exploration is a batch of one.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .frontier import FrontierSegment, cluster_segments, detect_frontiers
-from .gridmap import (COST_INSCRIBED, FREE, BeamScanner, LidarModel,
+from .gridmap import (COST_INSCRIBED, FREE, UNKNOWN, BeamScanner, LidarModel,
                       OccupancyGrid, Pose, exploration_rate, raycast_reveal,
                       reachable_free_mask)
 from .gridmap import to_ascii as _grid_ascii
@@ -175,6 +176,18 @@ def _path_cells_valid(belief, waypoints, robot_cell):
                for i, j in cells)
 
 
+def _target_alive(belief, cells):
+    """Whether the frontier mask still marks one of a target's (i, j) cells:
+    they were Free when chosen and known cells never change, so whether one
+    has an Unknown 4-neighbour on the grid."""
+    s, w, h = belief.states, belief.width, belief.height
+    for i, j in cells.tolist():
+        if (i + 1 < w and s[j, i + 1] == UNKNOWN or i > 0 and s[j, i - 1] == UNKNOWN
+                or j + 1 < h and s[j + 1, i] == UNKNOWN or j > 0 and s[j - 1, i] == UNKNOWN):
+            return True
+    return False
+
+
 def _explore(truth: OccupancyGrid, belief: OccupancyGrid, start: Pose,
              selector: SelectorKind, params: HeuristicParams, lidar: LidarModel,
              kin: KinematicState, limits: RunLimits, min_segment_size: int,
@@ -206,11 +219,10 @@ def _explore(truth: OccupancyGrid, belief: OccupancyGrid, start: Pose,
 
         # After a reveal that changed nothing the target is still alive, and
         # the path needs a check only off the cell the last check exempted.
-        mask = detect_frontiers(belief) if changed or not waypoints else None
         robot_cell = belief.world_to_cell(pose.x, pose.y)
         if waypoints:
             if (no_progress >= stuck_limit
-                    or changed and not mask[target_cells[:, 1], target_cells[:, 0]].any()
+                    or changed and not _target_alive(belief, target_cells)
                     or (changed or robot_cell != checked)
                     and not _path_cells_valid(belief, waypoints, robot_cell)):
                 waypoints = []
@@ -218,8 +230,7 @@ def _explore(truth: OccupancyGrid, belief: OccupancyGrid, start: Pose,
             checked = robot_cell
 
         if not waypoints:
-            segments = cluster_segments(detect_frontiers(belief) if mask is None else mask,
-                                        belief, min_segment_size)
+            segments = cluster_segments(detect_frontiers(belief), belief, min_segment_size)
             if not segments:
                 record.outcome = OUTCOME_COMPLETE
                 break

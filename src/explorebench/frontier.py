@@ -1,7 +1,10 @@
 """Frontier detection and clustering on belief grids.
 
 A frontier cell is a Free belief cell with at least one Unknown 4-neighbor;
-detect_frontiers marks them in a bool array shaped like the belief states.
+detect_frontiers marks them in a bool array shaped like the belief states,
+reading only the box of the known cells grown by one cell (gridmap.known_box):
+every cell outside the known box is Unknown, and the grown box holds each
+4-neighbor on the grid of every Free cell.
 Marked cells are grouped into 8-connected segments; each segment is
 summarized by the geometry the waypoint scorer consumes: world-space
 centroid, total length, and the radius that encloses all its cells.
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .gridmap import FREE, UNKNOWN, OccupancyGrid, adjacent_to
+from .gridmap import FREE, UNKNOWN, OccupancyGrid, adjacent_to, known_box
 
 _EIGHT_CONNECTED = np.ones((3, 3), dtype=bool)
 
@@ -42,7 +45,11 @@ class FrontierSegment:
 
 def detect_frontiers(belief: OccupancyGrid) -> np.ndarray:
     """Mark Free cells that border Unknown space (4-connectivity)."""
-    return (belief.states == FREE) & adjacent_to(belief.states == UNKNOWN)
+    marks = np.zeros(belief.states.shape, dtype=bool)
+    if (box := known_box(belief.states, 1)) is not None:
+        s = belief.states[box]
+        marks[box] = (s == FREE) & adjacent_to(s == UNKNOWN)
+    return marks
 
 
 def cluster_segments(marks: np.ndarray, belief: OccupancyGrid,
@@ -53,22 +60,21 @@ def cluster_segments(marks: np.ndarray, belief: OccupancyGrid,
     (centroid y, centroid x), then by first cell, so segment indices are
     stable regardless of label discovery order.
 
-    Only the bounding box of the marks is labelled, and the box offset is
-    added back to the cell indices. Unmarked rows and columns join no two
-    cells, and a raster scan of the box meets the cells in their whole-grid
-    flat-index order, so the segments are those of the whole grid. Each
-    label's size, mean cell and radius come from one reduceat over the
-    cells sorted by label (each label's in raster order), not a loop.
+    Only the bounding box of the marks (gridmap.known_box) is labelled, and
+    the box offset is added back to the cell indices. Unmarked rows and
+    columns join no two cells, and a raster scan of the box meets the cells
+    in their whole-grid flat-index order, so the segments are those of the
+    whole grid. Each label's size, mean cell and radius come from one
+    reduceat over the cells sorted by label (each label's in raster order),
+    not a loop.
     """
     if marks.shape != belief.states.shape:
         raise ValueError("mask dimensions do not match belief grid")
     width = belief.width
-    rows, cols = (np.flatnonzero(marks.any(axis=axis)) for axis in (1, 0))
-    if len(rows) == 0:
+    if (box := known_box(marks)) is None:
         return []
-    j0, i0 = int(rows[0]), int(cols[0])
-    labels, _ = ndimage.label(marks[j0:rows[-1] + 1, i0:cols[-1] + 1],
-                              structure=_EIGHT_CONNECTED)
+    j0, i0 = box[0].start, box[1].start
+    labels, _ = ndimage.label(marks[box], structure=_EIGHT_CONNECTED)
     jj, ii = np.nonzero(labels)
     lab = labels[jj, ii]
     by_label = np.argsort(lab, kind="stable")

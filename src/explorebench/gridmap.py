@@ -471,6 +471,19 @@ def adjacent_to(mask: np.ndarray) -> np.ndarray:
     return out
 
 
+def known_box(states: np.ndarray, ring: int = 0):
+    """Slices of the box of the nonzero (known) cells grown by ring cells and
+    clipped to the grid, or None when no cell is known. The rows come from a
+    max over each row; the columns only from the band of those rows."""
+    rows = states.max(axis=1).nonzero()[0]
+    if len(rows) == 0:
+        return None
+    cols = states[rows[0]:rows[-1] + 1].max(axis=0).nonzero()[0]
+    (j0, j1), (i0, i1), (h, w) = rows[[0, -1]].tolist(), cols[[0, -1]].tolist(), states.shape
+    return (slice(max(j0 - ring, 0), min(j1 + 1 + ring, h)),
+            slice(max(i0 - ring, 0), min(i1 + 1 + ring, w)))
+
+
 # Padding of each candidate's beam interval (radians) and of its range test
 # (cells); it covers the rounding of atan2, of the beam angles and of the
 # march's crossings.

@@ -8,19 +8,20 @@ away from inflated regions. Diagonal steps require both adjacent cardinal
 cells to be traversable (no corner cutting).
 
 A* only enters traversable cells, which are known, so it searches flat
-indices of the bounding box of the known cells and the start, ringed by one
-untraversable cell no step can cross. traversable_mask takes that box, and
-the goal relaxes on the box's mask. Its traversable flags and uint8 costs
-are two bytes objects; g is a flat list and the closed set a bytearray over
-the same indices. Each expansion reads its four cardinal flags once, then
-takes the eight steps written out in a fixed order: E, W, S, N, then SE,
-NE, SW, NW, each diagonal only when both of its cardinal flags are set.
-Edge weights come from a table per step length indexed by cost. The octile
-heuristic of every box cell is one float64 table, built with numpy from the
-IEEE operations of the max/min expression and read through a memoryview; it
-costs the box's area, which the ring already pays. Every edge weight, sum
-and f is the same IEEE operation as in a whole-grid search, and the (f,
-push counter) heap order is the same, so paths and costs match it.
+indices of the bounding box of the known cells (gridmap.known_box) and the
+start, ringed by one untraversable cell no step can cross. traversable_mask
+takes that box, and the goal relaxes on the box's mask. Its traversable
+flags and uint8 costs are two bytes objects; g is a flat list and the
+closed set a bytearray over the same indices. Each expansion reads its
+four cardinal flags once, then takes the eight steps written out in a
+fixed order: E, W, S, N, then SE, NE, SW, NW, each diagonal only when both
+of its cardinal flags are set. Edge weights come from a table per step
+length indexed by cost. The octile heuristic of every box cell is one
+float64 table, built with numpy from the IEEE operations of the max/min
+expression and read through a memoryview; it costs the box's area, which
+the ring already pays. Every edge weight, sum and f is the same IEEE
+operation as in a whole-grid search, and the (f, push counter) heap order
+is the same, so paths and costs match it.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gridmap import (COST_INSCRIBED, FREE, OCCUPIED, REMAPPED, OccupancyGrid,
-                      Pose, wrap_angle)
+                      Pose, known_box, wrap_angle)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -107,11 +108,9 @@ def plan_path(belief: OccupancyGrid, start: Pose, to_world: tuple[float, float],
         raise NoPathError(f"start cell ({si}, {sj}) is not usable")
     # The box of the known cells and the start, at (bi, bj); no other cell
     # is traversable.
-    known = [belief.states.max(axis=axis) for axis in (1, 0)]
-    known[0][sj] = known[1][si] = 1
-    rows, cols = (np.flatnonzero(k) for k in known)
-    bi, bj = int(cols[0]), int(rows[0])
-    box = np.s_[bj:rows[-1] + 1, bi:cols[-1] + 1]
+    rows, cols = known_box(belief.states) or np.s_[sj:sj + 1, si:si + 1]
+    bi, bj = min(cols.start, si), min(rows.start, sj)
+    box = np.s_[bj:max(rows.stop, sj + 1), bi:max(cols.stop, si + 1)]
     trav = traversable_mask(belief, box)
     trav[sj - bj, si - bi] = True
     bh, bw = trav.shape

@@ -1,4 +1,6 @@
 import math
+import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,13 +12,14 @@ from explorebench.config import parse_config
 from explorebench.explorer import (OUTCOME_COMPLETE, RunLimits, SelectorKind,
                                    aggregate_results, rank_segments,
                                    run_exploration)
-from explorebench.frontier import FrontierSegment
+from explorebench.frontier import FrontierSegment, detect_frontiers
 from explorebench.gridmap import (FREE, UNKNOWN, InflationParams, LidarModel,
-                                  Pose, inflate, reachable_free_mask)
+                                  OccupancyGrid, Pose, inflate, reachable_free_mask)
 from explorebench.mapgen import TIERS, generate_map, pick_start
 from explorebench.navigator import KinematicState
 from explorebench.scoring import HeuristicParams, NoFrontiersError
 
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 LIDAR = LidarModel(beam_count=360, max_range=2.5)
 KIN = KinematicState(v_max=0.5, w_max=2.0, dt=0.25)
 PARAMS = HeuristicParams()
@@ -238,8 +241,9 @@ class TestRunExploration:
     def test_tick_after_empty_reveal_skips_rechecks(self, monkeypatch):
         # While a path is followed, a tick after a reveal that changed
         # nothing, with the robot on the cell of the last tick, calls
-        # neither detect_frontiers nor _path_cells_valid; after a reveal
-        # that changed something, it calls both.
+        # neither _target_alive nor _path_cells_valid; after a reveal that
+        # changed something, it calls both. Only a tick that decides builds
+        # the frontier mask.
         events, reveal = [], explorer.raycast_reveal
 
         def log(name, fn):
@@ -251,11 +255,11 @@ class TestRunExploration:
             return changed
 
         monkeypatch.setattr(explorer, "raycast_reveal", logged_reveal)
-        for name in ("detect_frontiers", "_path_cells_valid"):
+        for name in ("detect_frontiers", "_target_alive", "_path_cells_valid"):
             monkeypatch.setattr(explorer, name, log(name, getattr(explorer, name)))
         truth = generate_map("medium", seed=100)
         record = run(truth, pick_start(truth, 1), "nearest")
-        # ticks[t]: the reveal before tick t, and the calls tick t made.
+        # ticks[t]: the reveal that ends tick t, and the calls tick t made.
         ticks, calls = [], []
         for event in events:
             if isinstance(event, tuple):
@@ -265,6 +269,10 @@ class TestRunExploration:
                 calls.append(event)
         ticks.append((None, calls))
         decided = {d.tick for d in record.decisions}
+        assert len(decided) > 5
+        # The last tick may find no segment to decide on and end the run.
+        for t in range(1, len(ticks) - 1):
+            assert ticks[t][1].count("detect_frontiers") == (t in decided), t
         skipped = checked = 0
         for t in range(2, len(ticks) - 1):
             (size, cell), calls = ticks[t - 1][0], ticks[t][1]
@@ -274,9 +282,48 @@ class TestRunExploration:
                 assert calls == [], t
                 skipped += 1
             elif size:
-                assert calls == ["detect_frontiers", "_path_cells_valid"], t
+                assert calls == ["_target_alive", "_path_cells_valid"], t
                 checked += 1
         assert skipped > 20 and checked > 20
+
+    @pytest.mark.parametrize("name, seeds", [("benchmark", [1, 2]), ("corridors", None)],
+                             ids=["benchmark", "corridors"])
+    def test_target_check_matches_frontier_mask(self, monkeypatch, name, seeds):
+        # Each answer of the loop's check of a live target equals the
+        # whole-grid frontier mask read at the target's cells, on the
+        # benchmark's 20 maps (two of its five start seeds) and on the
+        # bundled corridors.
+        answers, alive = [], explorer._target_alive
+
+        def checked(belief, cells):
+            got = alive(belief, cells)
+            assert got == detect_frontiers(belief)[cells[:, 1], cells[:, 0]].any()
+            answers.append(bool(got))
+            return got
+
+        monkeypatch.setattr(explorer, "_target_alive", checked)
+        monkeypatch.chdir(ROOT)
+        with open(os.path.join("configs", f"{name}.cfg")) as f:
+            cfg = parse_config(f.read())
+        run_all(replace(cfg, seeds=seeds or cfg.seeds), jobs=1)
+        assert answers.count(True) > 1000 and answers.count(False) > 100
+
+    def test_target_check_on_random_grids(self, rng):
+        # Targets of random Free cells on small random grids, whose edges
+        # hold Free cells, as the corpus maps' borders never do.
+        answers = []
+        for _ in range(400):
+            h, w = (int(n) for n in rng.randint(1, 7, size=2))
+            states = rng.choice([UNKNOWN, FREE, FREE, 2], size=(h, w)).astype(np.uint8)
+            free = np.argwhere(states == FREE)[:, ::-1]
+            if len(free) == 0:
+                continue
+            cells = free[rng.permutation(len(free))[:rng.randint(1, len(free) + 1)]]
+            belief = OccupancyGrid(w, h, 0.25, states, np.zeros_like(states))
+            expected = bool(detect_frontiers(belief)[cells[:, 1], cells[:, 0]].any())
+            assert explorer._target_alive(belief, cells) == expected, (states, cells)
+            answers.append(expected)
+        assert answers.count(True) > 50 and answers.count(False) > 50
 
     def test_lockstep_beliefs_are_scanner_slots(self, monkeypatch):
         # Each lockstep run reveals into its slot of the batch's scanner, and

@@ -95,6 +95,51 @@ class TestDetect:
         assert (detect_frontiers(belief) == brute_force_marks(belief)).all()
 
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_sparse_known_matches_brute_force(self, data):
+        # A mostly Unknown grid holding one small known blob, so the box that
+        # detect_frontiers reads is a small part of the grid.
+        w = data.draw(st.integers(1, 64), label="width")
+        h = data.draw(st.integers(1, 64), label="height")
+        bw = data.draw(st.integers(1, min(w, 6)), label="blob width")
+        bh = data.draw(st.integers(1, min(h, 6)), label="blob height")
+        i0 = data.draw(st.integers(0, w - bw), label="blob column")
+        j0 = data.draw(st.integers(0, h - bh), label="blob row")
+        blob = data.draw(st.lists(st.sampled_from([UNKNOWN, FREE, 2]),
+                                  min_size=bw * bh, max_size=bw * bh), label="blob")
+        states = np.zeros((h, w), dtype=np.uint8)
+        states[j0:j0 + bh, i0:i0 + bw] = np.array(blob).reshape(bh, bw)
+        belief = OccupancyGrid(w, h, 0.25, states, np.zeros_like(states))
+        assert (detect_frontiers(belief) == brute_force_marks(belief)).all()
+
+    @pytest.mark.parametrize("h, w", [(9, 12), (1, 12), (12, 1), (1, 1), (2, 2)])
+    def test_blobs_at_edges_and_corners(self, rng, h, w):
+        # A known blob at each corner, at the middle of each edge and inside,
+        # on grids that are 1 x N and N x 1 too; then the all-Unknown grid and
+        # all-known grids.
+        def check(states):
+            belief = OccupancyGrid(w, h, 0.25, states, np.zeros_like(states))
+            marks = detect_frontiers(belief)
+            assert (marks == brute_force_marks(belief)).all(), states
+            return marks
+
+        bh, bw = min(h, 3), min(w, 3)
+        for j0 in sorted({0, (h - bh) // 2, h - bh}):
+            for i0 in sorted({0, (w - bw) // 2, w - bw}):
+                for _ in range(4):
+                    states = np.zeros((h, w), dtype=np.uint8)
+                    states[j0:j0 + bh, i0:i0 + bw] = rng.choice(
+                        [UNKNOWN, FREE, FREE, 2], size=(bh, bw))
+                    check(states)
+                states = np.zeros((h, w), dtype=np.uint8)
+                states[j0:j0 + bh, i0:i0 + bw] = FREE
+                assert check(states).any() == (bh < h or bw < w)
+        assert not check(np.zeros((h, w), dtype=np.uint8)).any()
+        assert not check(np.full((h, w), FREE, dtype=np.uint8)).any()
+        assert not check(rng.choice([FREE, 2], size=(h, w)).astype(np.uint8)).any()
+
+
 class TestCluster:
     def test_diagonal_cells_one_segment(self):
         belief = grid_from_rows(["?????", "?.???", "??.??", "?????"])

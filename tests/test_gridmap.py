@@ -22,7 +22,7 @@ from explorebench.gridmap import (COST_INSCRIBED, COST_LETHAL, COST_UNKNOWN,
                                   PoseInsideObstacleError,
                                   PoseOutOfBoundsError, StartUnreachableError,
                                   ZeroResolutionError, adjacent_to,
-                                  exploration_rate, inflate,
+                                  exploration_rate, inflate, known_box,
                                   load_belief, load_map, load_map_file,
                                   raycast_reveal, reachable_free_mask,
                                   remap_costs, to_ascii, wrap_angle)
@@ -957,6 +957,41 @@ def test_adjacent_to_matches_reference(rng):
         short += min(mask.shape[-2:]) <= 2
         assert (adjacent_to(mask) == reference_adjacent(mask)).all(), mask.shape
     assert short >= 100 and transposed >= 100
+
+
+class TestKnownBox:
+    def test_none_when_nothing_known(self):
+        assert known_box(np.zeros((4, 5), dtype=np.uint8)) is None
+        assert known_box(np.zeros((1, 1), dtype=np.uint8), ring=3) is None
+
+    def test_ring_clipped_at_each_edge(self):
+        # One known cell beside each edge of a 6 x 8 grid, ringed by two.
+        for (j, i), rows, cols in (((0, 3), (0, 3), (1, 6)), ((5, 3), (3, 6), (1, 6)),
+                                   ((2, 0), (0, 5), (0, 3)), ((2, 7), (0, 5), (5, 8)),
+                                   ((0, 0), (0, 3), (0, 3)), ((5, 7), (3, 6), (5, 8))):
+            states = np.zeros((6, 8), dtype=np.uint8)
+            states[j, i] = FREE
+            assert known_box(states, ring=2) == np.s_[slice(*rows), slice(*cols)], (j, i)
+            assert known_box(states) == np.s_[j:j + 1, i:i + 1]
+        assert known_box(np.full((6, 8), OCCUPIED, dtype=np.uint8), ring=1) == np.s_[0:6, 0:8]
+
+    def test_matches_nonzero_box(self, rng):
+        empty = 0
+        for _ in range(400):
+            h, w = (int(n) for n in rng.randint(1, 41, size=2))
+            density = rng.choice([0.002, 0.02, 0.2])
+            states = np.where(rng.rand(h, w) < density, rng.randint(1, 3, size=(h, w)),
+                              UNKNOWN).astype(np.uint8)
+            ring = int(rng.randint(0, 4))
+            jj, ii = np.nonzero(states)
+            if len(jj) == 0:
+                assert known_box(states, ring) is None
+                empty += 1
+                continue
+            j0, j1, i0, i1 = (int(x) for x in (jj.min(), jj.max() + 1, ii.min(), ii.max() + 1))
+            assert known_box(states, ring) == np.s_[max(j0 - ring, 0):min(j1 + ring, h),
+                                                    max(i0 - ring, 0):min(i1 + ring, w)]
+        assert 20 <= empty <= 200
 
 
 # ---------------------------------------------------------------------------
