@@ -320,16 +320,20 @@ def to_ascii(grid: OccupancyGrid) -> str:
 # ---------------------------------------------------------------------------
 
 def _inflation_costs(states, resolution, inscribed_radius, inflation_radius, decay_rate):
-    """Cost array for a state window (Euclidean cell-center distances)."""
+    """Cost array for a state window (Euclidean cell-center distances), set in
+    the box of the Occupied cells grown by the radius (clamped to the window):
+    no cell outside it is in reach, and each inside has its nearest obstacle in it."""
     occupied = states == OCCUPIED
     costs = np.zeros(states.shape, dtype=np.uint8)
-    if occupied.any():
+    box = known_box(occupied, math.ceil(min(inflation_radius / resolution, max(states.shape))))
+    if box is not None:
+        occupied, near = occupied[box], costs[box]
         dist = ndimage.distance_transform_edt(~occupied) * resolution
         band = (dist > inscribed_radius) & (dist <= inflation_radius)
         decayed = np.floor(252.0 * np.exp(-decay_rate * (dist[band] - inscribed_radius)) + 0.5)
-        costs[band] = decayed.astype(np.uint8)
-        costs[(dist <= inscribed_radius) & ~occupied] = COST_INSCRIBED
-        costs[occupied] = COST_LETHAL
+        near[band] = decayed.astype(np.uint8)
+        near[dist <= inscribed_radius] = COST_INSCRIBED  # Occupied cells too, till the next line
+        near[occupied] = COST_LETHAL
     costs[states == UNKNOWN] = COST_UNKNOWN
     return costs
 
@@ -343,6 +347,8 @@ def inflate(grid: OccupancyGrid, inscribed_radius: float, inflation_radius: floa
     (inscribed_radius, inflation_radius] get round(252 * exp(-decay_rate *
     (d - inscribed_radius))), everything farther is 0. Unknown cells keep
     the COST_UNKNOWN marker. Distances are Euclidean between cell centers.
+    The distance transform covers only the obstacles' box grown by
+    inflation_radius, not the grid, so a mostly Unknown belief costs little.
     """
     grid.inflation = InflationParams(inscribed_radius, inflation_radius, decay_rate)
     grid.costs[...] = _inflation_costs(
@@ -472,10 +478,12 @@ def adjacent_to(mask: np.ndarray) -> np.ndarray:
 
 
 def known_box(states: np.ndarray, ring: int = 0):
-    """Slices of the box of the nonzero (known) cells grown by ring cells and
-    clipped to the grid, or None when no cell is known. The rows come from a
-    max over each row; the columns only from the band of those rows."""
-    rows = states.max(axis=1).nonzero()[0]
+    """Slices of the box of the nonzero (known) cells of a uint8 or bool array
+    grown by ring cells and clipped to the grid, or None when no cell is
+    known. The rows come from a max over each row, read as bytes; the columns
+    only from the band of those rows."""
+    states = states.view(np.uint8)
+    rows = states.max(axis=1, initial=0).nonzero()[0]
     if len(rows) == 0:
         return None
     cols = states[rows[0]:rows[-1] + 1].max(axis=0).nonzero()[0]

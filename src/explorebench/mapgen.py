@@ -14,8 +14,8 @@ import random
 import numpy as np
 from scipy import ndimage
 
-from .gridmap import (FREE, OCCUPIED, InflationParams, OccupancyGrid, Pose,
-                      StartUnreachableError, grid_from_states)
+from .gridmap import (_FOUR_CONNECTED, FREE, OCCUPIED, InflationParams, OccupancyGrid,
+                      Pose, StartUnreachableError, grid_from_states)
 
 TIERS = ("low", "medium", "high")
 
@@ -67,7 +67,7 @@ def _scatter_boxes(occ, rng, count):
 
 def _is_connected(occ) -> bool:
     """True when the free cells form exactly one 4-connected component."""
-    _, count = ndimage.label(occ == FREE, structure=ndimage.generate_binary_structure(2, 1))
+    _, count = ndimage.label(occ == FREE, structure=_FOUR_CONNECTED)
     return count == 1
 
 

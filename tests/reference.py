@@ -8,14 +8,32 @@ import heapq
 import math
 
 import numpy as np
+from scipy import ndimage
 
-from explorebench.gridmap import OCCUPIED, REMAPPED
+from explorebench.gridmap import (COST_INSCRIBED, COST_LETHAL, COST_UNKNOWN,
+                                  OCCUPIED, REMAPPED, UNKNOWN)
 from explorebench.navigator import (SQRT2, NoPathError, _nearest_traversable,
                                     traversable_mask)
 
 # Neighbour order of the search: E, W, S, N, then SE, NE, SW, NW.
 STEPS = ((1, 0, 1.0), (-1, 0, 1.0), (0, 1, 1.0), (0, -1, 1.0),
          (1, 1, SQRT2), (1, -1, SQRT2), (-1, 1, SQRT2), (-1, -1, SQRT2))
+
+
+def reference_inflation_costs(states, resolution, inscribed_radius, inflation_radius,
+                              decay_rate):
+    """gridmap.inflate's costs from one distance transform over the whole grid."""
+    occupied = states == OCCUPIED
+    costs = np.zeros(states.shape, dtype=np.uint8)
+    if occupied.any():
+        dist = ndimage.distance_transform_edt(~occupied) * resolution
+        band = (dist > inscribed_radius) & (dist <= inflation_radius)
+        decayed = np.floor(252.0 * np.exp(-decay_rate * (dist[band] - inscribed_radius)) + 0.5)
+        costs[band] = decayed.astype(np.uint8)
+        costs[(dist <= inscribed_radius) & ~occupied] = COST_INSCRIBED
+        costs[occupied] = COST_LETHAL
+    costs[states == UNKNOWN] = COST_UNKNOWN
+    return costs
 
 
 def reference_plan(belief, start, to_world, cost_weight, goal_relax_radius):

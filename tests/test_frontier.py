@@ -83,6 +83,11 @@ class TestDetect:
         belief = grid_from_rows(["?????", "?###?", "?#.#?", "?###?", "?????"])
         assert not detect_frontiers(belief).any()
 
+    def test_zero_size_grid(self):
+        for h, w in ((3, 0), (0, 3), (0, 0)):
+            marks = detect_frontiers(OccupancyGrid.unknown(w, h, 0.25))
+            assert marks.shape == (h, w)
+
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_matches_brute_force(self, data):

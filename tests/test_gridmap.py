@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import STATE_CHARS, clone_grid, grid_from_rows, remap_cost
-from reference import reference_adjacent
+from reference import reference_adjacent, reference_inflation_costs
 from explorebench import gridmap
 from explorebench.mapgen import TIERS, generate_map, pick_start
 from explorebench.gridmap import (COST_INSCRIBED, COST_LETHAL, COST_UNKNOWN,
@@ -257,6 +257,42 @@ class TestInflate:
                     else:
                         expected = 0
                     assert grid.costs[j, i] == expected, (i, j)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_whole_grid_oracle(self, data):
+        # A mostly Unknown grid whose obstacles lie only in a sub-box (often
+        # on an edge), one obstacle, or none; radii that are exact multiples
+        # of the cell, arbitrary, or beyond any grid.
+        h, w = data.draw(st.integers(1, 120)), data.draw(st.integers(1, 120))
+        res = data.draw(st.sampled_from((0.05, 0.1, 0.25, 0.5, 1.0)))
+        radius = data.draw(st.one_of(st.integers(1, 12).map(lambda k: k * res),
+                                     st.floats(0.01, 4.0), st.sampled_from((1e308, math.inf))))
+        inscribed = data.draw(st.floats(0.01, min(radius, 2.0)))
+        rate = data.draw(st.floats(0.05, 3.0))
+        rng = np.random.RandomState(data.draw(st.integers(0, 2**32 - 1)))
+        states = np.where(rng.rand(h, w) < data.draw(st.sampled_from((0.5, 0.8, 0.95))),
+                          UNKNOWN, FREE).astype(np.uint8)
+        obstacles = data.draw(st.sampled_from(("none", "one", "box")))
+        if obstacles == "one":
+            states[rng.randint(h), rng.randint(w)] = OCCUPIED
+        elif obstacles == "box":
+            j0 = data.draw(st.one_of(st.just(0), st.integers(0, h - 1)))
+            j1 = data.draw(st.one_of(st.just(h), st.integers(j0 + 1, h)))
+            i0 = data.draw(st.one_of(st.just(0), st.integers(0, w - 1)))
+            i1 = data.draw(st.one_of(st.just(w), st.integers(i0 + 1, w)))
+            box = states[j0:j1, i0:i1]
+            box[rng.rand(*box.shape) < data.draw(st.sampled_from((0.01, 0.1, 0.5)))] = OCCUPIED
+        grid = OccupancyGrid(w, h, res, states, np.zeros_like(states))
+        inflate(grid, inscribed, radius, rate)
+        expected = reference_inflation_costs(states, res, inscribed, radius, rate)
+        assert (grid.costs == expected).all()
+
+    def test_zero_size_grid(self):
+        for h, w in ((3, 0), (0, 3), (0, 0)):
+            grid = OccupancyGrid.unknown(w, h, 0.25)
+            inflate(grid, *astuple(InflationParams()))
+            assert grid.costs.shape == (h, w)
 
     def test_monotone_in_distance(self):
         rows = ["." * 15 for _ in range(1)]
@@ -963,6 +999,9 @@ class TestKnownBox:
     def test_none_when_nothing_known(self):
         assert known_box(np.zeros((4, 5), dtype=np.uint8)) is None
         assert known_box(np.zeros((1, 1), dtype=np.uint8), ring=3) is None
+        for shape in ((3, 0), (0, 3), (0, 0)):
+            assert known_box(np.zeros(shape, dtype=np.uint8)) is None
+            assert known_box(np.zeros(shape, dtype=bool), ring=2) is None
 
     def test_ring_clipped_at_each_edge(self):
         # One known cell beside each edge of a 6 x 8 grid, ringed by two.
@@ -991,6 +1030,7 @@ class TestKnownBox:
             j0, j1, i0, i1 = (int(x) for x in (jj.min(), jj.max() + 1, ii.min(), ii.max() + 1))
             assert known_box(states, ring) == np.s_[max(j0 - ring, 0):min(j1 + ring, h),
                                                     max(i0 - ring, 0):min(i1 + ring, w)]
+            assert known_box(states != UNKNOWN, ring) == known_box(states, ring)
         assert 20 <= empty <= 200
 
 
