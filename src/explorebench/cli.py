@@ -68,15 +68,10 @@ def _artifact_stem(map_name, selector, seed) -> str:
 def _write_artifacts(outdir, result: RunResult, emit):
     stem = os.path.join(outdir, _artifact_stem(result.map_name, result.selector,
                                                result.seed))
-    if "json" in emit:
-        with open(stem + ".json", "w") as f:
-            f.write(record_json(result.record))
-    if "csv" in emit:
-        with open(stem + ".csv", "w") as f:
-            f.write(samples_csv(result.record))
-    if "svg" in emit:
-        with open(stem + ".svg", "w") as f:
-            f.write(run_svg(result.record))
+    for ext, writer in (("json", record_json), ("csv", samples_csv), ("svg", run_svg)):
+        if ext in emit:
+            with open(f"{stem}.{ext}", "w") as f:
+                f.write(writer(result.record))
 
 
 def run_all(cfg: ExperimentConfig, jobs: int = 1) -> list[RunResult]:

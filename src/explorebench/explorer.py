@@ -201,18 +201,19 @@ def _explore(truth: OccupancyGrid, belief: OccupancyGrid, start: Pose,
                        start=Pose(start.x, start.y, start.theta))
 
     rate = cumdist = 0.0  # no cell is known yet; only a change moves the rate
-    cells = yield pose
-    if changed := raycast_reveal(belief, truth, pose, lidar, cells)[0].size:
-        rate = exploration_rate(belief, reachable)
-    record.samples.append((0.0, pose.x, pose.y, pose.theta, cumdist, rate))
-
     waypoints: list[tuple[float, float]] = []
     no_progress = 0
     # Enough ticks for a half turn in place, the most that turning toward
     # any waypoint takes, plus slack.
     stuck_limit = int(math.pi / (kin.w_max * kin.dt)) + 8
 
-    for tick in range(1, limits.max_ticks + 1):
+    for tick in range(limits.max_ticks + 1):
+        cells = yield pose
+        if changed := raycast_reveal(belief, truth, pose, lidar, cells)[0].size:
+            rate = exploration_rate(belief, reachable)
+        record.samples.append((tick * kin.dt, pose.x, pose.y, pose.theta, cumdist, rate))
+        if tick == limits.max_ticks:
+            break
         if rate >= limits.expr_target:
             record.outcome = OUTCOME_COMPLETE
             break
@@ -254,16 +255,12 @@ def _explore(truth: OccupancyGrid, belief: OccupancyGrid, start: Pose,
                 break
             seg = segments[chosen]
             target_cells, checked = seg.cells, None
-            record.decisions.append(Decision(tick, chosen, seg.centroid, breakdowns))
+            # The step below lands at tick + 1, the decision's tick.
+            record.decisions.append(Decision(tick + 1, chosen, seg.centroid, breakdowns))
 
         moved = kin_advance(pose, kin, waypoints, belief)
         cumdist += moved
         no_progress = 0 if moved > 0.0 else no_progress + 1
-
-        cells = yield pose
-        if changed := raycast_reveal(belief, truth, pose, lidar, cells)[0].size:
-            rate = exploration_rate(belief, reachable)
-        record.samples.append((tick * kin.dt, pose.x, pose.y, pose.theta, cumdist, rate))
     record.final_belief = replace(belief, states=belief.states.copy(), costs=belief.costs.copy())
     return record
 
@@ -325,15 +322,6 @@ def aggregate_results(results: list[RunResult],
         key = (r.map_name, r.selector.label()) if by_map else (r.selector.label(),)
         groups.setdefault(key, []).append(r)
 
-    def stats(values):
-        arr = np.asarray(values, dtype=np.float64)
-        return {
-            "mean": float(arr.mean()),
-            "min": float(arr.min()),
-            "max": float(arr.max()),
-            "std": float(arr.std()),
-        }
-
     rows = []
     for key in sorted(groups):
         runs = groups[key]
@@ -343,13 +331,10 @@ def aggregate_results(results: list[RunResult],
             "runs": len(runs),
             "complete": sum(1 for r in runs if r.record.outcome == OUTCOME_COMPLETE),
         }
-        for metric, getter in (
-            ("dist", lambda r: r.record.total_distance),
-            ("time", lambda r: r.record.total_time),
-            ("expr", lambda r: r.record.final_rate),
-        ):
-            s = stats([getter(r) for r in runs])
-            for stat_name, value in s.items():
-                row[f"{metric}_{stat_name}"] = value
+        for metric, attr in (("dist", "total_distance"), ("time", "total_time"),
+                             ("expr", "final_rate")):
+            arr = np.array([getattr(r.record, attr) for r in runs], dtype=np.float64)
+            for stat in ("mean", "min", "max", "std"):
+                row[f"{metric}_{stat}"] = float(getattr(arr, stat)())
         rows.append(row)
     return rows

@@ -105,6 +105,8 @@ class InflationParams:
                 f"need 0 < inscribed_radius <= inflation_radius, got "
                 f"{self.inscribed_radius} and {self.inflation_radius}"
             )
+        if not (self.decay_rate >= 0.0):  # a cost may only fall with distance
+            raise MapError(f"decay_rate must be >= 0, got {self.decay_rate}")
 
 
 @dataclass

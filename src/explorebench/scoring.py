@@ -125,32 +125,40 @@ def distance_score(d: float, params: HeuristicParams) -> float:
     return min(score, _ONE_BELOW_1)
 
 
-def occupancy_score(segment: FrontierSegment, belief: OccupancyGrid,
-                    params: HeuristicParams) -> float:
-    """Mean remapped cost over the segment's enclosing disk, scaled by sech.
+def _occupancy_scores(segments: list[FrontierSegment], belief: OccupancyGrid,
+                      params: HeuristicParams) -> list[float]:
+    """Every segment's O from one gather: the mean remapped cost over the
+    in-bounds cells whose centers lie within radius_r of the centroid
+    (radius_r clamped up to one resolution, so the disk holds the centroid
+    cell; an empty disk scores 0), times sech of the scaled frontier length.
 
-    The disk is every in-bounds cell whose center lies within radius_r of
-    the centroid (radius_r clamped up to one resolution so the disk always
-    holds the centroid cell), and the average divides by the in-bounds cell
-    count. The sech factor discounts long frontiers.
+    The segments' boxes of candidate cells are laid end to end, each row by
+    row; one in-disk test and one REMAPPED lookup read every disk, and each
+    O sums its own slice pairwise, as np.mean does.
     """
     res = belief.resolution
-    r = max(segment.radius_r, res)
-    xf, yf = segment.centroid
-    # Bounding box of candidate cells, then an exact center-in-disk mask.
-    i_lo = max(0, int(math.floor((xf - r) / res - 0.5)))
-    i_hi = min(belief.width - 1, int(math.ceil((xf + r) / res - 0.5)))
-    j_lo = max(0, int(math.floor((yf - r) / res - 0.5)))
-    j_hi = min(belief.height - 1, int(math.ceil((yf + r) / res - 0.5)))
-    if i_lo > i_hi or j_lo > j_hi:
-        return 0.0
-    cx, cy = belief.cell_center(np.arange(i_lo, i_hi + 1), np.arange(j_lo, j_hi + 1))
-    in_disk = (cx[None, :] - xf) ** 2 + (cy[:, None] - yf) ** 2 <= r * r
-    if not in_disk.any():
-        return 0.0
-    window = belief.costs[j_lo : j_hi + 1, i_lo : i_hi + 1]
-    mean_m = float(REMAPPED[window[in_disk]].mean())
-    return mean_m * _sech(params.af_scale * segment.length_af)
+    geo = np.array([(seg.radius_r, *seg.centroid) for seg in segments]).reshape(-1, 3).T
+    r, xy = np.maximum(geo[0], res), geo[1:]
+    # Each disk's box of candidate cells, clipped to the grid.
+    lo = np.maximum(0, np.floor((xy - r) / res - 0.5))
+    hi = np.minimum([[belief.width - 1], [belief.height - 1]], np.ceil((xy + r) / res - 0.5))
+    (i_lo, j_lo), (w, h) = lo.astype(np.intp), np.maximum(hi - lo + 1, 0).astype(np.intp)
+    n = w * h
+    owner = np.repeat(np.arange(len(segments)), n)
+    dj, di = np.divmod(np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n), w[owner])
+    i, j = di + i_lo[owner], dj + j_lo[owner]
+    cx, cy = belief.cell_center(i, j)
+    in_disk = (cx - xy[0, owner]) ** 2 + (cy - xy[1, owner]) ** 2 <= (r * r)[owner]
+    vals = REMAPPED[belief.costs[j[in_disk], i[in_disk]]]
+    ends = np.cumsum(np.bincount(owner[in_disk], minlength=len(segments))).tolist()
+    return [float(np.add.reduce(vals[a:b])) / (b - a) * _sech(params.af_scale * seg.length_af)
+            if b > a else 0.0 for seg, a, b in zip(segments, [0] + ends, ends)]
+
+
+def occupancy_score(segment: FrontierSegment, belief: OccupancyGrid,
+                    params: HeuristicParams) -> float:
+    """One segment's O: the one-segment case of score_segments' gather."""
+    return _occupancy_scores([segment], belief, params)[0]
 
 
 def heuristic(D: float, O: float, params: HeuristicParams) -> float:
@@ -163,34 +171,10 @@ def heuristic(D: float, O: float, params: HeuristicParams) -> float:
 def score_segments(segments: list[FrontierSegment], robot: Pose,
                    belief: OccupancyGrid,
                    params: HeuristicParams) -> list[ScoreBreakdown]:
-    """Score every segment against the robot pose.
-
-    Every O comes from one gather. The segments' boxes, from occupancy_score's
-    expressions, are laid end to end, each row by row; one in-disk test and
-    one REMAPPED lookup read every disk. Each O sums its segment's slice in
-    the order and pairwise sum of np.mean, so it is occupancy_score's O.
-    """
-    res = belief.resolution
-    geo = np.array([(seg.radius_r, *seg.centroid) for seg in segments]).reshape(-1, 3).T
-    r, xy = np.maximum(geo[0], res), geo[1:]
-    # Each disk's box of candidate cells, clipped to the grid as in occupancy_score.
-    lo = np.maximum(0, np.floor((xy - r) / res - 0.5))
-    hi = np.minimum([[belief.width - 1], [belief.height - 1]], np.ceil((xy + r) / res - 0.5))
-    (i_lo, j_lo), (w, h) = lo.astype(np.intp), np.maximum(hi - lo + 1, 0).astype(np.intp)
-    n = w * h
-    owner = np.repeat(np.arange(len(segments)), n)
-    dj, di = np.divmod(np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n), w[owner])
-    i, j = di + i_lo[owner], dj + j_lo[owner]
-    cx, cy = belief.cell_center(i, j)
-    in_disk = (cx - xy[0, owner]) ** 2 + (cy - xy[1, owner]) ** 2 <= (r * r)[owner]
-    vals = REMAPPED[belief.costs[j[in_disk], i[in_disk]]]
-    ends = np.cumsum(np.bincount(owner[in_disk], minlength=len(segments))).tolist()
-
+    """Score every segment against the robot pose, every O from one gather."""
     breakdowns = []
-    for idx, (seg, a, b) in enumerate(zip(segments, [0] + ends, ends)):
+    for idx, (seg, O) in enumerate(zip(segments, _occupancy_scores(segments, belief, params))):
         d = math.hypot(robot.x - seg.centroid[0], robot.y - seg.centroid[1])
         D = distance_score(d, params)
-        sech = _sech(params.af_scale * seg.length_af)
-        O = float(np.add.reduce(vals[a:b])) / (b - a) * sech if b > a else 0.0
         breakdowns.append(ScoreBreakdown(idx, d, D, O, heuristic(D, O, params)))
     return breakdowns

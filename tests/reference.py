@@ -10,6 +10,7 @@ import math
 import numpy as np
 from scipy import ndimage
 
+from conftest import remap_cost
 from explorebench.gridmap import (COST_INSCRIBED, COST_LETHAL, COST_UNKNOWN,
                                   OCCUPIED, REMAPPED, UNKNOWN)
 from explorebench.navigator import (SQRT2, NoPathError, _nearest_traversable,
@@ -34,6 +35,37 @@ def reference_inflation_costs(states, resolution, inscribed_radius, inflation_ra
         costs[occupied] = COST_LETHAL
     costs[states == UNKNOWN] = COST_UNKNOWN
     return costs
+
+
+def reference_occupancy(seg, belief, params):
+    """scoring's O from the whole grid with no box: the mean REMAPPED cost of
+    the cells whose centers lie within the segment's disk, read in raster
+    order, times sech of the scaled length; 0 for an empty disk."""
+    r = max(seg.radius_r, belief.resolution)
+    (xf, yf), x = seg.centroid, params.af_scale * seg.length_af
+    cx, cy = belief.cell_center(np.arange(belief.width), np.arange(belief.height))
+    in_disk = (cx[None, :] - xf) ** 2 + (cy[:, None] - yf) ** 2 <= r * r
+    if not in_disk.any():
+        return 0.0
+    sech = 0.0 if x > 709.0 else 1.0 / math.cosh(x)
+    return float(REMAPPED[belief.costs[in_disk]].mean()) * sech
+
+
+def brute_force_occupancy(seg, belief, params):
+    """O by enumerating the disk cell by cell with the scalar remap."""
+    r = max(seg.radius_r, belief.resolution)
+    xf, yf = seg.centroid
+    total, count = 0.0, 0
+    for j in range(belief.height):
+        for i in range(belief.width):
+            cx, cy = belief.cell_center(i, j)
+            if (cx - xf) ** 2 + (cy - yf) ** 2 <= r * r:
+                total += remap_cost(int(belief.costs[j, i]))
+                count += 1
+    if count == 0:
+        return 0.0
+    x = params.af_scale * seg.length_af
+    return (total / count) * (0.0 if x > 709 else 1.0 / math.cosh(x))
 
 
 def reference_plan(belief, start, to_world, cost_weight, goal_relax_radius):

@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import clone_grid, remap_cost
+from conftest import clone_grid
 from explorebench.cli import main, record_json, run_all
 from explorebench.config import parse_config
 from explorebench.explorer import OUTCOME_COMPLETE, SelectorKind, rank_segments
@@ -26,6 +26,7 @@ from explorebench.mapgen import generate_map
 from explorebench.reward import RewardConfig, StepObservation, compute_reward
 from explorebench.scoring import (HeuristicParams, distance_score, heuristic,
                                   occupancy_score)
+from reference import brute_force_occupancy
 from scenes import case_study_scene, frontier_type_scenes
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
@@ -126,20 +127,7 @@ def test_criterion_3_occupancy_oracle_equivalence():
             radius_r=float(rng.uniform(0.0, 2.5)),
         )
         got = occupancy_score(seg, belief, params)
-        # Brute-force disk enumeration over every cell of the grid.
-        r = max(seg.radius_r, belief.resolution)
-        total, count = 0.0, 0
-        for j in range(h):
-            for i in range(w):
-                cx, cy = belief.cell_center(i, j)
-                if ((cx - seg.centroid[0]) ** 2 + (cy - seg.centroid[1]) ** 2
-                        <= r * r):
-                    total += remap_cost(int(belief.costs[j, i]))
-                    count += 1
-        expected = 0.0
-        if count:
-            x = params.af_scale * seg.length_af
-            expected = (total / count) / math.cosh(x)
+        expected = brute_force_occupancy(seg, belief, params)
         assert got == pytest.approx(expected, rel=1e-12, abs=1e-15), trial
     report(3, "500 fixtures up to 64x64 match brute-force enumeration at 1e-12")
 

@@ -109,6 +109,7 @@ class TestConfig:
         ("[lidar]\nmax_range = nan\n", "[lidar] max_range"),
         ("[kinematics]\ndt = inf\n", "[kinematics] dt"),
         ("[inflation]\ndecay_rate = nan\n", "[inflation] decay_rate"),
+        ("[inflation]\ndecay_rate = -4\n", "[inflation] decay_rate"),
         ("[inflation]\ninflation_radius = inf\n", "[inflation] inflation_radius"),
         ("[planner]\ncost_weight = inf\n", "[planner] cost_weight"),
         ("[reward]\nmax_linear = nan\n", "[reward] max_linear"),

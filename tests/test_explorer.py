@@ -96,11 +96,15 @@ class TestRunExploration:
     def test_single_scan_room_completes_immediately(self):
         truth = grid_from_rows(["#" * 11] + ["#" + "." * 9 + "#"] * 9 + ["#" * 11])
         start = Pose(*truth.cell_center(5, 5))
-        record = run(truth, start)
-        assert record.outcome == OUTCOME_COMPLETE
-        assert record.final_rate == 1.0
-        assert record.total_distance == 0.0
-        assert len(record.samples) <= 3
+        # The first reveal covers the room: one sample, no decision, also
+        # when that reveal is the last tick's.
+        for limits in (LIMITS, RunLimits(max_ticks=1, expr_target=LIMITS.expr_target)):
+            record = run(truth, start, limits=limits)
+            assert record.outcome == OUTCOME_COMPLETE
+            assert record.final_rate == 1.0
+            assert record.total_distance == 0.0
+            assert len(record.samples) == 1
+            assert record.decisions == []
 
     def test_two_rooms_full_coverage(self):
         rows = [
@@ -183,9 +187,10 @@ class TestRunExploration:
         rows = ["#" * 30] + ["#" + "." * 28 + "#"] * 28 + ["#" * 30]
         truth = grid_from_rows(rows)
         start = Pose(*truth.cell_center(2, 2))
-        record = run(truth, start, limits=RunLimits(max_ticks=3, expr_target=0.999))
-        assert record.outcome == "tick_limit"
-        assert len(record.samples) == 4
+        for max_ticks in (3, 1):
+            record = run(truth, start, limits=RunLimits(max_ticks=max_ticks, expr_target=0.999))
+            assert record.outcome == "tick_limit"
+            assert len(record.samples) == max_ticks + 1
 
     def test_stalled_when_every_segment_is_unreachable(self):
         # An inscribed radius larger than the cell size seals the one-cell

@@ -1115,6 +1115,12 @@ class TestTypes:
             InflationParams(inscribed_radius=0.0)
         with pytest.raises(InvalidRadiiError):
             InflationParams(inscribed_radius=1.0, inflation_radius=0.5)
+        # A negative rate would raise costs with distance, past 252 and up to
+        # the Unknown marker on Free cells.
+        for rate in (-4.0, -1e-9, math.nan):
+            with pytest.raises(MapError, match="decay_rate"):
+                InflationParams(decay_rate=rate)
+        assert InflationParams(decay_rate=0.0).decay_rate == 0.0
 
     def test_grid_shape_checks(self):
         with pytest.raises(MalformedMapError):

@@ -5,7 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import grid_from_rows, remap_cost
+from conftest import grid_from_rows
+from reference import brute_force_occupancy, reference_occupancy
 from explorebench.frontier import FrontierSegment, cluster_segments, detect_frontiers
 from explorebench.gridmap import COST_LETHAL, FREE, UNKNOWN, OccupancyGrid, Pose
 from explorebench.explorer import SelectorKind, rank_segments
@@ -125,7 +126,7 @@ class TestOccupancyScore:
         seg = segments[0]
         params = HeuristicParams()
         got = occupancy_score(seg, belief, params)
-        assert got == pytest.approx(self.oracle(seg, belief, params), rel=1e-12)
+        assert got == pytest.approx(brute_force_occupancy(seg, belief, params), rel=1e-12)
         assert got > 0.0
 
     def test_degenerate_radius_uses_resolution_disk(self):
@@ -148,7 +149,7 @@ class TestOccupancyScore:
                 radius=float(rng.uniform(0, 2.0)),
             )
             got = occupancy_score(seg, belief, params)
-            assert got == pytest.approx(self.oracle(seg, belief, params),
+            assert got == pytest.approx(brute_force_occupancy(seg, belief, params),
                                         rel=1e-12, abs=1e-15)
 
     @staticmethod
@@ -161,31 +162,14 @@ class TestOccupancyScore:
         inflate(grid, 0.12, 0.6, 4.0)
         return grid
 
-    @staticmethod
-    def oracle(seg, belief, params):
-        """Brute-force disk enumeration over every grid cell."""
-        r = max(seg.radius_r, belief.resolution)
-        xf, yf = seg.centroid
-        total, count = 0.0, 0
-        for j in range(belief.height):
-            for i in range(belief.width):
-                cx, cy = belief.cell_center(i, j)
-                if (cx - xf) ** 2 + (cy - yf) ** 2 <= r * r:
-                    total += remap_cost(int(belief.costs[j, i]))
-                    count += 1
-        if count == 0:
-            return 0.0
-        x = params.af_scale * seg.length_af
-        sech = 0.0 if x > 709 else 1.0 / math.cosh(x)
-        return (total / count) * sech
-
 
 class TestScoreSegments:
     def test_matches_one_segment_scores_exactly(self, rng):
-        # Each breakdown equals the one-segment forms bit for bit: the frontier
-        # segments of random beliefs (many of one cell), plus disks around
-        # random points that the grid clips at each border, some with a
-        # radius below one resolution.
+        # Each breakdown equals, bit for bit, the one-segment distance score
+        # and the whole-grid reference O: the frontier segments of random
+        # beliefs (many of one cell), plus disks around random points that
+        # the grid clips at each border, some with a radius below one
+        # resolution.
         seen = dict.fromkeys(("left", "right", "bottom", "top", "small", "one cell"), 0)
         for _ in range(60):
             h, w = rng.randint(3, 40), rng.randint(3, 40)
@@ -201,7 +185,7 @@ class TestScoreSegments:
             expected = []
             for idx, seg in enumerate(segments):
                 d = math.hypot(robot.x - seg.centroid[0], robot.y - seg.centroid[1])
-                D, O = distance_score(d, params), occupancy_score(seg, belief, params)
+                D, O = distance_score(d, params), reference_occupancy(seg, belief, params)
                 expected.append(ScoreBreakdown(idx, d, D, O, heuristic(D, O, params)))
                 (xf, yf), r = seg.centroid, max(seg.radius_r, belief.resolution)
                 seen["left"] += xf - r < 0
