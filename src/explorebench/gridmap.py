@@ -87,7 +87,7 @@ class LidarModel:
     def __post_init__(self):
         if self.beam_count < 1:
             raise ValueError(f"beam_count must be >= 1, got {self.beam_count}")
-        if self.max_range <= 0.0:
+        if not (self.max_range > 0.0):
             raise ValueError(f"max_range must be > 0, got {self.max_range}")
 
 

@@ -97,17 +97,24 @@ def generate_map(tier: str, seed: int, resolution: float = 0.25,
 def pick_start(truth: OccupancyGrid, seed: int) -> Pose:
     """Deterministic start pose on a free cell, away from the outer wall.
 
+    The cell is a seeded draw k of the Free cells in raster order of the
+    interior (the cells two or more from every edge), or of the whole grid
+    when the interior has none. It reads one interior mask, that mask's
+    per-row Free counts, and then only the row that holds the k-th cell.
     Raises StartUnreachableError when the map has no Free cell.
     """
-    free_j, free_i = np.nonzero(truth.states == FREE)
-    if free_i.size == 0:
+    h, w = truth.height, truth.width
+    for rows, corner in ((truth.states[2 : h - 2, 2 : w - 2], 2), (truth.states, 0)):
+        counts = np.count_nonzero(rows == FREE, axis=1)
+        if counts.any():
+            break
+    else:
         raise StartUnreachableError("map has no free cell to start on")
-    interior = ((free_i > 1) & (free_i < truth.width - 2)
-                & (free_j > 1) & (free_j < truth.height - 2))
-    if interior.any():
-        free_i, free_j = free_i[interior], free_j[interior]
-    rng = random.Random(f"{seed}:start:{truth.width}x{truth.height}")
-    k = rng.randrange(len(free_i))
-    x, y = truth.cell_center(int(free_i[k]), int(free_j[k]))
+    ends = np.cumsum(counts)
+    rng = random.Random(f"{seed}:start:{w}x{h}")
+    k = rng.randrange(int(ends[-1]))
+    r = int(np.searchsorted(ends, k, "right"))
+    c = np.flatnonzero(rows[r] == FREE)[k - ends[r] + counts[r]]
+    x, y = truth.cell_center(corner + int(c), corner + r)
     theta = rng.uniform(-math.pi, math.pi)
     return Pose(x, y, theta)

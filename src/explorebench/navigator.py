@@ -61,7 +61,7 @@ class KinematicState:
     dt: float = 0.25
 
     def __post_init__(self):
-        if self.v_max <= 0.0 or self.w_max <= 0.0 or self.dt <= 0.0:
+        if not (self.v_max > 0.0 and self.w_max > 0.0 and self.dt > 0.0):
             raise ValueError("v_max, w_max and dt must all be > 0")
 
 

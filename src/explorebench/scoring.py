@@ -62,11 +62,11 @@ class HeuristicParams:
     exp_arg_cap: float = 30.0
 
     def __post_init__(self):
-        if self.alpha <= 0.0 or self.beta <= 0.0:
+        if not (self.alpha > 0.0 and self.beta > 0.0):
             raise ValueError(f"alpha and beta must be > 0, got {self.alpha}, {self.beta}")
         if not (0.0 <= self.gamma <= 0.5):
             raise ValueError(f"gamma must lie in [0, 0.5], got {self.gamma}")
-        if self.af_scale <= 0.0:
+        if not (self.af_scale > 0.0):
             raise ValueError(f"af_scale must be > 0, got {self.af_scale}")
         if not (0.0 < self.exp_arg_cap <= _MAX_EXP_ARG):
             raise ValueError(f"exp_arg_cap must lie in (0, {_MAX_EXP_ARG}], "

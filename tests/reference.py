@@ -6,13 +6,15 @@ tables, so that a test can check a fast layer against it exactly.
 
 import heapq
 import math
+import random
 
 import numpy as np
 from scipy import ndimage
 
 from conftest import remap_cost
-from explorebench.gridmap import (COST_INSCRIBED, COST_LETHAL, COST_UNKNOWN,
-                                  OCCUPIED, REMAPPED, UNKNOWN)
+from explorebench.gridmap import (COST_INSCRIBED, COST_LETHAL, COST_UNKNOWN, FREE,
+                                  OCCUPIED, REMAPPED, UNKNOWN, Pose,
+                                  StartUnreachableError)
 from explorebench.navigator import (SQRT2, NoPathError, _nearest_traversable,
                                     traversable_mask)
 
@@ -145,3 +147,20 @@ def reference_adjacent(mask):
             0 <= j + dj < h and 0 <= i + di < w and mask[(*lead, j + dj, i + di)]
             for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)))
     return out
+
+
+def reference_pick_start(truth, seed):
+    """mapgen.pick_start from the list of every Free cell: the k-th interior
+    Free cell in raster order, or the k-th of all when the interior has none."""
+    free_j, free_i = np.nonzero(truth.states == FREE)
+    if free_i.size == 0:
+        raise StartUnreachableError("map has no free cell to start on")
+    interior = ((free_i > 1) & (free_i < truth.width - 2)
+                & (free_j > 1) & (free_j < truth.height - 2))
+    if interior.any():
+        free_i, free_j = free_i[interior], free_j[interior]
+    rng = random.Random(f"{seed}:start:{truth.width}x{truth.height}")
+    k = rng.randrange(len(free_i))
+    x, y = truth.cell_center(int(free_i[k]), int(free_j[k]))
+    theta = rng.uniform(-math.pi, math.pi)
+    return Pose(x, y, theta)

@@ -1109,6 +1109,8 @@ class TestTypes:
             LidarModel(beam_count=0)
         with pytest.raises(ValueError):
             LidarModel(max_range=0.0)
+        with pytest.raises(ValueError, match="max_range"):
+            LidarModel(max_range=math.nan)
 
     def test_inflation_params_validation(self):
         with pytest.raises(InvalidRadiiError):

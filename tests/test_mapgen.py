@@ -1,11 +1,32 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import ndimage
 
-from explorebench.gridmap import FREE, OCCUPIED
+from explorebench.gridmap import (FREE, OCCUPIED, UNKNOWN, OccupancyGrid,
+                                  StartUnreachableError)
 from explorebench.mapgen import TIERS, generate_map, pick_start
+from reference import reference_pick_start
+
+
+def grid_of(states):
+    """A truth over states; pick_start reads no cost."""
+    h, w = states.shape
+    return OccupancyGrid(w, h, 0.25, states, np.zeros_like(states))
+
+
+def assert_same_start(truth, seed):
+    try:
+        expected = reference_pick_start(truth, seed)
+    except StartUnreachableError:
+        with pytest.raises(StartUnreachableError):
+            pick_start(truth, seed)
+    else:
+        assert pick_start(truth, seed) == expected
 
 
 class TestGenerateMap:
@@ -76,3 +97,50 @@ class TestPickStart:
         starts = {(pick_start(truth, s).x, pick_start(truth, s).y)
                   for s in range(8)}
         assert len(starts) > 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_reference(self, data):
+        # Any shape up to 40x40, often narrower or shorter than the five
+        # cells an interior needs, with a Free share from none to nearly all.
+        h, w = data.draw(st.one_of(
+            st.tuples(st.integers(1, 40), st.integers(1, 40)),
+            st.tuples(st.integers(1, 4), st.integers(1, 40)),
+            st.tuples(st.integers(1, 40), st.integers(1, 4))), label="shape")
+        share = data.draw(st.sampled_from([0.0, 0.01, 0.2, 0.6, 1.0]), label="free share")
+        rng = np.random.RandomState(data.draw(st.integers(0, 2**32 - 1), label="layout"))
+        states = rng.choice(np.array([UNKNOWN, OCCUPIED], dtype=np.uint8), size=(h, w))
+        states[rng.rand(h, w) < share] = FREE
+        if data.draw(st.booleans(), label="rim only"):
+            states[2 : h - 2, 2 : w - 2] = OCCUPIED
+        assert_same_start(grid_of(states), data.draw(st.integers(0, 10**6), label="seed"))
+
+    @pytest.mark.parametrize("h, w", [(1, 1), (4, 4), (5, 5), (3, 40), (40, 2), (40, 40)])
+    def test_rim_only_and_no_free_cell(self, h, w):
+        states = np.full((h, w), FREE, dtype=np.uint8)
+        states[2 : h - 2, 2 : w - 2] = OCCUPIED
+        for seed in range(5):
+            assert_same_start(grid_of(states), seed)
+        states[:] = OCCUPIED
+        with pytest.raises(StartUnreachableError):
+            pick_start(grid_of(states), 0)
+
+    @pytest.mark.parametrize("tier", TIERS)
+    @pytest.mark.parametrize("map_seed", [1, 7, 100, 2027])
+    def test_generated_maps_match_reference(self, tier, map_seed):
+        truth = generate_map(tier, map_seed)
+        for seed in range(6):
+            assert_same_start(truth, seed)
+
+    def test_large_map_memory_bounded(self):
+        # A list of every Free cell's indices peaked at about 32 MB here.
+        states = np.full((1014, 1014), FREE, dtype=np.uint8)
+        states[[0, -1], :] = states[:, [0, -1]] = OCCUPIED
+        truth = grid_of(states)
+        tracemalloc.start()
+        try:
+            pick_start(truth, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20

@@ -428,3 +428,6 @@ def test_kinematic_state_validation():
         KinematicState(w_max=-1.0)
     with pytest.raises(ValueError):
         KinematicState(dt=0.0)
+    for field in ("v_max", "w_max", "dt"):
+        with pytest.raises(ValueError):
+            KinematicState(**{field: math.nan})

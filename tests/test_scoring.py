@@ -254,6 +254,7 @@ class TestParamsValidation:
     @pytest.mark.parametrize("kwargs", [
         {"alpha": 0.0}, {"beta": -1.0}, {"gamma": 0.6}, {"gamma": -0.01},
         {"af_scale": 0.0}, {"exp_arg_cap": 0.0},
+        {"alpha": math.nan}, {"beta": math.nan}, {"af_scale": math.nan},
         {"exp_arg_cap": math.nextafter(math.log(sys.float_info.max), math.inf)},
     ])
     def test_invalid(self, kwargs):
