@@ -89,6 +89,8 @@ class LidarModel:
             raise ValueError(f"beam_count must be >= 1, got {self.beam_count}")
         if not (self.max_range > 0.0):
             raise ValueError(f"max_range must be > 0, got {self.max_range}")
+        if not math.isfinite(self.angular_span):
+            raise ValueError(f"angular_span must be finite, got {self.angular_span}")
 
 
 @dataclass(frozen=True)
@@ -244,7 +246,7 @@ def grid_from_states(states: np.ndarray, resolution: float,
     """Wrap a (height, width) state array in a grid with inflated costs."""
     inflation = inflation or InflationParams()
     height, width = states.shape
-    grid = OccupancyGrid(width, height, resolution, states, np.zeros_like(states),
+    grid = OccupancyGrid(width, height, resolution, states, np.empty_like(states),
                          inflation=inflation)
     inflate(grid, inflation.inscribed_radius, inflation.inflation_radius,
             inflation.decay_rate)
@@ -321,41 +323,48 @@ def to_ascii(grid: OccupancyGrid) -> str:
 # Costmap inflation and remapping
 # ---------------------------------------------------------------------------
 
-def _inflation_costs(states, resolution, inscribed_radius, inflation_radius, decay_rate):
-    """Cost array for a state window (Euclidean cell-center distances), set in
-    the box of the Occupied cells grown by the radius (clamped to the window):
-    no cell outside it is in reach, and each inside has its nearest obstacle in it."""
-    occupied = states == OCCUPIED
-    costs = np.zeros(states.shape, dtype=np.uint8)
-    box = known_box(occupied, math.ceil(min(inflation_radius / resolution, max(states.shape))))
-    if box is not None:
-        occupied, near = occupied[box], costs[box]
+def _inflation_costs(states, resolution, inscribed_radius, inflation_radius, decay_rate,
+                     costs=None):
+    """Cost array for a state window (Euclidean cell-center distances), written
+    into costs (a new array if None) and returned. Costs are set in the box of
+    the Occupied cells grown by the radius (clamped to the window): no cell
+    outside it is in reach, and each inside has its nearest obstacle in it.
+    Only the box gets scratch arrays; outside it a cell holds 0 or, if
+    Unknown, the Unknown marker."""
+    if costs is None:
+        costs = np.empty(states.shape, dtype=np.uint8)
+    np.equal(states, UNKNOWN, out=costs.view(bool))  # a bool out skips a cast
+    costs *= COST_UNKNOWN
+    ring = math.ceil(min(inflation_radius / resolution, max(states.shape)))
+    if (box := known_box(states, ring, level=OCCUPIED)) is not None:
+        states, near = states[box], costs[box]
+        occupied = states == OCCUPIED
         dist = ndimage.distance_transform_edt(~occupied) * resolution
         band = (dist > inscribed_radius) & (dist <= inflation_radius)
         decayed = np.floor(252.0 * np.exp(-decay_rate * (dist[band] - inscribed_radius)) + 0.5)
         near[band] = decayed.astype(np.uint8)
         near[dist <= inscribed_radius] = COST_INSCRIBED  # Occupied cells too, till the next line
         near[occupied] = COST_LETHAL
-    costs[states == UNKNOWN] = COST_UNKNOWN
+        near[states == UNKNOWN] = COST_UNKNOWN
     return costs
 
 
 def inflate(grid: OccupancyGrid, inscribed_radius: float, inflation_radius: float,
             decay_rate: float) -> None:
-    """Recompute grid.costs from grid.states.
+    """Recompute grid.costs from grid.states, in place.
 
     Occupied cells get COST_LETHAL, Free cells within inscribed_radius of an
     Occupied cell get COST_INSCRIBED, Free cells at distance d in
     (inscribed_radius, inflation_radius] get round(252 * exp(-decay_rate *
     (d - inscribed_radius))), everything farther is 0. Unknown cells keep
     the COST_UNKNOWN marker. Distances are Euclidean between cell centers.
-    The distance transform covers only the obstacles' box grown by
+    The costs are written straight into grid.costs, and the distance
+    transform and its scratch arrays cover only the obstacles' box grown by
     inflation_radius, not the grid, so a mostly Unknown belief costs little.
     """
     grid.inflation = InflationParams(inscribed_radius, inflation_radius, decay_rate)
-    grid.costs[...] = _inflation_costs(
-        grid.states, grid.resolution, inscribed_radius, inflation_radius, decay_rate
-    )
+    _inflation_costs(grid.states, grid.resolution, inscribed_radius, inflation_radius,
+                     decay_rate, grid.costs)
 
 
 @functools.lru_cache(maxsize=64)
@@ -453,7 +462,10 @@ def _march(flat, start, stride, g, angles, range_cells, k):
 
 
 def check_pose(truth: OccupancyGrid, pose: Pose) -> None:
-    """Raise unless the pose stands on an in-bounds, not Occupied truth cell."""
+    """Raise unless the pose is finite and stands on an in-bounds, not
+    Occupied truth cell."""
+    if not all(map(math.isfinite, (pose.x, pose.y, pose.theta))):
+        raise PoseOutOfBoundsError(f"pose {pose} is not finite")
     pi, pj = truth.world_to_cell(pose.x, pose.y)
     if not truth.in_bounds(pi, pj):
         raise PoseOutOfBoundsError(f"pose cell ({pi}, {pj}) outside {truth.width}x{truth.height}")
@@ -479,16 +491,18 @@ def adjacent_to(mask: np.ndarray) -> np.ndarray:
     return out
 
 
-def known_box(states: np.ndarray, ring: int = 0):
-    """Slices of the box of the nonzero (known) cells of a uint8 or bool array
-    grown by ring cells and clipped to the grid, or None when no cell is
-    known. The rows come from a max over each row, read as bytes; the columns
-    only from the band of those rows."""
+def known_box(states: np.ndarray, ring: int = 0, level: int = 1):
+    """Slices of the box of the cells at or above level (by default the
+    nonzero, known, cells) of a uint8 or bool array grown by ring cells and
+    clipped to the grid, or None when there is no such cell. The rows come
+    from a max over each row, read as bytes; the columns only from the band
+    of those rows. No grid-sized array is made: with level=OCCUPIED, the
+    largest state, a grid's Occupied box needs no Occupied mask."""
     states = states.view(np.uint8)
-    rows = states.max(axis=1, initial=0).nonzero()[0]
+    rows = (states.max(axis=1, initial=0) >= level).nonzero()[0]
     if len(rows) == 0:
         return None
-    cols = states[rows[0]:rows[-1] + 1].max(axis=0).nonzero()[0]
+    cols = (states[rows[0]:rows[-1] + 1].max(axis=0) >= level).nonzero()[0]
     (j0, j1), (i0, i1), (h, w) = rows[[0, -1]].tolist(), cols[[0, -1]].tolist(), states.shape
     return (slice(max(j0 - ring, 0), min(j1 + 1 + ring, h)),
             slice(max(i0 - ring, 0), min(i1 + 1 + ring, w)))

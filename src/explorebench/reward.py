@@ -54,9 +54,9 @@ class RewardConfig:
     distance_term_form: str = "paren_minus_one"
 
     def __post_init__(self):
-        if self.max_linear <= 0.0:
+        if not (self.max_linear > 0.0):
             raise ValueError(f"max_linear must be > 0, got {self.max_linear}")
-        if self.collision_threshold <= 0.0 or self.goal_threshold <= 0.0:
+        if not (self.collision_threshold > 0.0 and self.goal_threshold > 0.0):
             raise ValueError("thresholds must be > 0")
         if self.distance_term_form not in DISTANCE_FORMS:
             raise ValueError(

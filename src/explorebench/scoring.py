@@ -113,7 +113,7 @@ def distance_score(d: float, params: HeuristicParams) -> float:
     at exp_arg_cap**2, so the score is finite for any finite distance; the
     output is clamped one ulp below 1 to keep the range open.
     """
-    if d < 0.0:
+    if not (d >= 0.0):
         raise NegativeDistanceError(f"distance must be >= 0, got {d}")
     if d == 0.0:
         return 0.0

@@ -288,6 +288,25 @@ class TestInflate:
         expected = reference_inflation_costs(states, res, inscribed, radius, rate)
         assert (grid.costs == expected).all()
 
+    def test_in_place_memory_bounded(self):
+        # A 1024 x 1024 belief that knows one 64 x 64 patch with a short
+        # wall in it: the costs are written in place, and only the wall's
+        # box gets scratch arrays. Three grid-sized temporaries (an Occupied
+        # mask, a fresh cost array and an Unknown mask) peaked at 3x.
+        grid = OccupancyGrid.unknown(1024, 1024, 0.05)
+        grid.states[480:544, 480:544] = FREE
+        grid.states[512, 500:520] = OCCUPIED
+        expected = reference_inflation_costs(grid.states, 0.05, *astuple(InflationParams()))
+        costs = grid.costs
+        tracemalloc.start()
+        try:
+            inflate(grid, *astuple(InflationParams()))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grid.costs is costs and (costs == expected).all()
+        assert peak < 0.1 * grid.states.nbytes
+
     def test_zero_size_grid(self):
         for h, w in ((3, 0), (0, 3), (0, 0)):
             grid = OccupancyGrid.unknown(w, h, 0.25)
@@ -553,6 +572,13 @@ class TestRaycastReveal:
             raycast_reveal(belief, truth, Pose(-1.0, 0.1), lidar)
         with pytest.raises(PoseInsideObstacleError):
             raycast_reveal(belief, truth, Pose(*truth.cell_center(1, 1)), lidar)
+        # Without the finiteness check, x and y failed untyped in
+        # world_to_cell and a NaN theta revealed only the pose cell.
+        for pose in (Pose(math.nan, 1.0), Pose(math.inf, 1.0), Pose(1.0, -math.inf),
+                     Pose(0.5, 0.5, math.nan)):
+            with pytest.raises(PoseOutOfBoundsError):
+                raycast_reveal(belief, truth, pose, lidar)
+        assert (belief.states == UNKNOWN).all()
 
     def test_belief_never_contradicts_truth(self, rng):
         truth = self._random_truth(rng, 25, 25)
@@ -904,12 +930,16 @@ class TestBeamScanner:
                 assert (reference.costs == slot.costs).all()
 
     @pytest.mark.parametrize("where,error", [
-        ("past-east-edge", PoseOutOfBoundsError), ("in-obstacle", PoseInsideObstacleError)])
+        ("past-east-edge", PoseOutOfBoundsError), ("in-obstacle", PoseInsideObstacleError),
+        ("nan-x", PoseOutOfBoundsError), ("inf-x", PoseOutOfBoundsError),
+        ("nan-y", PoseOutOfBoundsError), ("nan-theta", PoseOutOfBoundsError)])
     def test_bad_pose_raises_before_any_read(self, where, error):
         truth = grid_from_rows(["....", ".#..", "...."], resolution=1.0)
         other = grid_from_rows(["...", "...", "...", "..."], resolution=1.0)
         # Past the east edge, the cell's flat index lies in the next row.
-        bad = Pose(4.5, 0.5) if where == "past-east-edge" else Pose(1.5, 1.5)
+        bad = {"past-east-edge": Pose(4.5, 0.5), "in-obstacle": Pose(1.5, 1.5),
+               "nan-x": Pose(math.nan, 0.5), "inf-x": Pose(math.inf, 0.5),
+               "nan-y": Pose(0.5, math.nan), "nan-theta": Pose(0.5, 0.5, math.nan)}[where]
         scanner = BeamScanner([truth, truth, other], LidarModel(beam_count=8))
         with pytest.raises(error):
             scanner.scan([(0, Pose(0.5, 0.5)), (1, bad), (2, Pose(0.5, 0.5))])
@@ -1031,6 +1061,8 @@ class TestKnownBox:
             assert known_box(states, ring) == np.s_[max(j0 - ring, 0):min(j1 + ring, h),
                                                     max(i0 - ring, 0):min(i1 + ring, w)]
             assert known_box(states != UNKNOWN, ring) == known_box(states, ring)
+            assert (known_box(states, ring, OCCUPIED)
+                    == known_box(states == OCCUPIED, ring))
         assert 20 <= empty <= 200
 
 
@@ -1111,6 +1143,12 @@ class TestTypes:
             LidarModel(max_range=0.0)
         with pytest.raises(ValueError, match="max_range"):
             LidarModel(max_range=math.nan)
+        # A NaN span made every beam angle NaN, which the march cast to an
+        # integer: the first reveal of a generated low map then found 1
+        # cell in place of 193.
+        for span in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="angular_span"):
+                LidarModel(angular_span=span)
 
     def test_inflation_params_validation(self):
         with pytest.raises(InvalidRadiiError):

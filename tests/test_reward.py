@@ -120,3 +120,11 @@ class TestValidation:
             RewardConfig(collision_threshold=-1.0)
         with pytest.raises(ValueError):
             RewardConfig(distance_term_form="nonsense")
+
+    @pytest.mark.parametrize("field", ["max_linear", "collision_threshold",
+                                       "goal_threshold"])
+    def test_nan_config_rejected(self, field):
+        # A NaN threshold compares False with every distance, so a step at
+        # the goal would earn no goal bonus.
+        with pytest.raises(ValueError):
+            RewardConfig(**{field: math.nan})

@@ -47,6 +47,14 @@ class TestDistanceScore:
         with pytest.raises(NegativeDistanceError):
             distance_score(-0.1, HeuristicParams())
 
+    def test_nan_distance_rejected(self):
+        # NaN would compare False with every other score and rank arbitrarily.
+        with pytest.raises(NegativeDistanceError):
+            distance_score(math.nan, HeuristicParams())
+
+    def test_infinite_distance_one_ulp_below_one(self):
+        assert distance_score(math.inf, HeuristicParams()) == math.nextafter(1.0, 0.0)
+
     def test_golden_values(self):
         params = HeuristicParams(alpha=2.0, beta=4.0)
         for d, expected in GOLDEN_ALPHA_2_BETA_4.items():
