@@ -106,24 +106,16 @@ def run_all(cfg: ExperimentConfig, jobs: int = 1) -> list[RunResult]:
             for (name, _, selector, seed, start), q in zip(specs, deal)]
 
 
-def cmd_run(cfg: ExperimentConfig, jobs: int) -> int:
-    os.makedirs(cfg.outdir, exist_ok=True)
-    results = run_all(cfg, jobs)
-    all_complete = True
+def cmd_run(cfg: ExperimentConfig, results: list[RunResult]) -> None:
     for r in results:
         _write_artifacts(cfg.outdir, r, cfg.emit)
         rec = r.record
         print(f"{_artifact_stem(r.map_name, r.selector, r.seed)}: {rec.outcome} "
               f"dist={rec.total_distance:.3f}m time={rec.total_time:.1f}s "
               f"expr={rec.final_rate * 100:.2f}%")
-        if rec.outcome != OUTCOME_COMPLETE:
-            all_complete = False
-    return 0 if all_complete else 2
 
 
-def cmd_compare(cfg: ExperimentConfig, jobs: int) -> int:
-    os.makedirs(cfg.outdir, exist_ok=True)
-    results = run_all(cfg, jobs)
+def cmd_compare(cfg: ExperimentConfig, results: list[RunResult]) -> None:
     rows = aggregate_results(results, by_map=True)
     with open(os.path.join(cfg.outdir, "aggregate.csv"), "w") as f:
         f.write(aggregate_csv(rows))
@@ -131,8 +123,6 @@ def cmd_compare(cfg: ExperimentConfig, jobs: int) -> int:
         print(f"{row['selector']}: runs={row['runs']} "
               f"dist={row['dist_mean']:.3f}m time={row['time_mean']:.1f}s "
               f"expr={row['expr_mean'] * 100:.2f}%")
-    all_complete = all(r.record.outcome == OUTCOME_COMPLETE for r in results)
-    return 0 if all_complete else 2
 
 
 def cmd_score(cfg: ExperimentConfig, map_path, belief_path, pose_text) -> int:
@@ -223,8 +213,11 @@ def main(argv=None) -> int:
             if not args.config:
                 print("error: --config is required", file=sys.stderr)
                 return 1
-            command = cmd_run if args.command == "run" else cmd_compare
-            return command(load_config(args.config), args.jobs)
+            cfg = load_config(args.config)
+            os.makedirs(cfg.outdir, exist_ok=True)
+            results = run_all(cfg, args.jobs)
+            (cmd_run if args.command == "run" else cmd_compare)(cfg, results)
+            return 0 if all(r.record.outcome == OUTCOME_COMPLETE for r in results) else 2
         cfg = (load_config(args.config, need_maps=False) if args.config
                else parse_config("", need_maps=False))
         if args.command == "score":

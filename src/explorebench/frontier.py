@@ -57,8 +57,8 @@ def cluster_segments(marks: np.ndarray, belief: OccupancyGrid,
     """Group marked cells into 8-connected segments of at least min_size cells.
 
     Each segment's cells come in flat-index order. The result is sorted by
-    (centroid y, centroid x), then by first cell, so segment indices are
-    stable regardless of label discovery order.
+    (centroid y, centroid x); ties keep label order, which ndimage.label
+    numbers by first cell in raster order, so the first cell breaks them.
 
     Only the bounding box of the marks (gridmap.known_box) is labelled, and
     the box offset is added back to the cell indices. Unmarked rows and
@@ -70,7 +70,6 @@ def cluster_segments(marks: np.ndarray, belief: OccupancyGrid,
     """
     if marks.shape != belief.states.shape:
         raise ValueError("mask dimensions do not match belief grid")
-    width = belief.width
     if (box := known_box(marks)) is None:
         return []
     j0, i0 = box[0].start, box[1].start
@@ -90,6 +89,5 @@ def cluster_segments(marks: np.ndarray, belief: OccupancyGrid,
                                 length_af=n * belief.resolution, radius_r=radii[k])
                 for k, (a, n) in enumerate(zip(starts.tolist(), sizes.tolist()))
                 if n >= min_size]
-    segments.sort(key=lambda s: (s.centroid[1], s.centroid[0],
-                                 int(s.cells[0][1]) * width + int(s.cells[0][0])))
+    segments.sort(key=lambda s: (s.centroid[1], s.centroid[0]))
     return segments

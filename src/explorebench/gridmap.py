@@ -57,7 +57,9 @@ class StartUnreachableError(MapError):
 
 
 def wrap_angle(theta: float) -> float:
-    """Normalize an angle into (-pi, pi]."""
+    """Normalize an angle into (-pi, pi]; a non-finite angle gives NaN."""
+    if not math.isfinite(theta):
+        return math.nan
     t = math.fmod(theta + math.pi, 2.0 * math.pi)
     if t <= 0.0:
         t += 2.0 * math.pi
@@ -267,6 +269,8 @@ def load_map(source, fmt: str = "ascii", *, resolution: float | None = None,
     elif fmt == "pgm":
         if resolution is None:
             raise MalformedMapError("pgm maps need an explicit resolution")
+        if not 0 <= occupied_threshold <= 255:
+            raise MalformedMapError(f"occupied_threshold {occupied_threshold} is not a byte")
         states = _parse_pgm(source, occupied_threshold)
     else:
         raise MalformedMapError(f"unknown map format {fmt!r}")
@@ -323,16 +327,13 @@ def to_ascii(grid: OccupancyGrid) -> str:
 # Costmap inflation and remapping
 # ---------------------------------------------------------------------------
 
-def _inflation_costs(states, resolution, inscribed_radius, inflation_radius, decay_rate,
-                     costs=None):
+def _inflation_costs(states, resolution, inscribed_radius, inflation_radius, decay_rate, costs):
     """Cost array for a state window (Euclidean cell-center distances), written
-    into costs (a new array if None) and returned. Costs are set in the box of
-    the Occupied cells grown by the radius (clamped to the window): no cell
-    outside it is in reach, and each inside has its nearest obstacle in it.
-    Only the box gets scratch arrays; outside it a cell holds 0 or, if
-    Unknown, the Unknown marker."""
-    if costs is None:
-        costs = np.empty(states.shape, dtype=np.uint8)
+    into costs and returned. Costs are set in the box of the Occupied cells
+    grown by the radius (clamped to the window): no cell outside it is in
+    reach, and each inside has its nearest obstacle in it. Only the box gets
+    scratch arrays; outside it a cell holds 0 or, if Unknown, the Unknown
+    marker."""
     np.equal(states, UNKNOWN, out=costs.view(bool))  # a bool out skips a cast
     costs *= COST_UNKNOWN
     ring = math.ceil(min(inflation_radius / resolution, max(states.shape)))
@@ -375,7 +376,7 @@ def _kernel(resolution: float, p: InflationParams, extent: int):
     r = int(min(p.inflation_radius / resolution + 1.0, extent))
     patch = np.full((2 * r + 1, 2 * r + 1), FREE, dtype=np.uint8)
     patch[r, r] = OCCUPIED
-    costs = _inflation_costs(patch, resolution, *astuple(p))
+    costs = _inflation_costs(patch, resolution, *astuple(p), np.empty_like(patch))
     dj, di = np.nonzero((costs > 0) & (costs < COST_LETHAL))
     return r, dj - r, di - r, costs[dj, di]
 
@@ -401,16 +402,11 @@ def reinflate_window(states, costs, cells, near, weights):
     np.maximum.at(costs, near[free], weights[free])
 
 
-def remap_costs(costs: np.ndarray) -> np.ndarray:
-    """Map raw costs into [0, 1] element-wise: the unknown marker -> 0,
-    lethal (254) -> 1 exactly, anything else (raw + 1) / 255."""
-    m = (costs.astype(np.float64) + 1.0) / 255.0
-    m[costs == COST_LETHAL] = 1.0
-    m[costs == COST_UNKNOWN] = 0.0
-    return m
-
-
-REMAPPED = remap_costs(np.arange(256))  # indexed by uint8 cost
+# Raw costs mapped into [0, 1], indexed by uint8 cost: the unknown marker -> 0,
+# lethal (254) -> 1 exactly, anything else (raw + 1) / 255.
+REMAPPED = (np.arange(256) + 1.0) / 255.0
+REMAPPED[COST_LETHAL] = 1.0
+REMAPPED[COST_UNKNOWN] = 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,9 @@ class KinematicState:
     def __post_init__(self):
         if not (self.v_max > 0.0 and self.w_max > 0.0 and self.dt > 0.0):
             raise ValueError("v_max, w_max and dt must all be > 0")
+        turn = self.w_max * self.dt  # explorer's stall limit counts pi / turn ticks
+        if not (turn > 0.0 and math.isfinite(math.pi / turn)):
+            raise ValueError(f"w_max * dt = {turn!r} is too small for a half turn")
 
 
 def traversable_mask(belief: OccupancyGrid, box=np.s_[:, :]) -> np.ndarray:

@@ -10,7 +10,7 @@ STATE_CHARS = {".": FREE, "#": OCCUPIED, "?": UNKNOWN}
 
 
 def remap_cost(raw_cost) -> float:
-    """Scalar oracle for gridmap.remap_costs: map one raw cost into [0, 1].
+    """Scalar oracle for the gridmap.REMAPPED table: map one raw cost into [0, 1].
 
     Unknown -> 0, lethal (254) -> 1 exactly, anything else (raw + 1) / 255.
     """

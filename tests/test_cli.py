@@ -108,6 +108,7 @@ class TestConfig:
         ("[heuristic]\nbeta = 0.01\nexp_arg_cap = 1000\n", "[heuristic] exp_arg_cap"),
         ("[lidar]\nmax_range = nan\n", "[lidar] max_range"),
         ("[kinematics]\ndt = inf\n", "[kinematics] dt"),
+        ("[kinematics]\nw_max = 1e-320\n", "[kinematics] w_max * dt"),
         ("[inflation]\ndecay_rate = nan\n", "[inflation] decay_rate"),
         ("[inflation]\ndecay_rate = -4\n", "[inflation] decay_rate"),
         ("[inflation]\ninflation_radius = inf\n", "[inflation] inflation_radius"),
@@ -226,6 +227,8 @@ class TestCmdRun:
                            extra="[limits]\nmax_ticks = 1\nexpr_target = 0.999\n"
                                  "[lidar]\nmax_range = 0.5\n")
         assert main(["run", "--config", str(cfg)]) == 2
+        assert main(["compare", "--config", str(cfg)]) == 2
+        assert (tmp_path / "out" / "aggregate.csv").is_file()
 
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("fmt", ["ascii", "pgm"])

@@ -224,6 +224,20 @@ class TestCluster:
         keys = [(s.centroid[1], s.centroid[0]) for s in segments]
         assert keys == sorted(keys)
 
+    def test_equal_centroids_rank_by_first_cell(self):
+        # The perimeter of 5x5 cells and a mark at its centre: two segments
+        # with exactly the same centroid. The ring's first cell comes first
+        # in raster order, so the ring ranks first.
+        marks = np.zeros((7, 7), dtype=bool)
+        marks[1:6, 1:6] = True
+        marks[2:5, 2:5] = False
+        marks[3, 3] = True
+        states = np.zeros(marks.shape, dtype=np.uint8)
+        belief = OccupancyGrid(7, 7, 0.25, states, states.copy())
+        ring, centre = cluster_segments(marks, belief, min_size=1)
+        assert ring.centroid == centre.centroid
+        assert len(ring.cells) == 16 and cell_set(centre) == {(3, 3)}
+
     def test_mismatched_mask_rejected(self):
         a = grid_from_rows(["??", ".."])
         b = grid_from_rows(["???", "..."])

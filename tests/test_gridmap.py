@@ -25,7 +25,7 @@ from explorebench.gridmap import (COST_INSCRIBED, COST_LETHAL, COST_UNKNOWN,
                                   exploration_rate, inflate, known_box,
                                   load_belief, load_map, load_map_file,
                                   raycast_reveal, reachable_free_mask,
-                                  remap_costs, to_ascii, wrap_angle)
+                                  REMAPPED, to_ascii, wrap_angle)
 
 
 # ---------------------------------------------------------------------------
@@ -55,10 +55,15 @@ class TestLoadMap:
         assert int((grid.states == OCCUPIED).sum()) == expected
 
     def test_pgm_threshold(self):
-        raw = bytes([0, 100, 200, 255])
-        grid = load_map(b"P5 2 2 255\n" + raw, fmt="pgm", resolution=1.0,
-                        occupied_threshold=100)
-        assert int((grid.states == OCCUPIED).sum()) == 2
+        payload = b"P5 2 2 255\n" + bytes([0, 100, 200, 255])
+        for threshold, occupied in ((0, 1), (100, 2), (255, 4)):
+            grid = load_map(payload, fmt="pgm", resolution=1.0, occupied_threshold=threshold)
+            assert int((grid.states == OCCUPIED).sum()) == occupied
+        # Past a byte's range a threshold would read every cell as Occupied
+        # (300) or as Free (-1).
+        for threshold in (-1, 256, 300):
+            with pytest.raises(MalformedMapError):
+                load_map(payload, fmt="pgm", resolution=1.0, occupied_threshold=threshold)
 
     @pytest.mark.parametrize("content", [
         "",
@@ -132,6 +137,8 @@ class TestLoadMap:
         "resolution = abc\n",
         "resolution = nan\n",
         "resolution = 0.1\noccupied_threshold = x\n",
+        "resolution = 0.1\noccupied_threshold = 256\n",
+        "resolution = 0.1\noccupied_threshold = -1\n",
     ])
     def test_malformed_sidecar(self, tmp_path, sidecar):
         pgm = tmp_path / "world.pgm"
@@ -409,17 +416,17 @@ class TestReinflateWindow:
 
 class TestRemapCost:
     def test_endpoints(self):
-        m = remap_costs(np.array([COST_UNKNOWN, COST_LETHAL, 0], dtype=np.uint8))
+        m = REMAPPED[np.array([COST_UNKNOWN, COST_LETHAL, 0], dtype=np.uint8)]
         assert m.tolist() == [0.0, 1.0, 1 / 255]
 
     def test_total_monotone_bounded(self):
-        values = remap_costs(np.arange(255, dtype=np.uint8)).tolist()
+        values = REMAPPED[np.arange(255, dtype=np.uint8)].tolist()
         assert all(0.0 <= v <= 1.0 for v in values)
         assert all(a < b for a, b in zip(values, values[1:]))
 
     def test_vectorized_matches_scalar(self):
         costs = np.arange(256, dtype=np.uint8).reshape(16, 16)
-        vec = remap_costs(costs)
+        vec = REMAPPED[costs]
         for j in range(16):
             for i in range(16):
                 assert vec[j, i] == remap_cost(int(costs[j, i]))
@@ -575,7 +582,8 @@ class TestRaycastReveal:
         # Without the finiteness check, x and y failed untyped in
         # world_to_cell and a NaN theta revealed only the pose cell.
         for pose in (Pose(math.nan, 1.0), Pose(math.inf, 1.0), Pose(1.0, -math.inf),
-                     Pose(0.5, 0.5, math.nan)):
+                     Pose(0.5, 0.5, math.nan), Pose(0.5, 0.5, math.inf),
+                     Pose(0.5, 0.5, -math.inf)):
             with pytest.raises(PoseOutOfBoundsError):
                 raycast_reveal(belief, truth, pose, lidar)
         assert (belief.states == UNKNOWN).all()
@@ -932,14 +940,17 @@ class TestBeamScanner:
     @pytest.mark.parametrize("where,error", [
         ("past-east-edge", PoseOutOfBoundsError), ("in-obstacle", PoseInsideObstacleError),
         ("nan-x", PoseOutOfBoundsError), ("inf-x", PoseOutOfBoundsError),
-        ("nan-y", PoseOutOfBoundsError), ("nan-theta", PoseOutOfBoundsError)])
+        ("nan-y", PoseOutOfBoundsError), ("nan-theta", PoseOutOfBoundsError),
+        ("inf-theta", PoseOutOfBoundsError), ("-inf-theta", PoseOutOfBoundsError)])
     def test_bad_pose_raises_before_any_read(self, where, error):
         truth = grid_from_rows(["....", ".#..", "...."], resolution=1.0)
         other = grid_from_rows(["...", "...", "...", "..."], resolution=1.0)
         # Past the east edge, the cell's flat index lies in the next row.
-        bad = {"past-east-edge": Pose(4.5, 0.5), "in-obstacle": Pose(1.5, 1.5),
-               "nan-x": Pose(math.nan, 0.5), "inf-x": Pose(math.inf, 0.5),
-               "nan-y": Pose(0.5, math.nan), "nan-theta": Pose(0.5, 0.5, math.nan)}[where]
+        bad = Pose(*{"past-east-edge": (4.5, 0.5), "in-obstacle": (1.5, 1.5),
+                     "nan-x": (math.nan, 0.5), "inf-x": (math.inf, 0.5),
+                     "nan-y": (0.5, math.nan), "nan-theta": (0.5, 0.5, math.nan),
+                     "inf-theta": (0.5, 0.5, math.inf),
+                     "-inf-theta": (0.5, 0.5, -math.inf)}[where])
         scanner = BeamScanner([truth, truth, other], LidarModel(beam_count=8))
         with pytest.raises(error):
             scanner.scan([(0, Pose(0.5, 0.5)), (1, bad), (2, Pose(0.5, 0.5))])

@@ -431,3 +431,7 @@ def test_kinematic_state_validation():
     for field in ("v_max", "w_max", "dt"):
         with pytest.raises(ValueError):
             KinematicState(**{field: math.nan})
+    # pi / (w_max * dt), the ticks of a half turn, overflows or divides by 0.
+    for w_max in (1e-320, 5e-324):
+        with pytest.raises(ValueError):
+            KinematicState(w_max=w_max, dt=0.25)
