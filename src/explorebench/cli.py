@@ -58,7 +58,7 @@ def aggregate_csv(rows) -> str:
 
 
 def record_json(record) -> str:
-    return json.dumps(record.to_json(), sort_keys=True, indent=2) + "\n"
+    return json.dumps(record.to_json(), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _artifact_stem(map_name, selector, seed) -> str:

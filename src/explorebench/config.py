@@ -11,6 +11,7 @@ from __future__ import annotations
 import configparser
 import math
 import os
+import sys
 from collections import Counter
 from dataclasses import dataclass, fields
 
@@ -183,8 +184,11 @@ def _load_maps(parser, inflation):
     if not todo:
         raise ConfigError("[maps] generate: no maps configured")
     _unique("[maps] generate", [name for name, _, _ in todo])
-    return [(name, generate_map(tier, seed, resolution, inflation))
-            for name, tier, seed in todo]
+    try:
+        return [(name, generate_map(tier, seed, resolution, inflation))
+                for name, tier, seed in todo]
+    except MapError as e:
+        raise ConfigError(f"[maps] resolution: {e}") from None
 
 
 def parse_config(text: str, need_maps: bool = True) -> ExperimentConfig:
@@ -209,6 +213,10 @@ def parse_config(text: str, need_maps: bool = True) -> ExperimentConfig:
     kinematics = _section(parser, "kinematics", KinematicState)
     reward = _section(parser, "reward", RewardConfig)
     limits = _section(parser, "limits", RunLimits)
+    # The last sample's time (a tick count past the largest float overflows too).
+    ticks, dt = limits.max_ticks, kinematics.dt
+    if ticks > sys.float_info.max or not math.isfinite(ticks * dt):
+        raise ConfigError(f"[kinematics] dt: {dt!r} s times max_ticks is not finite")
 
     selector_specs = _get(parser, "selectors", "selectors", str).split()
     if not selector_specs:

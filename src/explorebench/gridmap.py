@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass
 
 import numpy as np
 from scipy import ndimage
@@ -129,11 +129,12 @@ class OccupancyGrid:
     resolution: float
     states: np.ndarray
     costs: np.ndarray
-    inflation: InflationParams = field(default_factory=InflationParams)
+    inflation: InflationParams = InflationParams()
 
     def __post_init__(self):
-        if not math.isfinite(self.resolution):
-            raise MalformedMapError(f"resolution must be finite, got {self.resolution}")
+        span = (self.width + self.height) * self.resolution  # squared, bounds dx² + dy²
+        if not math.isfinite(span * span):
+            raise MalformedMapError(f"resolution {self.resolution}: squared extent not finite")
         if self.resolution <= 0.0:
             raise ZeroResolutionError(f"resolution must be > 0, got {self.resolution}")
         if self.states.shape != (self.height, self.width):
@@ -142,15 +143,6 @@ class OccupancyGrid:
             )
         if self.costs.shape != self.states.shape:
             raise MalformedMapError("costs shape differs from states shape")
-
-    @classmethod
-    def unknown(cls, width, height, resolution,
-                inflation: InflationParams | None = None) -> "OccupancyGrid":
-        """All-Unknown belief grid with the matching cost markers."""
-        states = np.full((height, width), UNKNOWN, dtype=np.uint8)
-        costs = np.full((height, width), COST_UNKNOWN, dtype=np.uint8)
-        return cls(width, height, resolution, states, costs,
-                   inflation or InflationParams())
 
     def in_bounds(self, i: int, j: int) -> bool:
         return 0 <= i < self.width and 0 <= j < self.height
@@ -244,9 +236,8 @@ def _parse_pgm(data: bytes, occupied_threshold: int):
 
 
 def grid_from_states(states: np.ndarray, resolution: float,
-                     inflation: InflationParams | None = None) -> OccupancyGrid:
+                     inflation: InflationParams = InflationParams()) -> OccupancyGrid:
     """Wrap a (height, width) state array in a grid with inflated costs."""
-    inflation = inflation or InflationParams()
     height, width = states.shape
     grid = OccupancyGrid(width, height, resolution, states, np.empty_like(states),
                          inflation=inflation)
@@ -257,7 +248,7 @@ def grid_from_states(states: np.ndarray, resolution: float,
 
 def load_map(source, fmt: str = "ascii", *, resolution: float | None = None,
              occupied_threshold: int = 50,
-             inflation: InflationParams | None = None) -> OccupancyGrid:
+             inflation: InflationParams = InflationParams()) -> OccupancyGrid:
     """Parse a ground-truth map (no Unknown cells) and inflate its costs.
 
     fmt="ascii" takes the text content (str, or bytes holding ASCII);
@@ -278,13 +269,13 @@ def load_map(source, fmt: str = "ascii", *, resolution: float | None = None,
 
 
 def load_belief(content: str | bytes,
-                inflation: InflationParams | None = None) -> OccupancyGrid:
+                inflation: InflationParams = InflationParams()) -> OccupancyGrid:
     """Parse a belief snapshot in the ASCII format, with '?' for Unknown."""
     resolution, states = _parse_ascii(content, allow_unknown=True)
     return grid_from_states(states, resolution, inflation)
 
 
-def load_map_file(path, inflation: InflationParams | None = None) -> OccupancyGrid:
+def load_map_file(path, inflation: InflationParams = InflationParams()) -> OccupancyGrid:
     """Load a map file, picking the format from the extension.
 
     *.pgm expects a sidecar text file '<path>.txt' with 'resolution = <m>'
@@ -579,7 +570,7 @@ class BeamScanner:
             w, h, res, rng = truth.width, truth.height, truth.resolution, self.ranges[run]
             gx, gy, range_cells = pose.x / res, pose.y / res, rng / res
             floats.append((gx, gy, pose.theta, range_cells, (range_cells + _CULL_EPS) ** 2,
-                           pose.x, pose.y, res, rng**2))
+                           pose.x, pose.y, res, rng * rng))
             pi, pj = math.floor(gx), math.floor(gy)
             ints.append((pi, pj, self.bounds[run] + (pj + b) * (w + 2 * b) + pi + b, w + 2 * b, w))
             # Enough crossings per axis to pass the range or to leave the grid.
@@ -607,12 +598,11 @@ class BeamScanner:
             return np.unique(cells[keep])
 
         rb, beam = np.nonzero(self._cull(stack, f, i))
-        # The pose cells still Unknown (before a run's first reveal only),
-        # then the beams, marched and filtered a group at a time so a large
-        # batch never holds every beam's crossings or entered cells at once;
-        # each group's cells come out unique.
-        pose = np.flatnonzero(stack[:, r, r] == UNKNOWN)
-        found = [known(pose, i[pose, 2]) if pose.size else np.empty(0, dtype=i.dtype)]
+        # Each run's pose cell (known() keeps it only while Unknown, before
+        # the run's first reveal), then the beams, marched and filtered a
+        # group at a time so a large batch never holds every beam's
+        # crossings or entered cells at once; each group's cells come out unique.
+        found = [known(np.arange(len(runs)), i[:, 2])]
         for a in range(0, len(rb), _MARCH_GROUP):
             group = slice(a, a + _MARCH_GROUP)
             fb, ib = f[rb[group]], i[rb[group]]
@@ -654,14 +644,11 @@ class BeamScanner:
         sq = np.maximum(edges[0], np.minimum(edges[1], 0.0)) ** 2
         near = sq[:, 1, :, None] + sq[:, 0, None, :] <= f[:, 4, None, None]
         s, cj, ci = np.nonzero((stack == UNKNOWN) & near & adjacent_to(stack == FREE))
-        pose_unknown = stack[:, r, r, None] == UNKNOWN
         # Each U's (never on the window's rim) left, right, bottom and top edge
         # as a box (x0, x1, y0, y1) where F lies across it, facing the pose.
         (xl, xr), (yb, yt) = edges[:, s, 0, ci], edges[:, s, 1, cj]
         free = stack[s, cj + [[0], [0], [-1], [1]], ci + [[-1], [1], [0], [0]]] == FREE
         side, e = np.nonzero(free & (np.array((xl, -xr, yb, -yt)) > -_CULL_EPS))
-        if not e.size:
-            return np.broadcast_to(pose_unknown, (m, n))
         boxes = np.array(((xl, xl, yb, yt), (xr, xr, yb, yt), (xl, xr, yb, yb), (xl, xr, yt, yt)))
         x0, x1, y0, y1 = boxes[side, :, e].T
         s = s[e]
@@ -686,7 +673,7 @@ class BeamScanner:
                           - np.bincount(ends.ravel(), minlength=size))
         mask = np.empty((m, n), dtype=bool)
         mask[:, self.order] = depth.reshape(m, n + 1)[:, :n] > 0
-        return mask | pose_unknown
+        return mask | (stack[:, r, r, None] == UNKNOWN)
 
 
 def raycast_reveal(belief: OccupancyGrid, truth: OccupancyGrid, pose: Pose,

@@ -1,9 +1,10 @@
 """Seeded indoor map generator: rooms, doorways, box obstacles.
 
-Three complexity tiers produce fully connected worlds of increasing size
-and structure. Generation is a pure function of (tier, seed); maps whose
-free space ends up disconnected are rejected and regenerated from a
-derived seed, so the returned world is always fully explorable.
+Three complexity tiers give fully connected worlds of increasing size and
+structure; one table, _TIERS, maps a tier to (side of its square map in cells,
+(rows, cols) of sections, box count). Generation is a pure function of (tier,
+seed); maps whose free space ends up disconnected are rejected and regenerated
+from a derived seed, so the returned world is always fully explorable.
 """
 
 from __future__ import annotations
@@ -17,11 +18,8 @@ from scipy import ndimage
 from .gridmap import (_FOUR_CONNECTED, FREE, OCCUPIED, InflationParams, OccupancyGrid,
                       Pose, StartUnreachableError, grid_from_states)
 
-TIERS = ("low", "medium", "high")
-
-_TIER_SHAPE = {"low": (19, 19), "medium": (29, 29), "high": (39, 39)}
-_TIER_SECTIONS = {"low": (1, 2), "medium": (2, 2), "high": (3, 3)}
-_TIER_BOXES = {"low": 3, "medium": 5, "high": 8}
+_TIERS = {"low": (19, (1, 2), 3), "medium": (29, (2, 2), 5), "high": (39, (3, 3), 8)}
+TIERS = tuple(_TIERS)
 
 
 def _carve_partitions(occ, rng, rows, cols):
@@ -72,21 +70,20 @@ def _is_connected(occ) -> bool:
 
 
 def generate_map(tier: str, seed: int, resolution: float = 0.25,
-                 inflation: InflationParams | None = None) -> OccupancyGrid:
+                 inflation: InflationParams = InflationParams()) -> OccupancyGrid:
     """Deterministic ground-truth world for one (tier, seed) pair."""
     if tier not in TIERS:
         raise ValueError(f"tier must be one of {TIERS}, got {tier!r}")
-    height, width = _TIER_SHAPE[tier]
-    rows, cols = _TIER_SECTIONS[tier]
+    side, (rows, cols), boxes = _TIERS[tier]
     for attempt in range(32):
         # str seeds hash via sha512 inside random.seed, so this stays
         # deterministic across processes (tuple seeds do not).
         rng = random.Random(f"{seed}:{tier}:{attempt}")
-        occ = np.full((height, width), FREE, dtype=np.uint8)
+        occ = np.full((side, side), FREE, dtype=np.uint8)
         occ[0, :] = occ[-1, :] = OCCUPIED
         occ[:, 0] = occ[:, -1] = OCCUPIED
         _carve_partitions(occ, rng, rows, cols)
-        _scatter_boxes(occ, rng, _TIER_BOXES[tier])
+        _scatter_boxes(occ, rng, boxes)
         if _is_connected(occ):
             break
     else:

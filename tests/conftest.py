@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from explorebench.gridmap import (COST_LETHAL, COST_UNKNOWN, FREE, OCCUPIED,
-                                  UNKNOWN, InflationParams, OccupancyGrid, inflate)
+                                  UNKNOWN, InflationParams, OccupancyGrid, grid_from_states,
+                                  inflate)
 
 STATE_CHARS = {".": FREE, "#": OCCUPIED, "?": UNKNOWN}
 
@@ -24,6 +25,12 @@ def remap_cost(raw_cost) -> float:
 def clone_grid(grid):
     """The grid with copies of its states and costs."""
     return replace(grid, states=grid.states.copy(), costs=grid.costs.copy())
+
+
+def unknown_grid(width, height, resolution, inflation=InflationParams()):
+    """An all-Unknown grid (every cost the Unknown marker), from grid_from_states."""
+    return grid_from_states(np.full((height, width), UNKNOWN, dtype=np.uint8), resolution,
+                            inflation)
 
 
 def cell_set(segment):

@@ -31,6 +31,7 @@ from scenes import case_study_scene, frontier_type_scenes
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 BENCH_CONFIG = os.path.join(ROOT, "configs", "benchmark.cfg")
+# The three digests below were recorded with numpy 2.4.6 and scipy 1.17.1.
 # sha256 of record_json of the 200 corpus records, in corpus order.
 CORPUS_DIGEST = "99cd13d407be4fbdaa1df8b636a112b5cc09211217f0c9220852095c124cbb3c"
 # sha256 of record_json of the 24 corridor records of

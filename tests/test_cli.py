@@ -109,6 +109,10 @@ class TestConfig:
         ("[lidar]\nmax_range = nan\n", "[lidar] max_range"),
         ("[kinematics]\ndt = inf\n", "[kinematics] dt"),
         ("[kinematics]\nw_max = 1e-320\n", "[kinematics] w_max * dt"),
+        ("[kinematics]\ndt = 1e308\n", "[kinematics] dt"),
+        # A tick count past the largest float fails to convert, not to multiply.
+        ("[limits]\nmax_ticks = 1" + "0" * 400 + "\n", "[kinematics] dt"),
+        ("[maps]\nresolution = 1e300\n", "[maps] resolution"),
         ("[inflation]\ndecay_rate = nan\n", "[inflation] decay_rate"),
         ("[inflation]\ndecay_rate = -4\n", "[inflation] decay_rate"),
         ("[inflation]\ninflation_radius = inf\n", "[inflation] inflation_radius"),
@@ -274,6 +278,48 @@ class TestCmdRun:
         payload = json.loads(
             (tmp_path / "out" / "world_nearest_1.json").read_text())
         assert payload["outcome"] == "complete"
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON token {name}")
+
+
+class TestExtremeValues:
+    """One `run` of a generated low map for at most 60 ticks with one key at
+    an extreme value either fails as a config error that names the key, or
+    ends with artifacts that a strict JSON parser reads and whose samples
+    are all finite. At dt = 1e308 the sample times overflowed into Infinity
+    tokens; at resolution = 1e300 the occupancy score's squares overflowed."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("section,key,value", [
+        ("kinematics", "dt", "1e308"), ("maps", "resolution", "1e300"),
+        ("kinematics", "v_max", "1e308"), ("kinematics", "w_max", "1e308"),
+        ("planner", "cost_weight", "1e308"), ("heuristic", "alpha", "5e-324"),
+        ("heuristic", "beta", "5e-324"), ("heuristic", "af_scale", "5e-324"),
+        ("lidar", "angular_span", "1e300"), ("lidar", "max_range", "1e-300"),
+        ("inflation", "decay_rate", "1e308"), ("inflation", "inscribed_radius", "1e-300"),
+        ("inflation", "inscribed_radius", "1e300"), ("inflation", "inflation_radius", "1e300"),
+        ("inflation", "inflation_radius", "1e-300"), ("maps", "resolution", "1e-300"),
+        ("planner", "goal_relax_radius", "1000000000")])
+    def test_ends_cleanly(self, tmp_path, capsys, section, key, value):
+        sections = {"maps": {"generate": "low:1"}, "limits": {"max_ticks": "60"},
+                    "run": {"seeds": "1", "outdir": str(tmp_path / "out")}}
+        sections.setdefault(section, {})[key] = value
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                               for name, keys in sections.items()))
+        code = main(["run", "--config", str(cfg)])
+        if code == 1:
+            err = capsys.readouterr().err
+            assert err.startswith("config error") and f"[{section}]" in err and key in err
+            return
+        assert code in (0, 2)
+        artifacts = sorted((tmp_path / "out").glob("*.json"))
+        assert len(artifacts) == 2
+        for path in artifacts:
+            samples = json.loads(path.read_text(), parse_constant=_reject_constant)["samples"]
+            assert samples and np.isfinite(samples).all()
 
 
 class TestCmdCompare:

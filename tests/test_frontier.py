@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cell_set, grid_from_rows
+from conftest import cell_set, grid_from_rows, unknown_grid
 from explorebench.frontier import cluster_segments, detect_frontiers
 from explorebench.gridmap import FREE, UNKNOWN, OccupancyGrid
 
@@ -85,7 +85,7 @@ class TestDetect:
 
     def test_zero_size_grid(self):
         for h, w in ((3, 0), (0, 3), (0, 0)):
-            marks = detect_frontiers(OccupancyGrid.unknown(w, h, 0.25))
+            marks = detect_frontiers(unknown_grid(w, h, 0.25))
             assert marks.shape == (h, w)
 
     @settings(max_examples=200, deadline=None)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import STATE_CHARS, clone_grid, grid_from_rows, remap_cost
+from conftest import STATE_CHARS, clone_grid, grid_from_rows, remap_cost, unknown_grid
 from reference import reference_adjacent, reference_inflation_costs
 from explorebench import gridmap
 from explorebench.mapgen import TIERS, generate_map, pick_start
@@ -300,7 +300,7 @@ class TestInflate:
         # wall in it: the costs are written in place, and only the wall's
         # box gets scratch arrays. Three grid-sized temporaries (an Occupied
         # mask, a fresh cost array and an Unknown mask) peaked at 3x.
-        grid = OccupancyGrid.unknown(1024, 1024, 0.05)
+        grid = unknown_grid(1024, 1024, 0.05)
         grid.states[480:544, 480:544] = FREE
         grid.states[512, 500:520] = OCCUPIED
         expected = reference_inflation_costs(grid.states, 0.05, *astuple(InflationParams()))
@@ -316,7 +316,7 @@ class TestInflate:
 
     def test_zero_size_grid(self):
         for h, w in ((3, 0), (0, 3), (0, 0)):
-            grid = OccupancyGrid.unknown(w, h, 0.25)
+            grid = unknown_grid(w, h, 0.25)
             inflate(grid, *astuple(InflationParams()))
             assert grid.costs.shape == (h, w)
 
@@ -513,8 +513,7 @@ def oracle_beam_walks(grid, pose, angles, max_range):
 
 
 def make_belief_like(truth):
-    return OccupancyGrid.unknown(truth.width, truth.height, truth.resolution,
-                                 truth.inflation)
+    return unknown_grid(truth.width, truth.height, truth.resolution, truth.inflation)
 
 
 def _off_edge(edge, outward, ulps):
@@ -937,6 +936,38 @@ class TestBeamScanner:
                 inflate(reference, *astuple(slot.inflation))
                 assert (reference.costs == slot.costs).all()
 
+    def test_unknown_and_known_pose_cells_in_one_batch(self, rng):
+        # One scan of runs whose pose cell is Unknown (with the rest of the
+        # belief Unknown, or with every other cell known) and of runs whose
+        # pose cell is known (alone, or after a reveal from that pose). Each
+        # run gets the cells that were Unknown and became known, and the
+        # cells and slot that a reveal of the run alone gives.
+        lidar = LidarModel(beam_count=90, max_range=1.5)
+        for _ in range(10):
+            truth = TestRaycastReveal._random_truth(rng, 12, 12)
+            poses = [TestRaycastReveal._random_free_pose(rng, truth) for _ in range(4)]
+            beliefs = [make_belief_like(truth), make_belief_like(truth),
+                       make_belief_like(truth), clone_grid(truth)]
+            pose_cells = [truth.world_to_cell(p.x, p.y)[::-1] for p in poses]
+            beliefs[1].states[pose_cells[1]] = truth.states[pose_cells[1]]
+            raycast_reveal(beliefs[2], truth, poses[2], lidar)
+            beliefs[3].states[pose_cells[3]] = UNKNOWN
+            for belief in beliefs[1], beliefs[3]:
+                inflate(belief, *astuple(belief.inflation))
+            scanner = BeamScanner([truth] * len(poses), lidar)
+            for belief, slot in zip(beliefs, scanner.grids):
+                slot.states[...], slot.costs[...] = belief.states, belief.costs
+            found = scanner.scan(list(enumerate(poses)))
+            assert found[3].tolist() == [pose_cells[3][1] + truth.width * pose_cells[3][0]]
+            for belief, pose, cells, slot in zip(beliefs, poses, found, scanner.grids):
+                before = belief.states.copy()
+                ci, cj = raycast_reveal(belief, truth, pose, lidar)
+                assert cells.tolist() == (ci + truth.width * cj).tolist()
+                assert cells.tolist() == np.flatnonzero(
+                    (before == UNKNOWN) & (belief.states != UNKNOWN)).tolist()
+                assert (slot.states == belief.states).all()
+                assert (slot.costs == belief.costs).all()
+
     @pytest.mark.parametrize("where,error", [
         ("past-east-edge", PoseOutOfBoundsError), ("in-obstacle", PoseInsideObstacleError),
         ("nan-x", PoseOutOfBoundsError), ("inf-x", PoseOutOfBoundsError),
@@ -957,10 +988,19 @@ class TestBeamScanner:
         assert all((g.states == UNKNOWN).all() and (g.costs == 255).all()
                    for g in scanner.grids)
 
+    @pytest.mark.filterwarnings("error")
+    def test_squared_range_past_largest_float(self):
+        # The range clamps to the diagonal plus one cell, which on a grid one
+        # cell wide is longer than its width + height: at this resolution the
+        # grid is accepted, and the range's square raised OverflowError.
+        truth = grid_from_rows(["."], resolution=6e153)
+        scanner = BeamScanner([truth], LidarModel(max_range=1e300))
+        assert scanner.scan([(0, Pose(3e153, 3e153))])[0].tolist() == [0]
+
     def test_belief_with_other_inflation_rejected(self):
         # The stamp uses the truth's kernel, so the belief must share it.
         truth = grid_from_rows(["....", "....", "...."], resolution=1.0)
-        belief = OccupancyGrid.unknown(4, 3, 1.0, InflationParams(0.5, 1.0, 1.0))
+        belief = unknown_grid(4, 3, 1.0, InflationParams(0.5, 1.0, 1.0))
         with pytest.raises(MapError):
             raycast_reveal(belief, truth, Pose(0.5, 0.5), LidarModel(beam_count=8))
 
@@ -1120,7 +1160,7 @@ class TestExplorationRate:
     def test_shape_mismatch_raises(self):
         _, reachable = self._fixture()
         with pytest.raises(MapError):
-            exploration_rate(OccupancyGrid.unknown(4, 5, 1.0), reachable)
+            exploration_rate(unknown_grid(4, 5, 1.0), reachable)
 
     def test_monotone_across_reveals(self):
         truth = grid_from_rows(["." * 15] * 15, resolution=0.5)
@@ -1181,14 +1221,24 @@ class TestTypes:
             OccupancyGrid(3, 2, 0.0, np.zeros((2, 3), np.uint8),
                           np.zeros((2, 3), np.uint8))
 
+    def test_squared_span_must_be_finite(self):
+        # A squared distance between two points of a grid is at most
+        # ((width + height) * resolution) squared; at resolution 1e300 the
+        # occupancy score's squares overflowed.
+        states = np.zeros((19, 19), np.uint8)
+        for res in (1e300, 4e152, math.inf, -math.inf, math.nan):
+            with pytest.raises(MalformedMapError, match="squared extent"):
+                OccupancyGrid(19, 19, res, states, states.copy())
+        assert OccupancyGrid(19, 19, 3e152, states, states.copy()).resolution == 3e152
+
     def test_cell_round_trip(self):
-        grid = OccupancyGrid.unknown(8, 5, 0.5)
+        grid = unknown_grid(8, 5, 0.5)
         assert (grid.costs == COST_UNKNOWN).all()
         for i, j in ((0, 0), (7, 4), (3, 2)):
             x, y = grid.cell_center(i, j)
             assert grid.world_to_cell(x, y) == (i, j)
 
     def test_flat_index_convention(self):
-        grid = OccupancyGrid.unknown(4, 3, 1.0)
+        grid = unknown_grid(4, 3, 1.0)
         grid.states[2, 1] = FREE  # i=1, j=2 -> k = i + width*j = 9
         assert grid.states.flat[1 + 4 * 2] == FREE
