@@ -167,13 +167,12 @@ def cmd_reward(reward_cfg: RewardConfig, stream) -> int:
         if not line:
             continue
         try:
-            payload = json.loads(line)
-            obs = StepObservation(**payload)
-        except (ValueError, TypeError) as e:
+            obs = StepObservation(**json.loads(line))
+            terms = reward_terms(obs, reward_cfg)
+            total = compute_reward(obs, reward_cfg)
+        except (ValueError, TypeError, ArithmeticError) as e:
             print(f"error: line {lineno}: {e}", file=sys.stderr)
             return 1
-        terms = reward_terms(obs, reward_cfg)
-        total = compute_reward(obs, reward_cfg)
         writer.writerow([repr(terms[k]) for k in REWARD_CSV_HEADER[:-1]]
                         + [repr(total)])
     return 0
@@ -241,7 +240,3 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"io error: {e}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -189,8 +189,8 @@ def _target_alive(belief, cells):
 
 
 def _explore(truth: OccupancyGrid, belief: OccupancyGrid, start: Pose,
-             selector: SelectorKind, params: HeuristicParams, lidar: LidarModel,
-             kin: KinematicState, limits: RunLimits, min_segment_size: int,
+             selector: SelectorKind, params: HeuristicParams, kin: KinematicState,
+             limits: RunLimits, min_segment_size: int,
              cost_weight: float, goal_relax_radius: int):
     """One run as a stepper on its belief, a BeamScanner slot: yields its
     pose before each reveal, is sent the cells that the batched scan made
@@ -209,7 +209,7 @@ def _explore(truth: OccupancyGrid, belief: OccupancyGrid, start: Pose,
 
     for tick in range(limits.max_ticks + 1):
         cells = yield pose
-        if changed := raycast_reveal(belief, truth, pose, lidar, cells)[0].size:
+        if changed := raycast_reveal(belief, truth, pose, cells)[0].size:
             rate = exploration_rate(belief, reachable)
         record.samples.append((tick * kin.dt, pose.x, pose.y, pose.theta, cumdist, rate))
         if tick == limits.max_ticks:
@@ -276,7 +276,7 @@ def explore_lockstep(runs: list[tuple[OccupancyGrid, Pose, SelectorKind]],
     cells it revealed. A run's record does not depend on the runs beside it.
     """
     scanner = BeamScanner([truth for truth, _, _ in runs], lidar)
-    steppers = [_explore(truth, belief, start, selector, params, lidar, kin, limits,
+    steppers = [_explore(truth, belief, start, selector, params, kin, limits,
                          min_segment_size, cost_weight, goal_relax_radius)
                 for (truth, start, selector), belief in zip(runs, scanner.grids)]
     records: list[RunRecord] = [None] * len(runs)

@@ -677,38 +677,9 @@ class BeamScanner:
 
 
 def raycast_reveal(belief: OccupancyGrid, truth: OccupancyGrid, pose: Pose,
-                   lidar: LidarModel, cells: np.ndarray | None = None,
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Reveal truth cells visible to the scanner; return the cells that changed.
-
-    Beam k points at pose.theta + angular_span * k / beam_count. Cells a
-    beam crosses before its first Occupied truth cell become Free in the
-    belief when their center lies within max_range of the pose; the hit
-    cell becomes Occupied. Returns the (i, j) arrays, in raster order, of
-    the cells that were Unknown before this reveal and are known after it.
-
-    cells are this run's cells from a BeamScanner scan of the same pose
-    whose slot is the belief: the scan has written them, so the reveal
-    writes nothing. Without them, the reveal scans a batch of one on a
-    copy of the belief and copies the slot back if a cell became known.
-
-    Precondition: the belief agrees with the truth wherever it is known
-    and holds a full inflate's costs (run_exploration guarantees both,
-    since only reveals write the belief).
-    Only beams that can enter an Unknown cell are marched: a beam that
-    enters none only re-marks known cells, and the first Unknown cell a
-    beam enters is 4-adjacent to a known Free cell or to the pose cell,
-    with its nearest point within max_range.
-    """
-    if cells is None:
-        if (belief.states.shape != truth.states.shape or belief.inflation != truth.inflation
-                or belief.resolution != truth.resolution):
-            raise MapError("belief and truth grids must share geometry")
-        scanner = BeamScanner([truth], lidar)
-        slot = scanner.grids[0]
-        slot.states[...], slot.costs[...] = belief.states, belief.costs
-        if (cells := scanner.scan([(0, pose)])[0]).size:
-            belief.states[...], belief.costs[...] = slot.states, slot.costs
+                   cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (i, j) arrays, in raster order, of cells: one run's cells from a
+    BeamScanner scan of pose whose slot is belief, which the scan has written."""
     cj, ci = np.divmod(cells, truth.width)
     return ci, cj
 

@@ -10,6 +10,7 @@ published typesetting is ambiguous; see RewardConfig.distance_term_form.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass, fields
 
@@ -17,6 +18,10 @@ DISTANCE_FORMS = ("paren_minus_one", "literal")
 
 
 class DegenerateDistanceError(ZeroDivisionError):
+    pass
+
+
+class NonFiniteRewardError(ValueError):
     pass
 
 
@@ -66,28 +71,33 @@ class RewardConfig:
 
 
 def reward_terms(obs: StepObservation, cfg: RewardConfig) -> dict[str, float]:
-    """Every individual term, keyed by name (r_linear always computed)."""
+    """Every individual term, keyed by name (r_linear always computed);
+    NonFiniteRewardError names the first term that is not finite."""
     r_yaw = -abs(obs.goal_angle)
-    r_linear = -(((cfg.max_linear - obs.action_linear) * 10.0) ** 2)
-    r_angular = -(obs.action_angular**2)
+    # x * x, not x ** 2: it gives inf where ** raises OverflowError.
+    lin = (cfg.max_linear - obs.action_linear) * 10.0
+    r_linear = -(lin * lin)
+    r_angular = -(obs.action_angular * obs.action_angular)
     if cfg.distance_term_form == "paren_minus_one":
-        denom = obs.d_goal_init + obs.d_goal_now
-        if denom == 0.0:
-            raise DegenerateDistanceError("d_goal_init + d_goal_now is zero")
-        r_distance = 2.0 * obs.d_goal_init / denom - 1.0
+        # Positive: d_goal_init > 0 and d_goal_now >= 0.
+        r_distance = 2.0 * obs.d_goal_init / (obs.d_goal_init + obs.d_goal_now) - 1.0
     else:
         denom = obs.d_goal_init + obs.d_goal_now - 1.0
         if denom == 0.0:
             raise DegenerateDistanceError("d_goal_init + d_goal_now - 1 is zero")
         r_distance = 2.0 * obs.d_goal_init / denom
     r_obstacle = -50.0 if obs.lidar_min < 1.5 * cfg.collision_threshold else 0.0
-    return {
+    terms = {
         "r_yaw": r_yaw,
         "r_linear": r_linear,
         "r_angular": r_angular,
         "r_distance": r_distance,
         "r_obstacle": r_obstacle,
     }
+    for name, value in terms.items():
+        if not math.isfinite(value):
+            raise NonFiniteRewardError(f"{name} is not finite: {value}")
+    return terms
 
 
 def compute_reward(obs: StepObservation, cfg: RewardConfig) -> float:
@@ -95,7 +105,8 @@ def compute_reward(obs: StepObservation, cfg: RewardConfig) -> float:
 
     R = r_yaw + r_angular + r_distance + r_obstacle (r_linear only when
     include_r_linear), then +5000 once within goal_threshold and -2000 once
-    lidar_min drops below collision_threshold.
+    lidar_min drops below collision_threshold. NonFiniteRewardError if
+    a term or the total is not finite.
     """
     terms = reward_terms(obs, cfg)
     total = (terms["r_yaw"] + terms["r_angular"] + terms["r_distance"]
@@ -106,4 +117,6 @@ def compute_reward(obs: StepObservation, cfg: RewardConfig) -> float:
         total += 5000.0
     if obs.lidar_min < cfg.collision_threshold:
         total -= 2000.0
+    if not math.isfinite(total):
+        raise NonFiniteRewardError(f"reward is not finite: {total}")
     return total

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from explorebench.gridmap import (COST_LETHAL, COST_UNKNOWN, FREE, OCCUPIED,
-                                  UNKNOWN, InflationParams, OccupancyGrid, grid_from_states,
-                                  inflate)
+                                  UNKNOWN, BeamScanner, InflationParams, MapError,
+                                  OccupancyGrid, grid_from_states, inflate)
 
 STATE_CHARS = {".": FREE, "#": OCCUPIED, "?": UNKNOWN}
 
@@ -31,6 +31,33 @@ def unknown_grid(width, height, resolution, inflation=InflationParams()):
     """An all-Unknown grid (every cost the Unknown marker), from grid_from_states."""
     return grid_from_states(np.full((height, width), UNKNOWN, dtype=np.uint8), resolution,
                             inflation)
+
+
+def reveal(belief, truth, pose, lidar):
+    """Reveal into belief the truth cells that lidar sees from pose, as one
+    run alone; return the cells that changed.
+
+    Beam k points at pose.theta + angular_span * k / beam_count. Cells a
+    beam crosses before its first Occupied truth cell become Free in the
+    belief when their center lies within max_range of the pose; the hit
+    cell becomes Occupied. Returns the (i, j) arrays, in raster order, of
+    the cells that were Unknown before this reveal and are known after it.
+
+    The reveal scans a batch of one on a BeamScanner slot seeded from the
+    belief, and copies the slot back only if a cell became known.
+    Precondition: the belief agrees with the truth wherever it is known
+    and holds a full inflate's costs.
+    """
+    if (belief.states.shape != truth.states.shape or belief.inflation != truth.inflation
+            or belief.resolution != truth.resolution):
+        raise MapError("belief and truth grids must share geometry")
+    scanner = BeamScanner([truth], lidar)
+    slot = scanner.grids[0]
+    slot.states[...], slot.costs[...] = belief.states, belief.costs
+    if (cells := scanner.scan([(0, pose)])[0]).size:
+        belief.states[...], belief.costs[...] = slot.states, slot.costs
+    cj, ci = np.divmod(cells, truth.width)
+    return ci, cj
 
 
 def cell_set(segment):

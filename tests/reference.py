@@ -164,3 +164,136 @@ def reference_pick_start(truth, seed):
     x, y = truth.cell_center(int(free_i[k]), int(free_j[k]))
     theta = rng.uniform(-math.pi, math.pi)
     return Pose(x, y, theta)
+
+
+def oracle_reveal_sets(truth, pose, lidar):
+    """Scalar re-implementation of the documented reveal semantics."""
+    res = truth.resolution
+    free_set, occ_set = set(), set()
+    gx, gy = pose.x / res, pose.y / res
+    range_cells = lidar.max_range / res
+    pi, pj = int(math.floor(gx)), int(math.floor(gy))
+
+    def center_in_range(i, j):
+        cx, cy = (i + 0.5) * res, (j + 0.5) * res
+        return (cx - pose.x) ** 2 + (cy - pose.y) ** 2 <= lidar.max_range**2
+
+    if truth.states[pj, pi] == FREE and center_in_range(pi, pj):
+        free_set.add((pi, pj))
+    for k in range(lidar.beam_count):
+        ang = pose.theta + lidar.angular_span * k / lidar.beam_count
+        dx, dy = math.cos(ang), math.sin(ang)
+        i, j = pi, pj
+        si = 1 if dx > 0 else (-1 if dx < 0 else 0)
+        sj = 1 if dy > 0 else (-1 if dy < 0 else 0)
+        tx = ((i + 1 - gx) / dx if dx > 0 else (i - gx) / dx) if dx else math.inf
+        ty = ((j + 1 - gy) / dy if dy > 0 else (j - gy) / dy) if dy else math.inf
+        dtx = abs(1.0 / dx) if dx else math.inf
+        dty = abs(1.0 / dy) if dy else math.inf
+        while True:
+            if tx <= ty:
+                entry, i, tx = tx, i + si, tx + dtx
+            else:
+                entry, j, ty = ty, j + sj, ty + dty
+            if entry > range_cells or not truth.in_bounds(i, j):
+                break
+            if truth.states[j, i] == OCCUPIED:
+                occ_set.add((i, j))
+                break
+            if center_in_range(i, j):
+                free_set.add((i, j))
+    return free_set, occ_set
+
+
+def oracle_beam_walks(grid, pose, angles, max_range):
+    """Walk each beam on its own, one boundary crossing per step.
+
+    The arithmetic is the documented one: inv = 1/d, the first crossing at
+    (c + 1 - g) * inv or (c - g) * inv, then t += |inv| per crossing, the x
+    crossing first on ties. A beam stops on entering a cell beyond
+    max_range, leaving the grid, or entering an Occupied cell (which it
+    keeps). Returns the cells each beam entered, one list per beam.
+    """
+    res = grid.resolution
+    gx, gy = pose.x / res, pose.y / res
+    range_cells = max_range / res
+    walks = []
+    for dx, dy in zip(np.cos(angles), np.sin(angles)):
+        dx, dy = float(dx), float(dy)
+        i, j = int(math.floor(gx)), int(math.floor(gy))
+        si = 1 if dx > 0 else (-1 if dx < 0 else 0)
+        sj = 1 if dy > 0 else (-1 if dy < 0 else 0)
+        inv_x = 1.0 / dx if dx else math.inf
+        inv_y = 1.0 / dy if dy else math.inf
+        tx = (i + 1 - gx) * inv_x if dx > 0 else ((i - gx) * inv_x if dx < 0 else math.inf)
+        ty = (j + 1 - gy) * inv_y if dy > 0 else ((j - gy) * inv_y if dy < 0 else math.inf)
+        entered = []
+        while True:
+            if tx <= ty:
+                entry, i, tx = tx, i + si, tx + abs(inv_x)
+            else:
+                entry, j, ty = ty, j + sj, ty + abs(inv_y)
+            if entry > range_cells or not grid.in_bounds(i, j):
+                break
+            entered.append((i, j))
+            if grid.states[j, i] == OCCUPIED:
+                break
+        walks.append(entered)
+    return walks
+
+
+def brute_force_marks(belief):
+    """Quantified definition: Free with at least one Unknown 4-neighbor."""
+    marks = np.zeros_like(belief.states, dtype=bool)
+    for j in range(belief.height):
+        for i in range(belief.width):
+            if belief.states[j, i] != FREE:
+                continue
+            for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+                ni, nj = i + di, j + dj
+                if belief.in_bounds(ni, nj) and belief.states[nj, ni] == UNKNOWN:
+                    marks[j, i] = True
+                    break
+    return marks
+
+
+def oracle_segments(marks, resolution, min_size):
+    """Scalar 8-connected flood fill with the documented segment geometry.
+
+    Each segment lists its cells in flat-index order; its centroid is the
+    mean cell center and radius_r the largest center distance.
+    """
+    h, w = marks.shape
+    seen = set()
+    segments = []
+    for j in range(h):
+        for i in range(w):
+            if not marks[j, i] or (i, j) in seen:
+                continue
+            seen.add((i, j))
+            stack, cells = [(i, j)], []
+            while stack:
+                ci, cj = stack.pop()
+                cells.append((ci, cj))
+                for nj in range(max(cj - 1, 0), min(cj + 2, h)):
+                    for ni in range(max(ci - 1, 0), min(ci + 2, w)):
+                        if marks[nj, ni] and (ni, nj) not in seen:
+                            seen.add((ni, nj))
+                            stack.append((ni, nj))
+            n = len(cells)
+            if n < min_size:
+                continue
+            cells.sort(key=lambda c: c[1] * w + c[0])
+            mean_i = sum(c[0] for c in cells) / n
+            mean_j = sum(c[1] for c in cells) / n
+            d2 = [(ci - mean_i) * (ci - mean_i) + (cj - mean_j) * (cj - mean_j)
+                  for ci, cj in cells]
+            segments.append({
+                "cells": cells,
+                "centroid": ((mean_i + 0.5) * resolution, (mean_j + 0.5) * resolution),
+                "length_af": n * resolution,
+                "radius_r": math.sqrt(max(d2)) * resolution,
+            })
+    segments.sort(key=lambda s: (s["centroid"][1], s["centroid"][0],
+                                 s["cells"][0][1] * w + s["cells"][0][0]))
+    return segments

@@ -1,7 +1,10 @@
 import configparser
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -200,6 +203,25 @@ class TestPrintDefaults:
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert digest == ("45c2f617d3d5a2075414439833b7fa29"
                           "896930e3e82b5a437e63a20d6e49e0be")
+
+
+class TestModuleEntry:
+    """python -m explorebench, run from the source tree in a process of its own."""
+
+    @staticmethod
+    def _run(*args):
+        root = os.path.join(os.path.dirname(__file__), os.pardir)
+        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+        return subprocess.run([sys.executable, "-m", "explorebench", *args], cwd=root,
+                              env=env, capture_output=True, text=True, timeout=120)
+
+    def test_print_defaults(self):
+        done = self._run("run", "--print-defaults")
+        assert done.returncode == 0 and done.stdout == DEFAULT_CONFIG
+
+    def test_compare_needs_config(self):
+        done = self._run("compare")
+        assert done.returncode == 1 and "--config is required" in done.stderr
 
 
 class TestCmdRun:
@@ -536,6 +558,25 @@ class TestCmdReward:
         assert main(["reward", "--input", str(path)]) == 1
         err = capsys.readouterr().err
         assert "line 1" in err and field in err
+
+    @pytest.mark.parametrize("changes,form", [
+        ({"d_goal_init": 1e308, "d_goal_now": 0.0}, "paren_minus_one"),
+        ({"d_goal_init": 1e308, "d_goal_now": 1e308}, "paren_minus_one"),
+        ({"action_linear": 1e200}, "paren_minus_one"),
+        ({"action_angular": 1e200}, "paren_minus_one"),
+        ({"d_goal_init": 0.6, "d_goal_now": 0.4}, "literal")],
+        ids=["inf-distance", "nan-distance", "huge-linear", "huge-angular", "zero-denominator"])
+    def test_reward_past_float_range_exit_1(self, tmp_path, capsys, changes, form):
+        # Each wrote inf or nan into the CSV, or died with a traceback.
+        fields = {"lidar_min": 10.0, "d_goal_init": 5.0, "d_goal_now": 5.0,
+                  "goal_angle": 0.0, "action_linear": 0.26, "action_angular": 0.0}
+        path, cfg = tmp_path / "obs.jsonl", tmp_path / "reward.cfg"
+        path.write_text(json.dumps({**fields, **changes}) + "\n")
+        cfg.write_text(f"[reward]\ndistance_term_form = {form}\n")
+        assert main(["reward", "--config", str(cfg), "--input", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: line 1: ")
+        assert captured.out == "r_yaw,r_linear,r_angular,r_distance,r_obstacle,reward\n"
 
     def test_non_utf8_input_exit_1(self, tmp_path, capsys):
         path = tmp_path / "obs.jsonl"

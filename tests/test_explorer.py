@@ -224,8 +224,8 @@ class TestRunExploration:
         reveal = explorer.raycast_reveal
         checked = []
 
-        def reveal_and_check(belief, truth, pose, lidar, *args):
-            changed = reveal(belief, truth, pose, lidar, *args)
+        def reveal_and_check(belief, truth, pose, cells):
+            changed = reveal(belief, truth, pose, cells)
             i, j = truth.world_to_cell(pose.x, pose.y)
             assert truth.in_bounds(i, j) and truth.states[j, i] == FREE
             known = belief.states != UNKNOWN

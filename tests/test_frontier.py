@@ -6,65 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import cell_set, grid_from_rows, unknown_grid
+from reference import brute_force_marks, oracle_segments
 from explorebench.frontier import cluster_segments, detect_frontiers
 from explorebench.gridmap import FREE, UNKNOWN, OccupancyGrid
-
-
-def brute_force_marks(belief):
-    """Quantified definition: Free with at least one Unknown 4-neighbor."""
-    marks = np.zeros_like(belief.states, dtype=bool)
-    for j in range(belief.height):
-        for i in range(belief.width):
-            if belief.states[j, i] != FREE:
-                continue
-            for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                ni, nj = i + di, j + dj
-                if belief.in_bounds(ni, nj) and belief.states[nj, ni] == UNKNOWN:
-                    marks[j, i] = True
-                    break
-    return marks
-
-
-def oracle_segments(marks, resolution, min_size):
-    """Scalar 8-connected flood fill with the documented segment geometry.
-
-    Each segment lists its cells in flat-index order; its centroid is the
-    mean cell center and radius_r the largest center distance.
-    """
-    h, w = marks.shape
-    seen = set()
-    segments = []
-    for j in range(h):
-        for i in range(w):
-            if not marks[j, i] or (i, j) in seen:
-                continue
-            seen.add((i, j))
-            stack, cells = [(i, j)], []
-            while stack:
-                ci, cj = stack.pop()
-                cells.append((ci, cj))
-                for nj in range(max(cj - 1, 0), min(cj + 2, h)):
-                    for ni in range(max(ci - 1, 0), min(ci + 2, w)):
-                        if marks[nj, ni] and (ni, nj) not in seen:
-                            seen.add((ni, nj))
-                            stack.append((ni, nj))
-            n = len(cells)
-            if n < min_size:
-                continue
-            cells.sort(key=lambda c: c[1] * w + c[0])
-            mean_i = sum(c[0] for c in cells) / n
-            mean_j = sum(c[1] for c in cells) / n
-            d2 = [(ci - mean_i) * (ci - mean_i) + (cj - mean_j) * (cj - mean_j)
-                  for ci, cj in cells]
-            segments.append({
-                "cells": cells,
-                "centroid": ((mean_i + 0.5) * resolution, (mean_j + 0.5) * resolution),
-                "length_af": n * resolution,
-                "radius_r": math.sqrt(max(d2)) * resolution,
-            })
-    segments.sort(key=lambda s: (s["centroid"][1], s["centroid"][0],
-                                 s["cells"][0][1] * w + s["cells"][0][0]))
-    return segments
 
 
 class TestDetect:

@@ -9,8 +9,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import STATE_CHARS, clone_grid, grid_from_rows, remap_cost, unknown_grid
-from reference import reference_adjacent, reference_inflation_costs
+from conftest import (STATE_CHARS, clone_grid, grid_from_rows, remap_cost, reveal,
+                      unknown_grid)
+from reference import (oracle_beam_walks, oracle_reveal_sets, reference_adjacent,
+                       reference_inflation_costs)
 from explorebench import gridmap
 from explorebench.mapgen import TIERS, generate_map, pick_start
 from explorebench.gridmap import (COST_INSCRIBED, COST_LETHAL, COST_UNKNOWN,
@@ -436,82 +438,6 @@ class TestRemapCost:
 # Raycast reveal
 # ---------------------------------------------------------------------------
 
-def oracle_reveal_sets(truth, pose, lidar):
-    """Scalar re-implementation of the documented reveal semantics."""
-    res = truth.resolution
-    free_set, occ_set = set(), set()
-    gx, gy = pose.x / res, pose.y / res
-    range_cells = lidar.max_range / res
-    pi, pj = int(math.floor(gx)), int(math.floor(gy))
-
-    def center_in_range(i, j):
-        cx, cy = (i + 0.5) * res, (j + 0.5) * res
-        return (cx - pose.x) ** 2 + (cy - pose.y) ** 2 <= lidar.max_range**2
-
-    if truth.states[pj, pi] == FREE and center_in_range(pi, pj):
-        free_set.add((pi, pj))
-    for k in range(lidar.beam_count):
-        ang = pose.theta + lidar.angular_span * k / lidar.beam_count
-        dx, dy = math.cos(ang), math.sin(ang)
-        i, j = pi, pj
-        si = 1 if dx > 0 else (-1 if dx < 0 else 0)
-        sj = 1 if dy > 0 else (-1 if dy < 0 else 0)
-        tx = ((i + 1 - gx) / dx if dx > 0 else (i - gx) / dx) if dx else math.inf
-        ty = ((j + 1 - gy) / dy if dy > 0 else (j - gy) / dy) if dy else math.inf
-        dtx = abs(1.0 / dx) if dx else math.inf
-        dty = abs(1.0 / dy) if dy else math.inf
-        while True:
-            if tx <= ty:
-                entry, i, tx = tx, i + si, tx + dtx
-            else:
-                entry, j, ty = ty, j + sj, ty + dty
-            if entry > range_cells or not truth.in_bounds(i, j):
-                break
-            if truth.states[j, i] == OCCUPIED:
-                occ_set.add((i, j))
-                break
-            if center_in_range(i, j):
-                free_set.add((i, j))
-    return free_set, occ_set
-
-
-def oracle_beam_walks(grid, pose, angles, max_range):
-    """Walk each beam on its own, one boundary crossing per step.
-
-    The arithmetic is the documented one: inv = 1/d, the first crossing at
-    (c + 1 - g) * inv or (c - g) * inv, then t += |inv| per crossing, the x
-    crossing first on ties. A beam stops on entering a cell beyond
-    max_range, leaving the grid, or entering an Occupied cell (which it
-    keeps). Returns the cells each beam entered, one list per beam.
-    """
-    res = grid.resolution
-    gx, gy = pose.x / res, pose.y / res
-    range_cells = max_range / res
-    walks = []
-    for dx, dy in zip(np.cos(angles), np.sin(angles)):
-        dx, dy = float(dx), float(dy)
-        i, j = int(math.floor(gx)), int(math.floor(gy))
-        si = 1 if dx > 0 else (-1 if dx < 0 else 0)
-        sj = 1 if dy > 0 else (-1 if dy < 0 else 0)
-        inv_x = 1.0 / dx if dx else math.inf
-        inv_y = 1.0 / dy if dy else math.inf
-        tx = (i + 1 - gx) * inv_x if dx > 0 else ((i - gx) * inv_x if dx < 0 else math.inf)
-        ty = (j + 1 - gy) * inv_y if dy > 0 else ((j - gy) * inv_y if dy < 0 else math.inf)
-        entered = []
-        while True:
-            if tx <= ty:
-                entry, i, tx = tx, i + si, tx + abs(inv_x)
-            else:
-                entry, j, ty = ty, j + sj, ty + abs(inv_y)
-            if entry > range_cells or not grid.in_bounds(i, j):
-                break
-            entered.append((i, j))
-            if grid.states[j, i] == OCCUPIED:
-                break
-        walks.append(entered)
-    return walks
-
-
 def make_belief_like(truth):
     return unknown_grid(truth.width, truth.height, truth.resolution, truth.inflation)
 
@@ -539,7 +465,7 @@ class TestRaycastReveal:
         belief = make_belief_like(truth)
         pose = Pose(*truth.cell_center(10, 10))
         lidar = LidarModel(beam_count=360, max_range=5.0)
-        raycast_reveal(belief, truth, pose, lidar)
+        reveal(belief, truth, pose, lidar)
         revealed = {(i, j) for j in range(21) for i in range(21)
                     if belief.states[j, i] != UNKNOWN}
         disk = {(i, j) for j in range(21) for i in range(21)
@@ -551,7 +477,7 @@ class TestRaycastReveal:
         truth = grid_from_rows(rows, resolution=0.5)
         belief = make_belief_like(truth)
         pose = Pose(*truth.cell_center(4, 2))
-        raycast_reveal(belief, truth, pose, LidarModel(beam_count=720, max_range=10.0))
+        reveal(belief, truth, pose, LidarModel(beam_count=720, max_range=10.0))
         assert (belief.states[5:, :] == UNKNOWN).all()
         assert (belief.states[4, :] != FREE).all()  # wall row never Free
 
@@ -563,7 +489,7 @@ class TestRaycastReveal:
         belief = make_belief_like(truth)
         pose = Pose(*truth.cell_center(2, 3))
         lidar = LidarModel(beam_count=1, max_range=10.0)
-        raycast_reveal(belief, truth, pose, lidar)
+        reveal(belief, truth, pose, lidar)
         known = {(i, j) for j in range(7) for i in range(9)
                  if belief.states[j, i] != UNKNOWN}
         assert known == {(2, 3), (3, 3), (4, 3), (5, 3)}
@@ -575,16 +501,16 @@ class TestRaycastReveal:
         belief = make_belief_like(truth)
         lidar = LidarModel()
         with pytest.raises(PoseOutOfBoundsError):
-            raycast_reveal(belief, truth, Pose(-1.0, 0.1), lidar)
+            reveal(belief, truth, Pose(-1.0, 0.1), lidar)
         with pytest.raises(PoseInsideObstacleError):
-            raycast_reveal(belief, truth, Pose(*truth.cell_center(1, 1)), lidar)
+            reveal(belief, truth, Pose(*truth.cell_center(1, 1)), lidar)
         # Without the finiteness check, x and y failed untyped in
         # world_to_cell and a NaN theta revealed only the pose cell.
         for pose in (Pose(math.nan, 1.0), Pose(math.inf, 1.0), Pose(1.0, -math.inf),
                      Pose(0.5, 0.5, math.nan), Pose(0.5, 0.5, math.inf),
                      Pose(0.5, 0.5, -math.inf)):
             with pytest.raises(PoseOutOfBoundsError):
-                raycast_reveal(belief, truth, pose, lidar)
+                reveal(belief, truth, pose, lidar)
         assert (belief.states == UNKNOWN).all()
 
     def test_belief_never_contradicts_truth(self, rng):
@@ -593,7 +519,7 @@ class TestRaycastReveal:
         lidar = LidarModel(beam_count=90, max_range=4.0)
         for _ in range(8):
             pose = self._random_free_pose(rng, truth)
-            raycast_reveal(belief, truth, pose, lidar)
+            reveal(belief, truth, pose, lidar)
             known = belief.states != UNKNOWN
             assert (belief.states[known] == truth.states[known]).all()
 
@@ -604,7 +530,7 @@ class TestRaycastReveal:
             truth = self._random_truth(rng, w, h)
             pose = self._random_free_pose(rng, truth)
             belief = make_belief_like(truth)
-            raycast_reveal(belief, truth, pose, lidar)
+            reveal(belief, truth, pose, lidar)
             free_set, occ_set = oracle_reveal_sets(truth, pose, lidar)
             got_free = {(i, j) for j in range(h) for i in range(w)
                         if belief.states[j, i] == FREE}
@@ -619,7 +545,7 @@ class TestRaycastReveal:
         lidar = LidarModel(beam_count=180, max_range=3.0)
         for _ in range(5):
             pose = self._random_free_pose(rng, truth)
-            raycast_reveal(belief, truth, pose, lidar)
+            reveal(belief, truth, pose, lidar)
             reference = clone_grid(belief)
             inflate(reference, belief.inflation.inscribed_radius,
                     belief.inflation.inflation_radius,
@@ -629,7 +555,7 @@ class TestRaycastReveal:
     def test_first_reveal_returns_cells_that_became_known(self, rng):
         truth = self._random_truth(rng, 20, 20)
         belief = make_belief_like(truth)
-        ci, cj = raycast_reveal(belief, truth, self._random_free_pose(rng, truth),
+        ci, cj = reveal(belief, truth, self._random_free_pose(rng, truth),
                                 LidarModel(beam_count=180, max_range=3.0))
         known_j, known_i = np.nonzero(belief.states != UNKNOWN)
         assert sorted(zip(ci.tolist(), cj.tolist())) == sorted(
@@ -644,12 +570,12 @@ class TestRaycastReveal:
         belief = make_belief_like(truth)
         pose = self._random_free_pose(rng, truth)
         lidar = LidarModel(beam_count=180, max_range=3.0)
-        raycast_reveal(belief, truth, pose, lidar)
+        reveal(belief, truth, pose, lidar)
         assert len(calls) == 1
         states, costs = belief.states.copy(), belief.costs.copy()
         # The slot equals the belief after an empty reveal: nothing writes it.
         belief.states.flags.writeable = belief.costs.flags.writeable = False
-        ci, cj = raycast_reveal(belief, truth, pose, lidar)
+        ci, cj = reveal(belief, truth, pose, lidar)
         assert ci.size == 0 and cj.size == 0
         assert (belief.states == states).all() and (belief.costs == costs).all()
         assert len(calls) == 1
@@ -690,7 +616,7 @@ class TestRaycastReveal:
             if not truth.in_bounds(pi, pj) or states[pj, pi] != FREE:
                 continue  # rounding pushed an edge pose into another cell
             unknown = belief.states == UNKNOWN
-            ci, cj = raycast_reveal(belief, truth, pose, lidar)
+            ci, cj = reveal(belief, truth, pose, lidar)
             more_free, more_occ = oracle_reveal_sets(truth, pose, lidar)
             free_set |= more_free
             occ_set |= more_occ
@@ -743,7 +669,7 @@ class TestRaycastReveal:
     def test_interval_edge_cases(self, truth_rows, belief_rows, pose, lidar, changed):
         truth = grid_from_rows(truth_rows, resolution=1.0)
         belief = grid_from_rows(belief_rows, resolution=1.0)
-        ci, cj = raycast_reveal(belief, truth, pose, lidar)
+        ci, cj = reveal(belief, truth, pose, lidar)
         assert list(zip(ci.tolist(), cj.tolist())) == changed
         assert (belief.states == truth.states).all()
         assert (belief.costs == truth.costs).all()
@@ -898,8 +824,7 @@ class TestBeamScanner:
             if k % 3 == 1:
                 for _ in range(2):
                     n = rng.randint(len(free_i))
-                    raycast_reveal(belief, truth,
-                                   Pose(*truth.cell_center(free_i[n], free_j[n])), lidar)
+                    reveal(belief, truth, Pose(*truth.cell_center(free_i[n], free_j[n])), lidar)
                 free_j, free_i = np.nonzero(belief.states == FREE)
             elif k % 3 == 2:
                 belief = clone_grid(truth)
@@ -926,9 +851,9 @@ class TestBeamScanner:
             found = scanner.scan([(k, pose) for k, (_, _, pose) in enumerate(runs)])
             assert len(found) == len(runs)
             for (truth, belief, pose), cells, slot in zip(runs, found, scanner.grids):
-                expected = raycast_reveal(belief, truth, pose, lidar)
+                expected = reveal(belief, truth, pose, lidar)
                 slot.states.flags.writeable = slot.costs.flags.writeable = False
-                changed = raycast_reveal(slot, truth, pose, lidar, cells)
+                changed = raycast_reveal(slot, truth, pose, cells)
                 assert [c.tolist() for c in changed] == [c.tolist() for c in expected]
                 assert (slot.states == belief.states).all()
                 assert (slot.costs == belief.costs).all()
@@ -950,7 +875,7 @@ class TestBeamScanner:
                        make_belief_like(truth), clone_grid(truth)]
             pose_cells = [truth.world_to_cell(p.x, p.y)[::-1] for p in poses]
             beliefs[1].states[pose_cells[1]] = truth.states[pose_cells[1]]
-            raycast_reveal(beliefs[2], truth, poses[2], lidar)
+            reveal(beliefs[2], truth, poses[2], lidar)
             beliefs[3].states[pose_cells[3]] = UNKNOWN
             for belief in beliefs[1], beliefs[3]:
                 inflate(belief, *astuple(belief.inflation))
@@ -961,7 +886,7 @@ class TestBeamScanner:
             assert found[3].tolist() == [pose_cells[3][1] + truth.width * pose_cells[3][0]]
             for belief, pose, cells, slot in zip(beliefs, poses, found, scanner.grids):
                 before = belief.states.copy()
-                ci, cj = raycast_reveal(belief, truth, pose, lidar)
+                ci, cj = reveal(belief, truth, pose, lidar)
                 assert cells.tolist() == (ci + truth.width * cj).tolist()
                 assert cells.tolist() == np.flatnonzero(
                     (before == UNKNOWN) & (belief.states != UNKNOWN)).tolist()
@@ -1002,7 +927,7 @@ class TestBeamScanner:
         truth = grid_from_rows(["....", "....", "...."], resolution=1.0)
         belief = unknown_grid(4, 3, 1.0, InflationParams(0.5, 1.0, 1.0))
         with pytest.raises(MapError):
-            raycast_reveal(belief, truth, Pose(0.5, 0.5), LidarModel(beam_count=8))
+            reveal(belief, truth, Pose(0.5, 0.5), LidarModel(beam_count=8))
 
     def test_first_round_memory_bounded(self):
         # Without marching in groups, 20 first reveals at once held 5 to 17
@@ -1012,13 +937,13 @@ class TestBeamScanner:
         poses = [pick_start(truth, 1) for truth in truths]
         tracemalloc.start()
         try:
-            raycast_reveal(make_belief_like(truths[2]), truths[2], poses[2], lidar)
+            reveal(make_belief_like(truths[2]), truths[2], poses[2], lidar)
             one = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
             scanner = BeamScanner(truths, lidar)
             found = scanner.scan(list(zip(range(20), poses)))
             for truth, slot, pose, cells in zip(truths, scanner.grids, poses, found):
-                raycast_reveal(slot, truth, pose, lidar, cells)
+                raycast_reveal(slot, truth, pose, cells)
             batch = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1035,7 +960,7 @@ class TestBeamScanner:
             belief = make_belief_like(truth)
             tracemalloc.start()
             try:
-                raycast_reveal(belief, truth, pose, LidarModel(max_range=max_range))
+                reveal(belief, truth, pose, LidarModel(max_range=max_range))
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -1050,7 +975,7 @@ class TestBeamScanner:
             belief = make_belief_like(truth)
             tracemalloc.start()
             try:
-                raycast_reveal(belief, truth, pick_start(truth, 1), lidar)
+                reveal(belief, truth, pick_start(truth, 1), lidar)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -1169,7 +1094,7 @@ class TestExplorationRate:
         reachable = reachable_free_mask(truth, Pose(*truth.cell_center(2, 2)))
         rates = []
         for i in range(2, 13, 2):
-            raycast_reveal(belief, truth, Pose(*truth.cell_center(i, i)), lidar)
+            reveal(belief, truth, Pose(*truth.cell_center(i, i)), lidar)
             rates.append(exploration_rate(belief, reachable))
         assert all(a <= b for a, b in zip(rates, rates[1:]))
 

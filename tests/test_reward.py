@@ -1,9 +1,19 @@
+import contextlib
+import io
+import json
 import math
+import os
+import tempfile
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from explorebench.reward import (DegenerateDistanceError, RewardConfig,
-                                 StepObservation, compute_reward, reward_terms)
+from explorebench.cli import main
+from explorebench.reward import (DISTANCE_FORMS, DegenerateDistanceError,
+                                 NonFiniteRewardError, RewardConfig, StepObservation,
+                                 compute_reward, reward_terms)
 
 CFG = RewardConfig()  # T_c=0.2, T_g=0.3, M_linear=0.26, paren form
 CFG_LITERAL = RewardConfig(distance_term_form="literal")
@@ -92,6 +102,13 @@ class TestComputeReward:
         with pytest.raises(DegenerateDistanceError):
             compute_reward(obs(d_init=0.6, d_now=0.4), CFG_LITERAL)
 
+    def test_non_finite_total_rejected(self):
+        # Two finite squares whose sum overflows.
+        o = obs(lin=-1.2e153, ang=1.2e154)
+        assert all(math.isfinite(v) for v in reward_terms(o, CFG).values())
+        with pytest.raises(NonFiniteRewardError, match="reward is not finite"):
+            compute_reward(o, RewardConfig(include_r_linear=True))
+
     def test_pure_function(self):
         o = obs(lidar_min=0.1, d_now=1.0, angle=0.2, ang=-0.4)
         assert compute_reward(o, CFG) == compute_reward(o, CFG)
@@ -128,3 +145,66 @@ class TestValidation:
         # the goal would earn no goal bonus.
         with pytest.raises(ValueError):
             RewardConfig(**{field: math.nan})
+
+
+def floats(sign=False, zero=False):
+    """Floats log-uniform in magnitude from the smallest subnormal to the
+    largest finite double: a uniform binary exponent, then a mantissa in
+    [1, 2); with sign, either sign; with zero, 0.0 as well."""
+    magnitude = st.builds(math.ldexp, st.floats(1.0, 2.0, exclude_max=True),
+                          st.integers(-1074, 1023))
+    if sign:
+        magnitude = st.builds(math.copysign, magnitude, st.sampled_from([1.0, -1.0]))
+    return st.one_of(st.just(0.0), magnitude) if zero else magnitude
+
+
+# Every field of both, each with the signs and the zero its validation allows.
+OBSERVATIONS = st.fixed_dictionaries({
+    "lidar_min": floats(zero=True), "d_goal_init": floats(),
+    "d_goal_now": floats(zero=True), "goal_angle": floats(sign=True, zero=True),
+    "action_linear": floats(sign=True, zero=True),
+    "action_angular": floats(sign=True, zero=True)})
+CONFIGS = st.fixed_dictionaries({
+    "max_linear": floats(), "collision_threshold": floats(), "goal_threshold": floats(),
+    "include_r_linear": st.booleans(), "distance_term_form": st.sampled_from(DISTANCE_FORMS)})
+
+
+class TestFiniteOrTypedError:
+    """Whatever valid inputs it gets, the reward either raises ValueError or
+    DegenerateDistanceError, or gives terms and a total that are all finite."""
+
+    # Warnings are errors inside each example only: on a failure, hypothesis
+    # imports modules of its own that warn while it explains the example.
+    @settings(max_examples=400, deadline=None)
+    @given(OBSERVATIONS, CONFIGS)
+    def test_reward(self, observation, config):
+        o, cfg = StepObservation(**observation), RewardConfig(**config)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                terms, total = reward_terms(o, cfg), compute_reward(o, cfg)
+        except (ValueError, DegenerateDistanceError):
+            return
+        assert all(math.isfinite(v) for v in terms.values()) and math.isfinite(total)
+
+    @settings(max_examples=100, deadline=None)
+    @given(OBSERVATIONS, CONFIGS)
+    def test_cli(self, observation, config):
+        # Exit 0 with one CSV row of finite values, or exit 1 naming line 1.
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg_path, obs_path = os.path.join(tmp, "reward.cfg"), os.path.join(tmp, "obs.jsonl")
+            with open(cfg_path, "w") as f:
+                f.write("[reward]\n" + "".join(f"{k} = {v}\n" for k, v in config.items()))
+            with open(obs_path, "w") as f:
+                f.write(json.dumps(observation) + "\n")
+            with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
+                  warnings.catch_warnings()):
+                warnings.simplefilter("error")
+                rc = main(["reward", "--config", cfg_path, "--input", obs_path])
+        if rc == 1:
+            assert err.getvalue().startswith("error: line 1: "), err.getvalue()
+            return
+        assert rc == 0, err.getvalue()
+        header, row = out.getvalue().splitlines()
+        assert all(math.isfinite(float(v)) for v in row.split(","))
