@@ -32,7 +32,7 @@ from .frontier import cluster_segments, detect_frontiers
 from .gridmap import MapError, Pose, check_pose, load_belief, load_map_file
 from .mapgen import pick_start
 from .render import run_svg
-from .reward import RewardConfig, StepObservation, compute_reward, reward_terms
+from .reward import RewardConfig, StepObservation, reward_terms
 
 SAMPLES_CSV_HEADER = ["t", "x", "y", "cumulative_distance", "exploration_rate"]
 SCORE_CSV_HEADER = ["segment_id", "d", "D", "O", "h", "chosen"]
@@ -167,14 +167,11 @@ def cmd_reward(reward_cfg: RewardConfig, stream) -> int:
         if not line:
             continue
         try:
-            obs = StepObservation(**json.loads(line))
-            terms = reward_terms(obs, reward_cfg)
-            total = compute_reward(obs, reward_cfg)
+            terms = reward_terms(StepObservation(**json.loads(line)), reward_cfg)
         except (ValueError, TypeError, ArithmeticError) as e:
             print(f"error: line {lineno}: {e}", file=sys.stderr)
             return 1
-        writer.writerow([repr(terms[k]) for k in REWARD_CSV_HEADER[:-1]]
-                        + [repr(total)])
+        writer.writerow([repr(terms[k]) for k in REWARD_CSV_HEADER])
     return 0
 
 
@@ -183,22 +180,19 @@ def _build_parser():
         prog="explorebench",
         description="Deterministic frontier-exploration simulator and benchmark",
     )
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="experiment config file")
+    common.add_argument("--print-defaults", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("run", "compare"):
-        p = sub.add_parser(name)
-        p.add_argument("--config", help="experiment config file")
-        p.add_argument("--jobs", type=int, default=1, help="parallel runs")
-        p.add_argument("--print-defaults", action="store_true")
-    p = sub.add_parser("score")
-    p.add_argument("--config", help="experiment config file (for params)")
+        sub.add_parser(name, parents=[common]).add_argument(
+            "--jobs", type=int, default=1, help="parallel runs")
+    p = sub.add_parser("score", parents=[common])
     p.add_argument("--map", dest="map_path", help="ground-truth map file")
     p.add_argument("--belief", dest="belief_path", help="belief snapshot (ascii)")
     p.add_argument("--pose", help="robot pose as x,y,theta")
-    p.add_argument("--print-defaults", action="store_true")
-    p = sub.add_parser("reward")
-    p.add_argument("--config", help="experiment config file (for reward params)")
-    p.add_argument("--input", help="JSON-lines observation file (default stdin)")
-    p.add_argument("--print-defaults", action="store_true")
+    sub.add_parser("reward", parents=[common]).add_argument(
+        "--input", help="JSON-lines observation file (default stdin)")
     return parser
 
 

@@ -120,17 +120,9 @@ class ExperimentConfig:
 
 def _get(parser, section, key, cast, check=None):
     try:
-        raw = parser.get(section, key)
+        value = parser.getboolean(section, key) if cast is bool else cast(parser.get(section, key))
     except (configparser.NoSectionError, configparser.NoOptionError):
         raise ConfigError(f"[{section}] {key}: missing") from None
-    try:
-        if cast is bool:
-            value = raw.strip().lower()
-            if value not in ("true", "false", "1", "0", "yes", "no"):
-                raise ValueError(f"not a boolean: {raw!r}")
-            value = value in ("true", "1", "yes")
-        else:
-            value = cast(raw)
     except ValueError as e:
         raise ConfigError(f"[{section}] {key}: {e}") from None
     if cast is float and not math.isfinite(value) or check and not check(value):
@@ -163,8 +155,6 @@ def _load_maps(parser, inflation):
         _unique("[maps] files", names)
         maps = []
         for name, path in zip(names, files):
-            if not os.path.exists(path):
-                raise ConfigError(f"[maps] files: {path} does not exist")
             try:
                 maps.append((name, load_map_file(path, inflation)))
             except (MapError, OSError) as e:

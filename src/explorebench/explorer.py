@@ -145,7 +145,7 @@ def rank_segments(selector: SelectorKind, segments: list[FrontierSegment],
 
     heuristic ranks by ascending combined score h, nearest by distance d,
     largest by descending frontier length; ties break toward the smaller
-    distance, then toward the earlier segment in canonical order. random
+    distance, then (the sort is stable) toward the earlier segment. random
     is a shuffle seeded by the selector seed, the segment count and the
     robot cell. Score breakdowns are computed for every policy so run logs
     stay comparable across selectors; only the heuristic policy ranks by
@@ -155,14 +155,11 @@ def rank_segments(selector: SelectorKind, segments: list[FrontierSegment],
         raise NoFrontiersError("no frontier segments to select from")
     breakdowns = score_segments(segments, robot, belief, params)
     if selector.kind == "heuristic":
-        order = sorted(breakdowns, key=lambda b: (b.h, b.d, b.segment_id))
+        order = sorted(breakdowns, key=lambda b: (b.h, b.d))
     elif selector.kind == "nearest":
-        order = sorted(breakdowns, key=lambda b: (b.d, b.segment_id))
+        order = sorted(breakdowns, key=lambda b: b.d)
     elif selector.kind == "largest":
-        order = sorted(
-            breakdowns,
-            key=lambda b: (-segments[b.segment_id].length_af, b.d, b.segment_id),
-        )
+        order = sorted(breakdowns, key=lambda b: (-segments[b.segment_id].length_af, b.d))
     else:
         ci, cj = belief.world_to_cell(robot.x, robot.y)
         rng = random.Random(f"{selector.seed}:{len(segments)}:{ci}:{cj}")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
@@ -91,8 +91,10 @@ class LidarModel:
             raise ValueError(f"beam_count must be >= 1, got {self.beam_count}")
         if not (self.max_range > 0.0):
             raise ValueError(f"max_range must be > 0, got {self.max_range}")
-        if not math.isfinite(self.angular_span):
-            raise ValueError(f"angular_span must be finite, got {self.angular_span}")
+        # Within (0, 2 pi] every beam angle span * k / beam_count already
+        # lies on the circle [0, 2 pi), in ascending order.
+        if not (0.0 < self.angular_span <= 2.0 * math.pi):
+            raise ValueError(f"angular_span must be in (0, 2 pi], got {self.angular_span}")
 
 
 @dataclass(frozen=True)
@@ -241,8 +243,7 @@ def grid_from_states(states: np.ndarray, resolution: float,
     height, width = states.shape
     grid = OccupancyGrid(width, height, resolution, states, np.empty_like(states),
                          inflation=inflation)
-    inflate(grid, inflation.inscribed_radius, inflation.inflation_radius,
-            inflation.decay_rate)
+    _inflation_costs(states, resolution, inflation, grid.costs)
     return grid
 
 
@@ -318,24 +319,24 @@ def to_ascii(grid: OccupancyGrid) -> str:
 # Costmap inflation and remapping
 # ---------------------------------------------------------------------------
 
-def _inflation_costs(states, resolution, inscribed_radius, inflation_radius, decay_rate, costs):
-    """Cost array for a state window (Euclidean cell-center distances), written
-    into costs and returned. Costs are set in the box of the Occupied cells
-    grown by the radius (clamped to the window): no cell outside it is in
-    reach, and each inside has its nearest obstacle in it. Only the box gets
-    scratch arrays; outside it a cell holds 0 or, if Unknown, the Unknown
-    marker."""
+def _inflation_costs(states, resolution, p: InflationParams, costs):
+    """Cost array for a state window under p (Euclidean cell-center
+    distances), written into costs and returned. Costs are set in the box
+    of the Occupied cells grown by the radius (clamped to the window): no
+    cell outside it is in reach, and each inside has its nearest obstacle
+    in it. Only the box gets scratch arrays; outside it a cell holds 0 or,
+    if Unknown, the Unknown marker."""
     np.equal(states, UNKNOWN, out=costs.view(bool))  # a bool out skips a cast
     costs *= COST_UNKNOWN
-    ring = math.ceil(min(inflation_radius / resolution, max(states.shape)))
+    ring = math.ceil(min(p.inflation_radius / resolution, max(states.shape)))
     if (box := known_box(states, ring, level=OCCUPIED)) is not None:
         states, near = states[box], costs[box]
         occupied = states == OCCUPIED
         dist = ndimage.distance_transform_edt(~occupied) * resolution
-        band = (dist > inscribed_radius) & (dist <= inflation_radius)
-        decayed = np.floor(252.0 * np.exp(-decay_rate * (dist[band] - inscribed_radius)) + 0.5)
+        band = (dist > p.inscribed_radius) & (dist <= p.inflation_radius)
+        decayed = np.floor(252.0 * np.exp(-p.decay_rate * (dist[band] - p.inscribed_radius)) + 0.5)
         near[band] = decayed.astype(np.uint8)
-        near[dist <= inscribed_radius] = COST_INSCRIBED  # Occupied cells too, till the next line
+        near[dist <= p.inscribed_radius] = COST_INSCRIBED  # Occupied cells too, till the next line
         near[occupied] = COST_LETHAL
         near[states == UNKNOWN] = COST_UNKNOWN
     return costs
@@ -355,8 +356,7 @@ def inflate(grid: OccupancyGrid, inscribed_radius: float, inflation_radius: floa
     inflation_radius, not the grid, so a mostly Unknown belief costs little.
     """
     grid.inflation = InflationParams(inscribed_radius, inflation_radius, decay_rate)
-    _inflation_costs(grid.states, grid.resolution, inscribed_radius, inflation_radius,
-                     decay_rate, grid.costs)
+    _inflation_costs(grid.states, grid.resolution, grid.inflation, grid.costs)
 
 
 @functools.lru_cache(maxsize=64)
@@ -367,7 +367,7 @@ def _kernel(resolution: float, p: InflationParams, extent: int):
     r = int(min(p.inflation_radius / resolution + 1.0, extent))
     patch = np.full((2 * r + 1, 2 * r + 1), FREE, dtype=np.uint8)
     patch[r, r] = OCCUPIED
-    costs = _inflation_costs(patch, resolution, *astuple(p), np.empty_like(patch))
+    costs = _inflation_costs(patch, resolution, p, np.empty_like(patch))
     dj, di = np.nonzero((costs > 0) & (costs < COST_LETHAL))
     return r, dj - r, di - r, costs[dj, di]
 
@@ -546,12 +546,9 @@ class BeamScanner:
         self.offsets = np.array([np.pad(dj * (t.width + 2 * b) + di, (0, n - len(dj)))
                                  for (_, dj, di, _), t in zip(kernels, truths)], dtype=index)
         self.weights = np.array([np.pad(w, (0, n - len(w))) for *_, w in kernels])
-        # Beam k's angle from pose.theta, and the offsets on the circle, sorted.
+        # Beam k's angle from pose.theta, ascending within [0, 2 pi).
         k = np.arange(lidar.beam_count, dtype=np.float64)
         self.beams = lidar.angular_span * k / lidar.beam_count
-        ring = np.mod(self.beams, 2.0 * math.pi)
-        self.order = np.argsort(ring, kind="stable")
-        self.ring = ring[self.order]
 
     def scan(self, runs: list[tuple[int, Pose]]) -> list[np.ndarray]:
         """Cull, march and filter the beams of each (run, pose), each run at
@@ -569,8 +566,8 @@ class BeamScanner:
             check_pose(truth, pose)
             w, h, res, rng = truth.width, truth.height, truth.resolution, self.ranges[run]
             gx, gy, range_cells = pose.x / res, pose.y / res, rng / res
-            floats.append((gx, gy, pose.theta, range_cells, (range_cells + _CULL_EPS) ** 2,
-                           pose.x, pose.y, res, rng * rng))
+            c = range_cells + _CULL_EPS
+            floats.append((gx, gy, pose.theta, range_cells, c * c, pose.x, pose.y, res, rng * rng))
             pi, pj = math.floor(gx), math.floor(gy)
             ints.append((pi, pj, self.bounds[run] + (pj + b) * (w + 2 * b) + pi + b, w + 2 * b, w))
             # Enough crossings per axis to pass the range or to leave the grid.
@@ -662,18 +659,15 @@ class BeamScanner:
         lo = np.mod(centre + offsets.min(axis=0) - (theta[s] + _CULL_EPS), two_pi)
         hi = lo + np.ptp(offsets, axis=0) + 2.0 * _CULL_EPS
         hi[(x0 <= 0.0) & (0.0 <= x1) & (y0 <= 0.0) & (0.0 <= y1)] = np.inf
-        # Each interval, and its wrap past 2 pi, covers a run of sorted
-        # beams, summed by one difference array with a stretch of n + 1
-        # entries per run.
+        # Each interval, and its wrap past 2 pi, covers a run of beams,
+        # summed by one difference array with a stretch of n + 1 entries per run.
         base = s * (n + 1)
-        starts = np.searchsorted(self.ring, (lo, lo - two_pi), "left") + base
-        ends = np.searchsorted(self.ring, (hi, hi - two_pi), "right") + base
+        starts = np.searchsorted(self.beams, (lo, lo - two_pi), "left") + base
+        ends = np.searchsorted(self.beams, (hi, hi - two_pi), "right") + base
         size = m * (n + 1)
         depth = np.cumsum(np.bincount(starts.ravel(), minlength=size)
                           - np.bincount(ends.ravel(), minlength=size))
-        mask = np.empty((m, n), dtype=bool)
-        mask[:, self.order] = depth.reshape(m, n + 1)[:, :n] > 0
-        return mask | (stack[:, r, r, None] == UNKNOWN)
+        return (depth.reshape(m, n + 1)[:, :n] > 0) | (stack[:, r, r, None] == UNKNOWN)
 
 
 def raycast_reveal(belief: OccupancyGrid, truth: OccupancyGrid, pose: Pose,

@@ -42,6 +42,8 @@ class StepObservation:
             # False for NaN, the infinities, and integers past every float.
             if not abs(value) <= sys.float_info.max:
                 raise ValueError(f"{f.name} must be finite, got {value}")
+            # An integer reads as its float, so the terms are float arithmetic.
+            object.__setattr__(self, f.name, float(value))
         if self.lidar_min < 0.0:
             raise ValueError(f"lidar_min must be >= 0, got {self.lidar_min}")
         if self.d_goal_init <= 0.0:
@@ -71,8 +73,14 @@ class RewardConfig:
 
 
 def reward_terms(obs: StepObservation, cfg: RewardConfig) -> dict[str, float]:
-    """Every individual term, keyed by name (r_linear always computed);
-    NonFiniteRewardError names the first term that is not finite."""
+    """Every individual term, keyed by name (r_linear always computed), and
+    the total step reward under "reward".
+
+    reward = r_yaw + r_angular + r_distance + r_obstacle (r_linear only when
+    include_r_linear), then +5000 once within goal_threshold and -2000 once
+    lidar_min drops below collision_threshold. NonFiniteRewardError names
+    the first term, or the total, that is not finite.
+    """
     r_yaw = -abs(obs.goal_angle)
     # x * x, not x ** 2: it gives inf where ** raises OverflowError.
     lin = (cfg.max_linear - obs.action_linear) * 10.0
@@ -87,12 +95,20 @@ def reward_terms(obs: StepObservation, cfg: RewardConfig) -> dict[str, float]:
             raise DegenerateDistanceError("d_goal_init + d_goal_now - 1 is zero")
         r_distance = 2.0 * obs.d_goal_init / denom
     r_obstacle = -50.0 if obs.lidar_min < 1.5 * cfg.collision_threshold else 0.0
+    total = r_yaw + r_angular + r_distance + r_obstacle
+    if cfg.include_r_linear:
+        total += r_linear
+    if obs.d_goal_now < cfg.goal_threshold:
+        total += 5000.0
+    if obs.lidar_min < cfg.collision_threshold:
+        total -= 2000.0
     terms = {
         "r_yaw": r_yaw,
         "r_linear": r_linear,
         "r_angular": r_angular,
         "r_distance": r_distance,
         "r_obstacle": r_obstacle,
+        "reward": total,
     }
     for name, value in terms.items():
         if not math.isfinite(value):
@@ -101,22 +117,5 @@ def reward_terms(obs: StepObservation, cfg: RewardConfig) -> dict[str, float]:
 
 
 def compute_reward(obs: StepObservation, cfg: RewardConfig) -> float:
-    """Total step reward.
-
-    R = r_yaw + r_angular + r_distance + r_obstacle (r_linear only when
-    include_r_linear), then +5000 once within goal_threshold and -2000 once
-    lidar_min drops below collision_threshold. NonFiniteRewardError if
-    a term or the total is not finite.
-    """
-    terms = reward_terms(obs, cfg)
-    total = (terms["r_yaw"] + terms["r_angular"] + terms["r_distance"]
-             + terms["r_obstacle"])
-    if cfg.include_r_linear:
-        total += terms["r_linear"]
-    if obs.d_goal_now < cfg.goal_threshold:
-        total += 5000.0
-    if obs.lidar_min < cfg.collision_threshold:
-        total -= 2000.0
-    if not math.isfinite(total):
-        raise NonFiniteRewardError(f"reward is not finite: {total}")
-    return total
+    """Total step reward: reward_terms' "reward"."""
+    return reward_terms(obs, cfg)["reward"]

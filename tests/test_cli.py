@@ -121,6 +121,8 @@ class TestConfig:
         ("[inflation]\ninflation_radius = inf\n", "[inflation] inflation_radius"),
         ("[planner]\ncost_weight = inf\n", "[planner] cost_weight"),
         ("[reward]\nmax_linear = nan\n", "[reward] max_linear"),
+        ("[reward]\ninclude_r_linear = maybe\n", "[reward] include_r_linear"),
+        ("[lidar]\nangular_span = 7.0\n", "[lidar] angular_span"),
         ("[heuristic]\ngama = 0.3\n", "[heuristic] gama"),
         ("[bogus]\nx = 1\n", "[bogus]"),
         ("[selectors]\nselectors = heuristic heuristic\n",
@@ -173,6 +175,13 @@ class TestConfig:
             parse_config(f"[maps]\nfiles = {bad}\n")
         assert str(bad) in str(err.value)
 
+    @pytest.mark.parametrize("raw,value", [("on", True), ("off", False), ("yes", True),
+                                           ("0", False), ("TRUE", True)])
+    def test_boolean_spellings(self, raw, value):
+        # configparser's spellings: 1/yes/true/on and 0/no/false/off, any case.
+        text = f"[reward]\ninclude_r_linear = {raw}\n"
+        assert parse_config(text, need_maps=False).reward.include_r_linear is value
+
     @pytest.mark.parametrize("outdir", ["out/50%", "%(x)s", "100%%"])
     def test_percent_is_literal(self, outdir):
         assert parse_config(f"[run]\noutdir = {outdir}\n",
@@ -203,6 +212,17 @@ class TestPrintDefaults:
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert digest == ("45c2f617d3d5a2075414439833b7fa29"
                           "896930e3e82b5a437e63a20d6e49e0be")
+
+    @pytest.mark.parametrize("command", ["run", "compare", "score", "reward"])
+    def test_every_subcommand(self, capsys, command):
+        # --config and --print-defaults are declared once, for all four.
+        with pytest.raises(SystemExit) as done:
+            main([command, "--help"])
+        assert done.value.code == 0
+        usage = capsys.readouterr().out
+        assert "--config" in usage and "--print-defaults" in usage
+        assert main([command, "--print-defaults"]) == 0
+        assert capsys.readouterr().out == DEFAULT_CONFIG
 
 
 class TestModuleEntry:
@@ -583,6 +603,27 @@ class TestCmdReward:
         path.write_bytes(b'{"lidar_min": 10.0}\n\xff\n')
         assert main(["reward", "--input", str(path)]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_integer_fields_read_as_floats(self, tmp_path, capsys):
+        # An integer-valued line gives the bytes of its float-valued twin:
+        # -abs(0) and -(0 * 0) printed 0 where the floats give -0.0.
+        ints = {"lidar_min": 10, "d_goal_init": 5, "d_goal_now": 5, "goal_angle": 0,
+                "action_linear": 0, "action_angular": 0}
+        path = tmp_path / "obs.jsonl"
+        path.write_text(json.dumps(ints) + "\n"
+                        + json.dumps({k: float(v) for k, v in ints.items()}) + "\n")
+        assert main(["reward", "--input", str(path)]) == 0
+        _, as_ints, as_floats = capsys.readouterr().out.splitlines()
+        assert as_ints == as_floats == "-0.0,-6.760000000000001,-0.0,0.0,0.0,0.0"
+
+    def test_huge_integer_names_its_term(self, tmp_path, capsys):
+        # 10**300 squared is an int past every float: it failed to convert
+        # with a message that named neither the field nor the term.
+        path = tmp_path / "obs.jsonl"
+        path.write_text('{"lidar_min": 10, "d_goal_init": 5, "d_goal_now": 5, "goal_angle": 0, '
+                        '"action_linear": 0, "action_angular": 1' + "0" * 300 + "}\n")
+        assert main(["reward", "--input", str(path)]) == 1
+        assert capsys.readouterr().err == "error: line 1: r_angular is not finite: -inf\n"
 
     def test_reads_stdin_by_default(self, capsys, monkeypatch):
         import io

@@ -1122,9 +1122,12 @@ class TestTypes:
         # A NaN span made every beam angle NaN, which the march cast to an
         # integer: the first reveal of a generated low map then found 1
         # cell in place of 193.
-        for span in (math.nan, math.inf, -math.inf):
+        # A span outside (0, 2 pi] would put beam angles off the circle
+        # [0, 2 pi) or out of ascending order, which the scan's cull assumes.
+        for span in (math.nan, math.inf, -math.inf, 0.0, -1.0, 2.0 * math.pi + 1e-9, 7.0):
             with pytest.raises(ValueError, match="angular_span"):
                 LidarModel(angular_span=span)
+        assert LidarModel(angular_span=2.0 * math.pi).angular_span == 2.0 * math.pi
 
     def test_inflation_params_validation(self):
         with pytest.raises(InvalidRadiiError):

@@ -108,6 +108,8 @@ class TestComputeReward:
         assert all(math.isfinite(v) for v in reward_terms(o, CFG).values())
         with pytest.raises(NonFiniteRewardError, match="reward is not finite"):
             compute_reward(o, RewardConfig(include_r_linear=True))
+        with pytest.raises(NonFiniteRewardError, match="reward is not finite"):
+            reward_terms(o, RewardConfig(include_r_linear=True))
 
     def test_pure_function(self):
         o = obs(lidar_min=0.1, d_now=1.0, angle=0.2, ang=-0.4)
@@ -186,6 +188,7 @@ class TestFiniteOrTypedError:
         except (ValueError, DegenerateDistanceError):
             return
         assert all(math.isfinite(v) for v in terms.values()) and math.isfinite(total)
+        assert total == terms["reward"]
 
     @settings(max_examples=100, deadline=None)
     @given(OBSERVATIONS, CONFIGS)
