@@ -121,8 +121,6 @@ class ExperimentConfig:
 def _get(parser, section, key, cast, check=None):
     try:
         value = parser.getboolean(section, key) if cast is bool else cast(parser.get(section, key))
-    except (configparser.NoSectionError, configparser.NoOptionError):
-        raise ConfigError(f"[{section}] {key}: missing") from None
     except ValueError as e:
         raise ConfigError(f"[{section}] {key}: {e}") from None
     if cast is float and not math.isfinite(value) or check and not check(value):

@@ -209,10 +209,10 @@ def _explore(truth: OccupancyGrid, belief: OccupancyGrid, start: Pose,
         if changed := raycast_reveal(belief, truth, pose, cells)[0].size:
             rate = exploration_rate(belief, reachable)
         record.samples.append((tick * kin.dt, pose.x, pose.y, pose.theta, cumdist, rate))
-        if tick == limits.max_ticks:
-            break
         if rate >= limits.expr_target:
             record.outcome = OUTCOME_COMPLETE
+            break
+        if tick == limits.max_ticks:
             break
 
         # After a reveal that changed nothing the target is still alive, and
@@ -233,21 +233,17 @@ def _explore(truth: OccupancyGrid, belief: OccupancyGrid, start: Pose,
                 record.outcome = OUTCOME_COMPLETE
                 break
             ranked, breakdowns = rank_segments(selector, segments, pose, belief, params)
-            chosen = None
-            for idx in ranked:
+            for chosen in ranked:
                 try:
-                    path = plan_path(belief, pose, segments[idx].centroid,
+                    path = plan_path(belief, pose, segments[chosen].centroid,
                                      cost_weight, goal_relax_radius)
                 except NoPathError:
                     continue
-                if len(path.waypoints) <= 1:
-                    # Already standing at the relaxed goal and the frontier
-                    # still exists, so it cannot be seen from here: dead end.
-                    continue
-                chosen = idx
-                waypoints = list(path.waypoints)
-                break
-            if chosen is None:
+                # One waypoint: at the relaxed goal, whose frontier is unseen from here.
+                if len(path.waypoints) > 1:
+                    waypoints = list(path.waypoints)
+                    break
+            else:
                 record.outcome = OUTCOME_STALLED
                 break
             seg = segments[chosen]

@@ -280,7 +280,7 @@ def load_map_file(path, inflation: InflationParams = InflationParams()) -> Occup
     """Load a map file, picking the format from the extension.
 
     *.pgm expects a sidecar text file '<path>.txt' with 'resolution = <m>'
-    and optionally 'occupied_threshold = <byte>' lines.
+    and optionally 'occupied_threshold = <byte>' lines, and no other key.
     """
     path = str(path)
     with open(path, "rb") as f:
@@ -297,6 +297,8 @@ def load_map_file(path, inflation: InflationParams = InflationParams()) -> Occup
                 if "=" not in line:
                     raise MalformedMapError(f"bad sidecar line {line!r}")
                 key, value = (part.strip() for part in line.split("=", 1))
+                if key not in ("resolution", "occupied_threshold"):
+                    raise MalformedMapError(f"unknown sidecar key {key!r}")
                 meta[key] = value
         if "resolution" not in meta:
             raise MalformedMapError(f"sidecar for {path} lacks 'resolution'")

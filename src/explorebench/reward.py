@@ -39,6 +39,9 @@ class StepObservation:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
+            # A boolean is an int, but no number of meters or radians.
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{f.name} must be a number, got {value!r}")
             # False for NaN, the infinities, and integers past every float.
             if not abs(value) <= sys.float_info.max:
                 raise ValueError(f"{f.name} must be finite, got {value}")

@@ -566,7 +566,13 @@ class TestCmdReward:
                                              ("d_goal_init", "Infinity"),
                                              ("goal_angle", "-Infinity"),
                                              pytest.param("lidar_min", "9" * 400,
-                                                          id="lidar_min-400-digits")])
+                                                          id="lidar_min-400-digits"),
+                                             # A boolean read as 1 or 0 and gave a
+                                             # row; a string or null died in abs().
+                                             ("lidar_min", "true"), ("d_goal_now", "false"),
+                                             pytest.param("lidar_min", '"10"',
+                                                          id="lidar_min-string"),
+                                             ("action_angular", "null")])
     def test_non_finite_field_exit_1(self, tmp_path, capsys, field, value):
         fields = {"lidar_min": "10.0", "d_goal_init": "5.0", "d_goal_now": "5.0",
                   "goal_angle": "0.0", "action_linear": "0.26",

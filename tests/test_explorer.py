@@ -192,6 +192,18 @@ class TestRunExploration:
             assert record.outcome == "tick_limit"
             assert len(record.samples) == max_ticks + 1
 
+    def test_target_reached_on_last_tick_completes(self):
+        # A run whose last allowed sample reaches the target completes, with
+        # the samples of the run that had ticks to spare; it read tick_limit.
+        truth = generate_map("low", seed=100)
+        start = pick_start(truth, 1)
+        free = run(truth, start)
+        assert free.outcome == OUTCOME_COMPLETE and free.final_rate >= LIMITS.expr_target
+        ticks = len(free.samples) - 1
+        capped = run(truth, start, limits=replace(LIMITS, max_ticks=ticks))
+        assert capped.outcome == OUTCOME_COMPLETE
+        assert capped.samples == free.samples
+
     def test_stalled_when_every_segment_is_unreachable(self):
         # An inscribed radius larger than the cell size seals the one-cell
         # doorway for the planner while the scanner still sees through it,
@@ -218,26 +230,28 @@ class TestRunExploration:
     @pytest.mark.parametrize("selector", ["heuristic", "nearest"])
     @pytest.mark.parametrize("tier", TIERS)
     def test_invariants_hold_after_every_reveal(self, monkeypatch, tier, selector):
-        # The loop's reveal, wrapped: after each one the robot stands on a
-        # truth-Free cell, the belief equals the truth wherever it is known,
-        # and the costs equal a full inflate of the states.
-        reveal = explorer.raycast_reveal
+        # The loop's batched scan, wrapped: after each one the robot stands
+        # on a truth-Free cell, the belief equals the truth wherever it is
+        # known, and the costs equal a full inflate of the states.
+        scan = explorer.BeamScanner.scan
         checked = []
 
-        def reveal_and_check(belief, truth, pose, cells):
-            changed = reveal(belief, truth, pose, cells)
-            i, j = truth.world_to_cell(pose.x, pose.y)
-            assert truth.in_bounds(i, j) and truth.states[j, i] == FREE
-            known = belief.states != UNKNOWN
-            assert (belief.states[known] == truth.states[known]).all()
-            reference = clone_grid(belief)
-            p = belief.inflation
-            inflate(reference, p.inscribed_radius, p.inflation_radius, p.decay_rate)
-            assert (reference.costs == belief.costs).all()
-            checked.append(pose)
-            return changed
+        def scan_and_check(scanner, runs):
+            found = scan(scanner, runs)
+            for run, pose in runs:
+                truth, belief = scanner.truths[run], scanner.grids[run]
+                i, j = truth.world_to_cell(pose.x, pose.y)
+                assert truth.in_bounds(i, j) and truth.states[j, i] == FREE
+                known = belief.states != UNKNOWN
+                assert (belief.states[known] == truth.states[known]).all()
+                reference = clone_grid(belief)
+                p = belief.inflation
+                inflate(reference, p.inscribed_radius, p.inflation_radius, p.decay_rate)
+                assert (reference.costs == belief.costs).all()
+                checked.append(pose)
+            return found
 
-        monkeypatch.setattr(explorer, "raycast_reveal", reveal_and_check)
+        monkeypatch.setattr(explorer.BeamScanner, "scan", scan_and_check)
         truth = generate_map(tier, seed=100)
         record = run(truth, pick_start(truth, 1), selector)
         assert record.outcome == OUTCOME_COMPLETE
@@ -249,17 +263,18 @@ class TestRunExploration:
         # neither _target_alive nor _path_cells_valid; after a reveal that
         # changed something, it calls both. Only a tick that decides builds
         # the frontier mask.
-        events, reveal = [], explorer.raycast_reveal
+        events, scan = [], explorer.BeamScanner.scan
 
         def log(name, fn):
             return lambda *args: events.append(name) or fn(*args)
 
-        def logged_reveal(belief, truth, pose, *args):
-            changed = reveal(belief, truth, pose, *args)
-            events.append((changed[0].size, truth.world_to_cell(pose.x, pose.y)))
-            return changed
+        def logged_scan(scanner, runs):
+            found = scan(scanner, runs)
+            ((run, pose),), (cells,) = runs, found
+            events.append((cells.size, scanner.truths[run].world_to_cell(pose.x, pose.y)))
+            return found
 
-        monkeypatch.setattr(explorer, "raycast_reveal", logged_reveal)
+        monkeypatch.setattr(explorer.BeamScanner, "scan", logged_scan)
         for name in ("detect_frontiers", "_target_alive", "_path_cells_valid"):
             monkeypatch.setattr(explorer, name, log(name, getattr(explorer, name)))
         truth = generate_map("medium", seed=100)
@@ -331,15 +346,16 @@ class TestRunExploration:
         assert answers.count(True) > 50 and answers.count(False) > 50
 
     def test_lockstep_beliefs_are_scanner_slots(self, monkeypatch):
-        # Each lockstep run reveals into its slot of the batch's scanner, and
-        # its record keeps a copy of its slot of its own: two runs on one
-        # truth object share neither a slot nor a final belief.
+        # Each lockstep run's stepper is handed its slot of the batch's
+        # scanner as its belief, and its record keeps a copy of its slot of
+        # its own: two runs on one truth object share neither a slot nor a
+        # final belief.
         scanners, beliefs = [], {}
-        scanner_class, reveal = explorer.BeamScanner, explorer.raycast_reveal
+        scanner_class, explore = explorer.BeamScanner, explorer._explore
         monkeypatch.setattr(explorer, "BeamScanner",
                             lambda *args: scanners.append(scanner_class(*args)) or scanners[-1])
-        monkeypatch.setattr(explorer, "raycast_reveal", lambda belief, *args: (
-            beliefs.setdefault(id(belief), belief), reveal(belief, *args))[1])
+        monkeypatch.setattr(explorer, "_explore", lambda truth, belief, *args: (
+            beliefs.setdefault(id(belief), belief), explore(truth, belief, *args))[1])
         low, medium = generate_map("low", seed=100), generate_map("medium", seed=100)
         runs = [(low, pick_start(low, 1), SelectorKind("heuristic")),
                 (medium, pick_start(medium, 1), SelectorKind("nearest")),
@@ -349,6 +365,7 @@ class TestRunExploration:
                                             goal_relax_radius=5)
         (scanner,) = scanners
         assert len(beliefs) == len(runs)
+        assert list(beliefs) == [id(slot) for slot in scanner.grids]
         for belief in beliefs.values():
             assert np.shares_memory(belief.states, scanner.beliefs)
             assert np.shares_memory(belief.costs, scanner.costs)

@@ -26,7 +26,7 @@ from explorebench.gridmap import (COST_INSCRIBED, COST_LETHAL, COST_UNKNOWN,
                                   ZeroResolutionError, adjacent_to,
                                   exploration_rate, inflate, known_box,
                                   load_belief, load_map, load_map_file,
-                                  raycast_reveal, reachable_free_mask,
+                                  reachable_free_mask,
                                   REMAPPED, to_ascii, wrap_angle)
 
 
@@ -141,6 +141,7 @@ class TestLoadMap:
         "resolution = 0.1\noccupied_threshold = x\n",
         "resolution = 0.1\noccupied_threshold = 256\n",
         "resolution = 0.1\noccupied_threshold = -1\n",
+        "resolution = 0.1\nocupied_threshold = 10\n",
     ])
     def test_malformed_sidecar(self, tmp_path, sidecar):
         pgm = tmp_path / "world.pgm"
@@ -841,7 +842,7 @@ class TestBeamScanner:
     def test_batch_equals_batches_of_one(self, rng):
         # Each slot, seeded from its run's belief, is left with the states
         # and costs that a reveal of the run alone leaves, and the costs of
-        # a full inflate; raycast_reveal given the scan's cells writes nothing.
+        # a full inflate, and the scan returns the cells that reveal changed.
         lidar = LidarModel(beam_count=180, max_range=2.0)
         for _ in range(12):
             runs = self._runs(rng, 8, lidar)
@@ -851,10 +852,8 @@ class TestBeamScanner:
             found = scanner.scan([(k, pose) for k, (_, _, pose) in enumerate(runs)])
             assert len(found) == len(runs)
             for (truth, belief, pose), cells, slot in zip(runs, found, scanner.grids):
-                expected = reveal(belief, truth, pose, lidar)
-                slot.states.flags.writeable = slot.costs.flags.writeable = False
-                changed = raycast_reveal(slot, truth, pose, cells)
-                assert [c.tolist() for c in changed] == [c.tolist() for c in expected]
+                ci, cj = reveal(belief, truth, pose, lidar)
+                assert cells.tolist() == (ci + truth.width * cj).tolist()
                 assert (slot.states == belief.states).all()
                 assert (slot.costs == belief.costs).all()
                 reference = clone_grid(slot)
@@ -942,8 +941,9 @@ class TestBeamScanner:
             tracemalloc.reset_peak()
             scanner = BeamScanner(truths, lidar)
             found = scanner.scan(list(zip(range(20), poses)))
-            for truth, slot, pose, cells in zip(truths, scanner.grids, poses, found):
-                raycast_reveal(slot, truth, pose, cells)
+            # Each run's (i, j) arrays, as the one-run reveal above returns them.
+            for truth, cells in zip(truths, found):
+                np.divmod(cells, truth.width)
             batch = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -5,6 +5,7 @@ import math
 import os
 import tempfile
 import warnings
+from dataclasses import asdict, fields
 
 import pytest
 from hypothesis import given, settings
@@ -131,6 +132,14 @@ class TestValidation:
     def test_non_finite_observation_rejected(self, field, value):
         with pytest.raises(ValueError, match="must be finite"):
             obs(**{field: value})
+
+    @pytest.mark.parametrize("field", [f.name for f in fields(StepObservation)])
+    @pytest.mark.parametrize("value", [True, False, "10", None],
+                             ids=["true", "false", "str", "none"])
+    def test_non_number_observation_rejected(self, field, value):
+        # A boolean read as 1 or 0; a string or None died in abs(), unnamed.
+        with pytest.raises(ValueError, match=f"^{field} must be a number, got "):
+            StepObservation(**{**asdict(obs()), field: value})
 
     def test_config_invariants(self):
         with pytest.raises(ValueError):
