@@ -113,6 +113,10 @@ class InflationParams:
             )
         if not (self.decay_rate >= 0.0):  # a cost may only fall with distance
             raise MapError(f"decay_rate must be >= 0, got {self.decay_rate}")
+        # The band ends within a grid's extent, whose square is finite.
+        reach = min(self.inflation_radius - self.inscribed_radius, math.sqrt(np.finfo(float).max))
+        if not math.isfinite(self.decay_rate * reach):
+            raise MapError(f"decay_rate {self.decay_rate} times the band's reach {reach} overflows")
 
 
 @dataclass

@@ -10,18 +10,18 @@ cells to be traversable (no corner cutting).
 A* only enters traversable cells, which are known, so it searches flat
 indices of the bounding box of the known cells (gridmap.known_box) and the
 start, ringed by one untraversable cell no step can cross. traversable_mask
-takes that box, and the goal relaxes on the box's mask. Its traversable
-flags and uint8 costs are two bytes objects; g is a flat list and the
-closed set a bytearray over the same indices. Each expansion reads its
-four cardinal flags once, then takes the eight steps written out in a
-fixed order: E, W, S, N, then SE, NE, SW, NW, each diagonal only when both
-of its cardinal flags are set. Edge weights come from a table per step
-length indexed by cost. The octile heuristic of every box cell is one
-float64 table, built with numpy from the IEEE operations of the max/min
-expression and read through a memoryview; it costs the box's area, which
-the ring already pays. Every edge weight, sum and f is the same IEEE
-operation as in a whole-grid search, and the (f, push counter) heap order
-is the same, so paths and costs match it.
+takes that box, and the goal relaxes on the box's mask. A cell's step mask
+is one byte, built with numpy from shifted views of the ringed flags: one
+bit per traversable cardinal neighbour, and one per diagonal whose 2x2 block
+with the cell is traversable. Masks and uint8 costs are bytes, g and parent
+flat lists, the closed set a bytearray. An expansion reads its mask once and
+tests one bit per step: E, W, S, N, then SE, NE, SW, NW. Edge weights come
+from a table per step length indexed by cost. The octile heuristic of every
+box cell is one float64 table, built with numpy from the IEEE operations of
+the max/min expression and read through a memoryview; it costs the box's
+area, which the ring already pays. Every edge weight, sum and f is the same
+IEEE operation as in a whole-grid search, and the (f, push counter) heap
+order is the same, so paths and costs match it.
 """
 
 from __future__ import annotations
@@ -129,10 +129,16 @@ def plan_path(belief: OccupancyGrid, start: Pose, to_world: tuple[float, float],
 
     # Flat index k of the search box is grid cell (k % w + i0, k // w + j0).
     i0, j0, w, h = bi - 1, bj - 1, bw + 2, bh + 2
-    # The box ringed by 0s, as bytes that read each cell as a small int.
+    # The box ringed by 0s, as bytes: step masks (stray bits on the ring only), then costs.
     ring = np.zeros((2, h, w), dtype=np.uint8)
     ring[0, 1:-1, 1:-1], ring[1, 1:-1, 1:-1] = trav, belief.costs[box]
-    passable, cost = (a.tobytes() for a in ring)
+    p = ring[0].ravel()
+    q = p[:-1] & p[1:]
+    q = q[:-w] & q[w:]  # q[k]: cells k, k + 1, k + w and k + w + 1
+    q = q[w:] | q[:-w] << 1  # q[k - w]: k's SE | NE << 1 blocks
+    s = p[w:] | p[1:1 - w] << 1  # s[k]: S | E << 1; s[k - w - 1]: W | N << 1
+    p[w + 1:-w - 1] = s[w + 1:-1] | s[:-w - 2] << 2 | (q[1:] | q[:-1] << 2) << 4
+    steps, cost = (a.tobytes() for a in ring)
     w1, w2 = _weights(cost_weight, res)
 
     # Admissible octile heuristic of every box cell (every edge multiplier
@@ -146,7 +152,7 @@ def plan_path(belief: OccupancyGrid, start: Pose, to_world: tuple[float, float],
     octile = memoryview(t.ravel())
 
     start_k, goal_k = (sj - j0) * w + si - i0, (gj - j0) * w + gi - i0
-    g, parent, closed = [math.inf] * (w * h), {}, bytearray(w * h)
+    g, parent, closed = [math.inf] * (w * h), [0] * (w * h), bytearray(w * h)
     g[start_k] = 0.0
     counter = 0
     open_heap = [(0.0, counter, start_k)]
@@ -158,31 +164,30 @@ def plan_path(belief: OccupancyGrid, start: Pose, to_world: tuple[float, float],
         if k == goal_k:
             break
         closed[k] = 1
-        base = g[k]
-        # E, W, S, N, then SE, NE, SW, NW; a diagonal needs both its cardinals.
-        pe, pw, ps, pn = passable[k + 1], passable[k - 1], passable[k + w], passable[k - w]
-        if pe and (t := base + w1[cost[m := k + 1]]) < g[m]:
+        base, moves = g[k], steps[k]
+        # E, W, S, N, then SE, NE, SW, NW.
+        if moves & 2 and (t := base + w1[cost[m := k + 1]]) < g[m]:
             g[m], parent[m], counter = t, k, counter + 1
             push(open_heap, (t + octile[m], counter, m))
-        if pw and (t := base + w1[cost[m := k - 1]]) < g[m]:
+        if moves & 4 and (t := base + w1[cost[m := k - 1]]) < g[m]:
             g[m], parent[m], counter = t, k, counter + 1
             push(open_heap, (t + octile[m], counter, m))
-        if ps and (t := base + w1[cost[m := k + w]]) < g[m]:
+        if moves & 1 and (t := base + w1[cost[m := k + w]]) < g[m]:
             g[m], parent[m], counter = t, k, counter + 1
             push(open_heap, (t + octile[m], counter, m))
-        if pn and (t := base + w1[cost[m := k - w]]) < g[m]:
+        if moves & 8 and (t := base + w1[cost[m := k - w]]) < g[m]:
             g[m], parent[m], counter = t, k, counter + 1
             push(open_heap, (t + octile[m], counter, m))
-        if pe and ps and passable[m := k + w + 1] and (t := base + w2[cost[m]]) < g[m]:
+        if moves & 16 and (t := base + w2[cost[m := k + w + 1]]) < g[m]:
             g[m], parent[m], counter = t, k, counter + 1
             push(open_heap, (t + octile[m], counter, m))
-        if pe and pn and passable[m := k - w + 1] and (t := base + w2[cost[m]]) < g[m]:
+        if moves & 32 and (t := base + w2[cost[m := k - w + 1]]) < g[m]:
             g[m], parent[m], counter = t, k, counter + 1
             push(open_heap, (t + octile[m], counter, m))
-        if pw and ps and passable[m := k + w - 1] and (t := base + w2[cost[m]]) < g[m]:
+        if moves & 64 and (t := base + w2[cost[m := k + w - 1]]) < g[m]:
             g[m], parent[m], counter = t, k, counter + 1
             push(open_heap, (t + octile[m], counter, m))
-        if pw and pn and passable[m := k - w - 1] and (t := base + w2[cost[m]]) < g[m]:
+        if moves & 128 and (t := base + w2[cost[m := k - w - 1]]) < g[m]:
             g[m], parent[m], counter = t, k, counter + 1
             push(open_heap, (t + octile[m], counter, m))
     else:

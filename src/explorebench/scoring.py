@@ -108,14 +108,15 @@ def distance_score(d: float, params: HeuristicParams) -> float:
     """Squash a robot-to-centroid distance into [0, 1).
 
     D = tanh(E * sigmoid(E * (1 - csch(d / alpha)))) with E = exp(d / beta).
-    D(0) is 0 by continuity (csch diverges, driving the sigmoid to zero).
-    Exponent arguments are capped at exp_arg_cap and the sigmoid argument
-    at exp_arg_cap**2, so the score is finite for any finite distance; the
-    output is clamped one ulp below 1 to keep the range open.
+    D(0) is 0 by continuity (csch diverges, driving the sigmoid to zero),
+    and so is D of a d whose d / alpha underflows. Exponent arguments are
+    capped at exp_arg_cap and the sigmoid argument at exp_arg_cap**2, so the
+    score is finite for any finite distance; the output is clamped one ulp
+    below 1 to keep the range open.
     """
     if not (d >= 0.0):
         raise NegativeDistanceError(f"distance must be >= 0, got {d}")
-    if d == 0.0:
+    if d / params.alpha == 0.0:
         return 0.0
     cap = params.exp_arg_cap
     big_e = math.exp(min(d / params.beta, cap))

@@ -327,34 +327,47 @@ def _reject_constant(name):
 
 
 class TestExtremeValues:
-    """One `run` of a generated low map for at most 60 ticks with one key at
-    an extreme value either fails as a config error that names the key, or
-    ends with artifacts that a strict JSON parser reads and whose samples
-    are all finite. At dt = 1e308 the sample times overflowed into Infinity
-    tokens; at resolution = 1e300 the occupancy score's squares overflowed."""
+    """One `run` of a generated low map for at most 60 ticks with one or
+    more keys at extreme values either fails as a config error that names
+    one of the keys, or ends with artifacts that a strict JSON parser reads
+    and whose samples are all finite. At dt = 1e308 the sample times
+    overflowed into Infinity tokens; at resolution = 1e300 the occupancy
+    score's squares overflowed. At resolution = 1e-308 with alpha = 1e300,
+    d / alpha underflowed into csch(0); at decay_rate = 1.7e308 with
+    inflation_radius = 1e300, the decay's exponent overflowed."""
+
+    CASES = [
+        *([case] for case in (
+            ("kinematics", "dt", "1e308"), ("maps", "resolution", "1e300"),
+            ("kinematics", "v_max", "1e308"), ("kinematics", "w_max", "1e308"),
+            ("planner", "cost_weight", "1e308"), ("heuristic", "alpha", "5e-324"),
+            ("heuristic", "beta", "5e-324"), ("heuristic", "af_scale", "5e-324"),
+            ("lidar", "angular_span", "1e300"), ("lidar", "max_range", "1e-300"),
+            ("inflation", "decay_rate", "1e308"), ("inflation", "inscribed_radius", "1e-300"),
+            ("inflation", "inscribed_radius", "1e300"),
+            ("inflation", "inflation_radius", "1e300"),
+            ("inflation", "inflation_radius", "1e-300"), ("maps", "resolution", "1e-300"),
+            ("planner", "goal_relax_radius", "1000000000"))),
+        [("maps", "resolution", "1e-308"), ("heuristic", "alpha", "1e300")],
+        [("inflation", "decay_rate", "1.7e308"), ("inflation", "inflation_radius", "1e300")],
+    ]
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("section,key,value", [
-        ("kinematics", "dt", "1e308"), ("maps", "resolution", "1e300"),
-        ("kinematics", "v_max", "1e308"), ("kinematics", "w_max", "1e308"),
-        ("planner", "cost_weight", "1e308"), ("heuristic", "alpha", "5e-324"),
-        ("heuristic", "beta", "5e-324"), ("heuristic", "af_scale", "5e-324"),
-        ("lidar", "angular_span", "1e300"), ("lidar", "max_range", "1e-300"),
-        ("inflation", "decay_rate", "1e308"), ("inflation", "inscribed_radius", "1e-300"),
-        ("inflation", "inscribed_radius", "1e300"), ("inflation", "inflation_radius", "1e300"),
-        ("inflation", "inflation_radius", "1e-300"), ("maps", "resolution", "1e-300"),
-        ("planner", "goal_relax_radius", "1000000000")])
-    def test_ends_cleanly(self, tmp_path, capsys, section, key, value):
+    @pytest.mark.parametrize("keys", CASES, ids=lambda keys: "-".join(
+        part for case in keys for part in case))
+    def test_ends_cleanly(self, tmp_path, capsys, keys):
         sections = {"maps": {"generate": "low:1"}, "limits": {"max_ticks": "60"},
                     "run": {"seeds": "1", "outdir": str(tmp_path / "out")}}
-        sections.setdefault(section, {})[key] = value
+        for section, key, value in keys:
+            sections.setdefault(section, {})[key] = value
         cfg = tmp_path / "exp.cfg"
-        cfg.write_text("".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
-                               for name, keys in sections.items()))
+        cfg.write_text("".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in entries.items())
+                               for name, entries in sections.items()))
         code = main(["run", "--config", str(cfg)])
         if code == 1:
             err = capsys.readouterr().err
-            assert err.startswith("config error") and f"[{section}]" in err and key in err
+            assert err.startswith("config error")
+            assert any(f"[{section}]" in err and key in err for section, key, _ in keys)
             return
         assert code in (0, 2)
         artifacts = sorted((tmp_path / "out").glob("*.json"))

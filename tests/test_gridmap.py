@@ -1140,6 +1140,11 @@ class TestTypes:
             with pytest.raises(MapError, match="decay_rate"):
                 InflationParams(decay_rate=rate)
         assert InflationParams(decay_rate=0.0).decay_rate == 0.0
+        # The decay's exponent must stay finite over the band's reach, which
+        # a grid's extent bounds below sqrt(DBL_MAX) whatever the radius.
+        with pytest.raises(MapError, match="decay_rate"):
+            InflationParams(0.12, 1e300, 1.7e308)
+        assert InflationParams(0.12, 1e308, 4.0).decay_rate == 4.0
 
     def test_grid_shape_checks(self):
         with pytest.raises(MalformedMapError):

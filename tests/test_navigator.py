@@ -87,6 +87,25 @@ def embed_in_unknown(states, rng):
     return framed
 
 
+def diagonal_gap_scene(rng, thin):
+    """A Free/Occupied rectangle framed in Unknown, a start on one of its
+    corners and a goal cell inside it, as (states, start cell, goal cell).
+
+    With thin 1 the rectangle is one cell tall, with thin 2 one cell wide,
+    and one cell in seven is a wall. Otherwise three cells in ten are, which
+    leaves many 2x2 blocks with three Free cells: a diagonal step with
+    exactly one blocked cardinal, which the search must refuse.
+    """
+    h = 1 if thin == 1 else rng.randint(2, 13)
+    w = 1 if thin == 2 else rng.randint(2, 13)
+    states = np.where(rng.rand(h, w) < (0.15 if thin else 0.3), OCCUPIED, FREE).astype(np.uint8)
+    sj, si = rng.randint(2) * (h - 1), rng.randint(2) * (w - 1)
+    states[sj, si] = FREE
+    (oj, pj), (oi, pi) = rng.randint(1, 4, size=(2, 2))
+    states = np.pad(states, ((oj, pj), (oi, pi)), constant_values=UNKNOWN)
+    return states, (si + oi, sj + oj), (rng.randint(w) + oi, rng.randint(h) + oj)
+
+
 def pinned_plan_outcomes(count):
     """repr of (waypoints, total_cost), or the error name, of seeded plans.
 
@@ -206,17 +225,24 @@ class TestPlanPath:
         # cells, or aim at untraversable goals that must relax. Box grids
         # know one rectangle, or no cell at all; their starts are Unknown
         # cells, often next to the rectangle, and their goals lie outside it,
-        # to relax into it or find no candidate.
+        # to relax into it or find no candidate. Gap grids (diagonal_gap_scene)
+        # block exactly one cardinal of many diagonals, know a rectangle one
+        # cell wide or tall, and start on a corner of the known box.
         rng = np.random.RandomState(17)
         seen = dict.fromkeys(("mirror detour", "framed", "odd start", "relaxed",
                               "no path", "start alone", "start outside box",
-                              "relaxed into box", "no candidate"), 0)
-        for case in range(500):
-            kind = ("open", "mirror", "mixed", "relax")[case % 4] if case < 400 else "box"
-            h, w = rng.randint(2, 50), rng.randint(2, 50)
-            wall = (rng.choice([0.0, 0.03]) if kind in ("open", "box")
-                    else rng.choice([0.05, 0.15, 0.3]))
-            states = np.where(rng.rand(h, w) < wall, OCCUPIED, FREE).astype(np.uint8)
+                              "relaxed into box", "no candidate", "one-cardinal gap",
+                              "thin box", "corner start"), 0)
+        for case in range(600):
+            kind = (("open", "mirror", "mixed", "relax")[case % 4] if case < 400
+                    else "box" if case < 500 else "gap")
+            if kind == "gap":
+                states, (si, sj), (gi, gj) = diagonal_gap_scene(rng, max(case % 4 - 1, 0))
+            else:
+                h, w = rng.randint(2, 50), rng.randint(2, 50)
+                wall = (rng.choice([0.0, 0.03]) if kind in ("open", "box")
+                        else rng.choice([0.05, 0.15, 0.3]))
+                states = np.where(rng.rand(h, w) < wall, OCCUPIED, FREE).astype(np.uint8)
             if kind == "box":
                 rect = np.zeros((h, w), dtype=bool)
                 if case % 10:
@@ -233,7 +259,7 @@ class TestPlanPath:
                 if rng.rand() < 0.5:
                     states = states.T.copy()
                     (si, sj), (gi, gj), axis = (sj, si), (gj, gi), 0
-            elif rng.rand() < 0.5:
+            elif kind != "gap" and rng.rand() < 0.5:
                 states = embed_in_unknown(states, rng)
                 seen["framed"] += 1
             h, w = states.shape
@@ -242,7 +268,7 @@ class TestPlanPath:
             inflate(belief, 0.12, 0.5, 4.0)
             trav = traversable_mask(belief)
             blocked = np.argwhere(~trav)
-            if kind == "mirror":
+            if kind in ("mirror", "gap"):
                 goal = belief.cell_center(gi, gj)
             elif kind == "box":
                 if rect.all():
@@ -285,6 +311,11 @@ class TestPlanPath:
                     ei, ej = belief.world_to_cell(*expected[0][-1])
                     seen["start outside box"] += 1
                     seen["relaxed into box"] += bool(rect[ej, ei])
+            if kind == "gap" and not isinstance(expected, str) and len(expected[0]) > 1:
+                blocks = trav[:-1, :-1] * 1 + trav[:-1, 1:] + trav[1:, :-1] + trav[1:, 1:]
+                seen["one-cardinal gap"] += case % 4 < 2 and bool((blocks == 3).any())
+                seen["thin box"] += case % 4 >= 2
+                seen["corner start"] += 1
             if not isinstance(expected, str):
                 gi, gj = belief.world_to_cell(*goal)
                 gi, gj = min(max(gi, 0), w - 1), min(max(gj, 0), h - 1)

@@ -43,6 +43,13 @@ class TestDistanceScore:
         for params in (HeuristicParams(), HeuristicParams(0.1, 9.0, 0.2)):
             assert distance_score(0.0, params) == 0.0
 
+    def test_underflowed_ratio_is_the_zero_limit(self):
+        # d / alpha underflows to 0, where csch(0) would divide by zero: D
+        # takes its d = 0 limit, which the capped path reaches for tiny d.
+        for d, alpha in ((5e-324, 3.0), (1e-308, 1e300)):
+            assert distance_score(d, HeuristicParams(alpha=alpha)) == 0.0
+        assert distance_score(1e-300, HeuristicParams()) == 0.0
+
     def test_negative_distance_rejected(self):
         with pytest.raises(NegativeDistanceError):
             distance_score(-0.1, HeuristicParams())
