@@ -16,7 +16,7 @@ at every run's new cells. A run's belief is its slot, so the scan has
 written the reveal; the run then decides, plans and steps alone. After a
 reveal that changed nothing, the coverage, the target and the path's
 validity are as they were; after any other, only the target's own cells
-are checked. Only a decision builds the frontier mask. The batch shares a
+are checked. Only a decision lists the frontier cells. The batch shares a
 reveal's fixed cost of numpy calls; a run's record does not depend on its
 batch. run_exploration is a batch of one.
 """
@@ -174,7 +174,7 @@ def _path_cells_valid(belief, waypoints, robot_cell):
 
 
 def _target_alive(belief, cells):
-    """Whether the frontier mask still marks one of a target's (i, j) cells:
+    """Whether the frontier still lists one of a target's (i, j) cells:
     they were Free when chosen and known cells never change, so whether one
     has an Unknown 4-neighbour on the grid."""
     s, w, h = belief.states, belief.width, belief.height

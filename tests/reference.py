@@ -186,10 +186,14 @@ def oracle_reveal_sets(truth, pose, lidar):
         i, j = pi, pj
         si = 1 if dx > 0 else (-1 if dx < 0 else 0)
         sj = 1 if dy > 0 else (-1 if dy < 0 else 0)
-        tx = ((i + 1 - gx) / dx if dx > 0 else (i - gx) / dx) if dx else math.inf
-        ty = ((j + 1 - gy) / dy if dy > 0 else (j - gy) / dy) if dy else math.inf
-        dtx = abs(1.0 / dx) if dx else math.inf
-        dty = abs(1.0 / dy) if dy else math.inf
+        # The documented arithmetic, as oracle_beam_walks: a first crossing
+        # times 1/d, not divided by d, which can break a corner tie the
+        # other way.
+        inv_x = 1.0 / dx if dx else math.inf
+        inv_y = 1.0 / dy if dy else math.inf
+        tx = ((i + 1 - gx) * inv_x if dx > 0 else (i - gx) * inv_x) if dx else math.inf
+        ty = ((j + 1 - gy) * inv_y if dy > 0 else (j - gy) * inv_y) if dy else math.inf
+        dtx, dty = abs(inv_x), abs(inv_y)
         while True:
             if tx <= ty:
                 entry, i, tx = tx, i + si, tx + dtx

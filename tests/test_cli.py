@@ -376,6 +376,27 @@ class TestExtremeValues:
             samples = json.loads(path.read_text(), parse_constant=_reject_constant)["samples"]
             assert samples and np.isfinite(samples).all()
 
+    def test_tiny_resolution_stall_is_the_robot_outgrowing_the_map(self, tmp_path):
+        # At resolution = 1e-308 half a cell is subnormal, and both runs stall
+        # at their first decision with the first scan's coverage. They stall
+        # alike at resolution = 0.01, where every length is a normal double:
+        # the 0.12 m inscribed radius then covers every Free cell of the
+        # 19-cell map, so A* finds no traversable step.
+        ends = []
+        for resolution in ("0.01", "1e-308"):
+            out = tmp_path / resolution
+            cfg = tmp_path / "exp.cfg"
+            cfg.write_text(f"[maps]\ngenerate = low:1\nresolution = {resolution}\n"
+                           f"[run]\nseeds = 1\noutdir = {out}\nemit = json\n")
+            assert main(["run", "--config", str(cfg)]) == 2
+            records = [json.loads(p.read_text()) for p in sorted(out.glob("*.json"))]
+            ends.append([(r["outcome"], r["totals"], r["decisions"]) for r in records])
+        assert ends[0] == ends[1] and len(ends[0]) == 2
+        for outcome, totals, decisions in ends[0]:
+            assert outcome == "stalled" and decisions == []
+            assert totals["distance"] == 0.0 and totals["ticks"] == 0
+            assert 0.8 < totals["exploration_rate"] < 0.9
+
 
 class TestCmdCompare:
     def test_aggregate_csv_and_summary(self, tmp_path, tiny_map, capsys):

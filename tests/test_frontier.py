@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,26 +12,39 @@ from explorebench.frontier import cluster_segments, detect_frontiers
 from explorebench.gridmap import FREE, UNKNOWN, OccupancyGrid
 
 
+def brute_force_cells(belief):
+    """The oracle's marks as ascending flat indices i + width * j."""
+    return np.flatnonzero(brute_force_marks(belief))
+
+
+def assert_no_frontier(cells):
+    assert cells.dtype == np.intp and cells.shape == (0,)
+
+
 class TestDetect:
     def test_all_free_no_frontier(self):
         belief = grid_from_rows(["...."] * 4)
-        assert not detect_frontiers(belief).any()
+        assert_no_frontier(detect_frontiers(belief))
+        assert cluster_segments(detect_frontiers(belief), belief, 1) == []
 
     def test_free_columns_against_unknown(self):
         belief = grid_from_rows(["..???"] * 5)
-        marks = detect_frontiers(belief)
+        cells = detect_frontiers(belief)
         expected = np.zeros((5, 5), dtype=bool)
         expected[:, 1] = True
-        assert (marks == expected).all()
+        assert cells.dtype == np.intp
+        assert np.array_equal(cells, np.flatnonzero(expected))
+        assert np.array_equal(cells, brute_force_cells(belief))
 
     def test_sealed_cell_not_frontier(self):
         belief = grid_from_rows(["?????", "?###?", "?#.#?", "?###?", "?????"])
-        assert not detect_frontiers(belief).any()
+        assert_no_frontier(detect_frontiers(belief))
 
     def test_zero_size_grid(self):
         for h, w in ((3, 0), (0, 3), (0, 0)):
-            marks = detect_frontiers(unknown_grid(w, h, 0.25))
-            assert marks.shape == (h, w)
+            belief = unknown_grid(w, h, 0.25)
+            assert_no_frontier(detect_frontiers(belief))
+            assert cluster_segments(detect_frontiers(belief), belief, 1) == []
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -41,8 +55,7 @@ class TestDetect:
             st.sampled_from([UNKNOWN, FREE, 2]), min_size=w * h, max_size=w * h))
         states = np.array(cells, dtype=np.uint8).reshape(h, w)
         belief = OccupancyGrid(w, h, 0.25, states, np.zeros_like(states))
-        assert (detect_frontiers(belief) == brute_force_marks(belief)).all()
-
+        assert np.array_equal(detect_frontiers(belief), brute_force_cells(belief))
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -60,7 +73,7 @@ class TestDetect:
         states = np.zeros((h, w), dtype=np.uint8)
         states[j0:j0 + bh, i0:i0 + bw] = np.array(blob).reshape(bh, bw)
         belief = OccupancyGrid(w, h, 0.25, states, np.zeros_like(states))
-        assert (detect_frontiers(belief) == brute_force_marks(belief)).all()
+        assert np.array_equal(detect_frontiers(belief), brute_force_cells(belief))
 
     @pytest.mark.parametrize("h, w", [(9, 12), (1, 12), (12, 1), (1, 1), (2, 2)])
     def test_blobs_at_edges_and_corners(self, rng, h, w):
@@ -69,9 +82,10 @@ class TestDetect:
         # all-known grids.
         def check(states):
             belief = OccupancyGrid(w, h, 0.25, states, np.zeros_like(states))
-            marks = detect_frontiers(belief)
-            assert (marks == brute_force_marks(belief)).all(), states
-            return marks
+            cells = detect_frontiers(belief)
+            assert cells.dtype == np.intp
+            assert np.array_equal(cells, brute_force_cells(belief)), states
+            return cells
 
         bh, bw = min(h, 3), min(w, 3)
         for j0 in sorted({0, (h - bh) // 2, h - bh}):
@@ -83,10 +97,27 @@ class TestDetect:
                     check(states)
                 states = np.zeros((h, w), dtype=np.uint8)
                 states[j0:j0 + bh, i0:i0 + bw] = FREE
-                assert check(states).any() == (bh < h or bw < w)
-        assert not check(np.zeros((h, w), dtype=np.uint8)).any()
-        assert not check(np.full((h, w), FREE, dtype=np.uint8)).any()
-        assert not check(rng.choice([FREE, 2], size=(h, w)).astype(np.uint8)).any()
+                assert (check(states).size > 0) == (bh < h or bw < w)
+        assert_no_frontier(check(np.zeros((h, w), dtype=np.uint8)))
+        assert_no_frontier(check(np.full((h, w), FREE, dtype=np.uint8)))
+        assert_no_frontier(check(rng.choice([FREE, 2], size=(h, w)).astype(np.uint8)))
+
+    def test_memory_bounded_on_large_unknown_grid(self, rng):
+        # A 1000 x 1000 Unknown belief holding a small known blob: listing
+        # and clustering its frontier makes no grid-sized array.
+        w = h = 1000
+        states = np.zeros((h, w), dtype=np.uint8)
+        states[470:530, 610:660] = rng.choice([FREE, FREE, FREE, 2], size=(60, 50))
+        belief = OccupancyGrid(w, h, 0.05, states, np.zeros_like(states))
+        tracemalloc.start()
+        try:
+            cells = detect_frontiers(belief)
+            segments = cluster_segments(cells, belief, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < w * h / 8, peak
+        assert segments and sum(len(seg.cells) for seg in segments) == len(cells)
 
 
 class TestCluster:
@@ -131,9 +162,9 @@ class TestCluster:
             states = rng.choice([UNKNOWN, FREE, 2], size=(h, w),
                                 p=[0.35, 0.5, 0.15]).astype(np.uint8)
             belief = OccupancyGrid(w, h, 0.25, states, np.zeros_like(states))
-            mask = detect_frontiers(belief)
+            frontier = detect_frontiers(belief)
             min_size = int(rng.randint(1, 4))
-            segments = cluster_segments(mask, belief, min_size)
+            segments = cluster_segments(frontier, belief, min_size)
             seen = set()
             for seg in segments:
                 cells = cell_set(seg)
@@ -149,11 +180,12 @@ class TestCluster:
                 # radius_r is attained at the farthest cell.
                 d = max(math.hypot(i - cx, j - cy) for i, j in cells) * belief.resolution
                 assert d == pytest.approx(seg.radius_r)
-            # Union over all (unfiltered) segments equals the mask.
+            # Union over all (unfiltered) segments equals the frontier.
             all_cells = set()
-            for seg in cluster_segments(mask, belief, 1):
+            for seg in cluster_segments(frontier, belief, 1):
                 all_cells |= cell_set(seg)
-            marked = {(i, j) for j in range(h) for i in range(w) if mask[j, i]}
+            marked = {(int(c % w), int(c // w)) for c in frontier}
+            assert len(marked) == len(frontier)
             assert all_cells == marked
 
     def test_canonical_order(self):
@@ -178,15 +210,24 @@ class TestCluster:
         marks[3, 3] = True
         states = np.zeros(marks.shape, dtype=np.uint8)
         belief = OccupancyGrid(7, 7, 0.25, states, states.copy())
-        ring, centre = cluster_segments(marks, belief, min_size=1)
+        ring, centre = cluster_segments(np.flatnonzero(marks), belief, min_size=1)
         assert ring.centroid == centre.centroid
         assert len(ring.cells) == 16 and cell_set(centre) == {(3, 3)}
 
     def test_mismatched_mask_rejected(self):
+        # A larger grid's cells lie past the end of a smaller grid.
         a = grid_from_rows(["??", ".."])
         b = grid_from_rows(["???", "..."])
+        assert detect_frontiers(b).tolist() == [3, 4, 5]
         with pytest.raises(ValueError):
-            cluster_segments(detect_frontiers(a), b, 1)
+            cluster_segments(detect_frontiers(b), a, 1)
+
+    @pytest.mark.parametrize("cells", [[-1, 2], [2, 1], [1, 1, 2], [0, 6]],
+                             ids=["negative", "descending", "repeated", "past-end"])
+    def test_cells_not_ascending_in_grid_rejected(self, cells):
+        belief = grid_from_rows(["???", "..."])
+        with pytest.raises(ValueError):
+            cluster_segments(np.array(cells, dtype=np.intp), belief, 1)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -210,7 +251,7 @@ class TestCluster:
         for mask in (marks, framed):
             states = np.zeros(mask.shape, dtype=np.uint8)
             belief = OccupancyGrid(mask.shape[1], mask.shape[0], res, states, states.copy())
-            got = cluster_segments(mask, belief, min_size)
+            got = cluster_segments(np.flatnonzero(mask), belief, min_size)
             expected = oracle_segments(mask, res, min_size)
             assert len(got) == len(expected)
             for seg, ref in zip(got, expected):
@@ -221,4 +262,4 @@ class TestCluster:
             cells.append([ref["cells"] for ref in expected])
         # The frame only moves every segment by the offset.
         assert [[(i + oi, j + oj) for i, j in c] for c in cells[0]] == cells[1]
-        assert cluster_segments(np.zeros_like(framed), belief, 1) == []
+        assert cluster_segments(np.flatnonzero(np.zeros_like(framed)), belief, 1) == []

@@ -540,6 +540,20 @@ class TestRaycastReveal:
             assert got_free == free_set
             assert got_occ == occ_set
 
+    def test_corner_tie_follows_documented_arithmetic(self):
+        # A beam from (0.21875, 1.21875) cells at -3 pi / 4 meets the corner
+        # of the grid's edge: divided by d its two first crossings tie, but
+        # times 1/d the y crossing comes first, so the beam enters cell
+        # (0, 0). Both oracles must agree with the scan.
+        truth = grid_from_rows([".", "."], resolution=0.1)
+        pose = Pose(0.21875 * 0.1, 1.21875 * 0.1, -3 * math.pi / 4)
+        lidar = LidarModel(beam_count=1, max_range=0.1)
+        belief = make_belief_like(truth)
+        reveal(belief, truth, pose, lidar)
+        assert oracle_beam_walks(truth, pose, np.array([pose.theta]), 0.1) == [[(0, 0)]]
+        assert oracle_reveal_sets(truth, pose, lidar) == ({(0, 0), (0, 1)}, set())
+        assert (belief.states == FREE).all()
+
     def test_window_reinflation_matches_full(self, rng):
         truth = self._random_truth(rng, 30, 30)
         belief = make_belief_like(truth)
