@@ -206,7 +206,7 @@ def _explore(truth: OccupancyGrid, belief: OccupancyGrid, start: Pose,
 
     for tick in range(limits.max_ticks + 1):
         cells = yield pose
-        if changed := raycast_reveal(belief, truth, pose, cells)[0].size:
+        if changed := raycast_reveal(belief, cells).size:
             rate = exploration_rate(belief, reachable)
         record.samples.append((tick * kin.dt, pose.x, pose.y, pose.theta, cumdist, rate))
         if rate >= limits.expr_target:

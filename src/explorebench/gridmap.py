@@ -676,12 +676,11 @@ class BeamScanner:
         return (depth.reshape(m, n + 1)[:, :n] > 0) | (stack[:, r, r, None] == UNKNOWN)
 
 
-def raycast_reveal(belief: OccupancyGrid, truth: OccupancyGrid, pose: Pose,
-                   cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The (i, j) arrays, in raster order, of cells: one run's cells from a
-    BeamScanner scan of pose whose slot is belief, which the scan has written."""
-    cj, ci = np.divmod(cells, truth.width)
-    return ci, cj
+def raycast_reveal(belief: OccupancyGrid, cells: np.ndarray) -> np.ndarray:
+    """cells, unchanged: one run's cells from a BeamScanner scan whose slot
+    is belief, which the scan has written. It only marks the reveal for
+    perfbench/tracing.py, which wraps explorer.raycast_reveal by name."""
+    return cells
 
 
 # ---------------------------------------------------------------------------

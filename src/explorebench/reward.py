@@ -66,8 +66,10 @@ class RewardConfig:
     def __post_init__(self):
         if not (self.max_linear > 0.0):
             raise ValueError(f"max_linear must be > 0, got {self.max_linear}")
-        if not (self.collision_threshold > 0.0 and self.goal_threshold > 0.0):
-            raise ValueError("thresholds must be > 0")
+        if not (self.collision_threshold > 0.0):
+            raise ValueError(f"collision_threshold must be > 0, got {self.collision_threshold}")
+        if not (self.goal_threshold > 0.0):
+            raise ValueError(f"goal_threshold must be > 0, got {self.goal_threshold}")
         if self.distance_term_form not in DISTANCE_FORMS:
             raise ValueError(
                 f"distance_term_form must be one of {DISTANCE_FORMS}, "

@@ -18,7 +18,6 @@ segment minimizing h.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +26,9 @@ from .frontier import FrontierSegment
 from .gridmap import REMAPPED, OccupancyGrid, Pose
 
 _ONE_BELOW_1 = float(np.nextafter(1.0, 0.0))
-# The largest argument math.exp takes without overflowing.
-_MAX_EXP_ARG = math.log(sys.float_info.max)
+# Every exponent of the distance score is capped here, so scores stay finite
+# and bit-stable; e**30 is already deep in the saturated tail.
+_EXP_ARG_CAP = 30.0
 
 
 class NegativeDistanceError(ValueError):
@@ -50,16 +50,13 @@ class HeuristicParams:
     alpha, beta are in meters and must be positive. gamma weights the
     distance score against the occupancy score and is capped at 1/2.
     af_scale converts frontier length to the dimensionless argument of
-    sech. exp_arg_cap bounds every exponent so scores stay finite and
-    bit-stable (e**30 is already deep in the saturated tail); it may not
-    exceed ln(DBL_MAX), the largest argument exp takes without overflow.
+    sech.
     """
 
     alpha: float = 3.0
     beta: float = 5.0
     gamma: float = 0.5
     af_scale: float = 1.0
-    exp_arg_cap: float = 30.0
 
     def __post_init__(self):
         if not (self.alpha > 0.0 and self.beta > 0.0):
@@ -68,9 +65,6 @@ class HeuristicParams:
             raise ValueError(f"gamma must lie in [0, 0.5], got {self.gamma}")
         if not (self.af_scale > 0.0):
             raise ValueError(f"af_scale must be > 0, got {self.af_scale}")
-        if not (0.0 < self.exp_arg_cap <= _MAX_EXP_ARG):
-            raise ValueError(f"exp_arg_cap must lie in (0, {_MAX_EXP_ARG}], "
-                             f"got {self.exp_arg_cap}")
 
 
 @dataclass(frozen=True)
@@ -110,15 +104,15 @@ def distance_score(d: float, params: HeuristicParams) -> float:
     D = tanh(E * sigmoid(E * (1 - csch(d / alpha)))) with E = exp(d / beta).
     D(0) is 0 by continuity (csch diverges, driving the sigmoid to zero),
     and so is D of a d whose d / alpha underflows. Exponent arguments are
-    capped at exp_arg_cap and the sigmoid argument at exp_arg_cap**2, so the
-    score is finite for any finite distance; the output is clamped one ulp
-    below 1 to keep the range open.
+    capped at 30 and the sigmoid argument at 30**2, so the score is finite
+    for any finite distance; the output is clamped one ulp below 1 to keep
+    the range open.
     """
     if not (d >= 0.0):
         raise NegativeDistanceError(f"distance must be >= 0, got {d}")
     if d / params.alpha == 0.0:
         return 0.0
-    cap = params.exp_arg_cap
+    cap = _EXP_ARG_CAP
     big_e = math.exp(min(d / params.beta, cap))
     inner = big_e * (1.0 - _csch(d / params.alpha))
     inner = max(-cap * cap, min(cap * cap, inner))
@@ -126,8 +120,8 @@ def distance_score(d: float, params: HeuristicParams) -> float:
     return min(score, _ONE_BELOW_1)
 
 
-def _occupancy_scores(segments: list[FrontierSegment], belief: OccupancyGrid,
-                      params: HeuristicParams) -> list[float]:
+def occupancy_scores(segments: list[FrontierSegment], belief: OccupancyGrid,
+                     params: HeuristicParams) -> list[float]:
     """Every segment's O from one gather: the mean remapped cost over the
     in-bounds cells whose centers lie within radius_r of the centroid
     (radius_r clamped up to one resolution, so the disk holds the centroid
@@ -156,12 +150,6 @@ def _occupancy_scores(segments: list[FrontierSegment], belief: OccupancyGrid,
             if b > a else 0.0 for seg, a, b in zip(segments, [0] + ends, ends)]
 
 
-def occupancy_score(segment: FrontierSegment, belief: OccupancyGrid,
-                    params: HeuristicParams) -> float:
-    """One segment's O: the one-segment case of score_segments' gather."""
-    return _occupancy_scores([segment], belief, params)[0]
-
-
 def heuristic(D: float, O: float, params: HeuristicParams) -> float:
     """Convex blend of the two scores: D * gamma + O * (1 - gamma)."""
     if not (0.0 <= D <= 1.0) or not (0.0 <= O <= 1.0):
@@ -174,7 +162,7 @@ def score_segments(segments: list[FrontierSegment], robot: Pose,
                    params: HeuristicParams) -> list[ScoreBreakdown]:
     """Score every segment against the robot pose, every O from one gather."""
     breakdowns = []
-    for idx, (seg, O) in enumerate(zip(segments, _occupancy_scores(segments, belief, params))):
+    for idx, (seg, O) in enumerate(zip(segments, occupancy_scores(segments, belief, params))):
         d = math.hypot(robot.x - seg.centroid[0], robot.y - seg.centroid[1])
         D = distance_score(d, params)
         breakdowns.append(ScoreBreakdown(idx, d, D, O, heuristic(D, O, params)))

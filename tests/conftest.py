@@ -1,7 +1,9 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from explorebench.gridmap import (COST_LETHAL, COST_UNKNOWN, FREE, OCCUPIED,
                                   UNKNOWN, BeamScanner, InflationParams, MapError,
@@ -84,6 +86,17 @@ def grid_from_rows(rows, resolution=0.25, inflation=None, inflate_costs=True):
         grid.costs[states == UNKNOWN] = 255
         grid.costs[states == OCCUPIED] = 254
     return grid
+
+
+def floats(sign=False, zero=False):
+    """Floats log-uniform in magnitude from the smallest subnormal to the
+    largest finite double: a uniform binary exponent, then a mantissa in
+    [1, 2); with sign, either sign; with zero, 0.0 as well."""
+    magnitude = st.builds(math.ldexp, st.floats(1.0, 2.0, exclude_max=True),
+                          st.integers(-1074, 1023))
+    if sign:
+        magnitude = st.builds(math.copysign, magnitude, st.sampled_from([1.0, -1.0]))
+    return st.one_of(st.just(0.0), magnitude) if zero else magnitude
 
 
 @pytest.fixture

@@ -1,18 +1,23 @@
 import configparser
+import contextlib
 import hashlib
+import io
 import json
 import os
+import pathlib
 import shutil
 import subprocess
 import sys
+import tempfile
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import clone_grid
+from conftest import clone_grid, floats
 from explorebench import cli, config
 from explorebench.cli import main, record_json
 from explorebench.config import DEFAULT_CONFIG, ConfigError, parse_config
@@ -108,7 +113,7 @@ class TestConfig:
         ("[maps]\ngenerate =\n", "[maps] generate"),
         ("[inflation]\ninscribed_radius = 0\n", "inscribed_radius"),
         ("[heuristic]\nalpha = nan\n", "[heuristic] alpha"),
-        ("[heuristic]\nbeta = 0.01\nexp_arg_cap = 1000\n", "[heuristic] exp_arg_cap"),
+        ("[heuristic]\nbeta = 0.01\nexp_arg_cap = 1000\n", "[heuristic] exp_arg_cap: unknown key"),
         ("[lidar]\nmax_range = nan\n", "[lidar] max_range"),
         ("[kinematics]\ndt = inf\n", "[kinematics] dt"),
         ("[kinematics]\nw_max = 1e-320\n", "[kinematics] w_max * dt"),
@@ -121,6 +126,7 @@ class TestConfig:
         ("[inflation]\ninflation_radius = inf\n", "[inflation] inflation_radius"),
         ("[planner]\ncost_weight = inf\n", "[planner] cost_weight"),
         ("[reward]\nmax_linear = nan\n", "[reward] max_linear"),
+        ("[reward]\ngoal_threshold = 0\n", "[reward] goal_threshold"),
         ("[reward]\ninclude_r_linear = maybe\n", "[reward] include_r_linear"),
         ("[lidar]\nangular_span = 7.0\n", "[lidar] angular_span"),
         ("[heuristic]\ngama = 0.3\n", "[heuristic] gama"),
@@ -210,8 +216,8 @@ class TestPrintDefaults:
     def test_digest_pinned(self, capsys):
         assert main(["run", "--print-defaults"]) == 0
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-        assert digest == ("45c2f617d3d5a2075414439833b7fa29"
-                          "896930e3e82b5a437e63a20d6e49e0be")
+        assert digest == ("287a9223944ee5116c28b6036d5ed1de"
+                          "75b5aeb156c6fd26ab0a95588b3d7a94")
 
     @pytest.mark.parametrize("command", ["run", "compare", "score", "reward"])
     def test_every_subcommand(self, capsys, command):
@@ -326,15 +332,20 @@ def _reject_constant(name):
     raise ValueError(f"non-finite JSON token {name}")
 
 
+# Every float key of the config: those whose default has a decimal point.
+FLOAT_KEYS = [(section, key) for section in _DEFAULTS.sections()
+              for key, value in _DEFAULTS[section].items() if "." in value]
+
+
 class TestExtremeValues:
-    """One `run` of a generated low map for at most 60 ticks with one or
+    """One `run` of a generated low map for a few dozen ticks with one or
     more keys at extreme values either fails as a config error that names
     one of the keys, or ends with artifacts that a strict JSON parser reads
-    and whose samples are all finite. At dt = 1e308 the sample times
-    overflowed into Infinity tokens; at resolution = 1e300 the occupancy
-    score's squares overflowed. At resolution = 1e-308 with alpha = 1e300,
-    d / alpha underflowed into csch(0); at decay_rate = 1.7e308 with
-    inflation_radius = 1e300, the decay's exponent overflowed."""
+    and whose samples are all finite; no warning is raised. At dt = 1e308
+    the sample times overflowed into Infinity tokens; at resolution = 1e300
+    the occupancy score's squares overflowed. At resolution = 1e-308 with
+    alpha = 1e300, d / alpha underflowed into csch(0); at decay_rate =
+    1.7e308 with inflation_radius = 1e300, the decay's exponent overflowed."""
 
     CASES = [
         *([case] for case in (
@@ -352,29 +363,52 @@ class TestExtremeValues:
         [("inflation", "decay_rate", "1.7e308"), ("inflation", "inflation_radius", "1e300")],
     ]
 
-    @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("keys", CASES, ids=lambda keys: "-".join(
-        part for case in keys for part in case))
-    def test_ends_cleanly(self, tmp_path, capsys, keys):
-        sections = {"maps": {"generate": "low:1"}, "limits": {"max_ticks": "60"},
-                    "run": {"seeds": "1", "outdir": str(tmp_path / "out")}}
+    @staticmethod
+    def _ends_cleanly(workdir, keys, max_ticks):
+        sections = {"maps": {"generate": "low:1"}, "limits": {"max_ticks": str(max_ticks)},
+                    "run": {"seeds": "1", "outdir": str(workdir / "out")}}
         for section, key, value in keys:
             sections.setdefault(section, {})[key] = value
-        cfg = tmp_path / "exp.cfg"
+        cfg = workdir / "exp.cfg"
         cfg.write_text("".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in entries.items())
                                for name, entries in sections.items()))
-        code = main(["run", "--config", str(cfg)])
+        err = io.StringIO()
+        # Warnings are errors inside the run only: on a failure, hypothesis
+        # imports modules of its own that warn while it explains the example.
+        with (contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err),
+              warnings.catch_warnings()):
+            warnings.simplefilter("error")
+            code = main(["run", "--config", str(cfg)])
         if code == 1:
-            err = capsys.readouterr().err
-            assert err.startswith("config error")
-            assert any(f"[{section}]" in err and key in err for section, key, _ in keys)
+            message = err.getvalue()
+            assert message.startswith("config error")
+            assert any(f"[{section}]" in message and key in message for section, key, _ in keys)
             return
         assert code in (0, 2)
-        artifacts = sorted((tmp_path / "out").glob("*.json"))
+        artifacts = sorted((workdir / "out").glob("*.json"))
         assert len(artifacts) == 2
         for path in artifacts:
             samples = json.loads(path.read_text(), parse_constant=_reject_constant)["samples"]
             assert samples and np.isfinite(samples).all()
+
+    @pytest.mark.parametrize("keys", CASES, ids=lambda keys: "-".join(
+        part for case in keys for part in case))
+    def test_ends_cleanly(self, tmp_path, keys):
+        self._ends_cleanly(tmp_path, keys, 60)
+
+    # Up to four float keys at once, each of either sign (the parser reads
+    # both) and log-uniform in magnitude over the whole double range.
+    @settings(max_examples=500, deadline=None)
+    @given(st.dictionaries(st.sampled_from(FLOAT_KEYS), floats(sign=True, zero=True),
+                           min_size=1, max_size=4))
+    @example({("maps", "resolution"): 1e-308, ("heuristic", "alpha"): 1e300})
+    @example({("inflation", "decay_rate"): 1.7e308, ("inflation", "inflation_radius"): 1e300})
+    @example({("maps", "resolution"): 1e-308})
+    def test_float_keys_end_cleanly(self, values):
+        with tempfile.TemporaryDirectory() as tmp:
+            self._ends_cleanly(pathlib.Path(tmp), [(section, key, repr(value))
+                                                   for (section, key), value in values.items()],
+                               40)
 
     def test_tiny_resolution_stall_is_the_robot_outgrowing_the_map(self, tmp_path):
         # At resolution = 1e-308 half a cell is subnormal, and both runs stall

@@ -147,6 +147,7 @@ def pinned_plan_outcomes(count):
 
 
 class TestPlanPath:
+    @pytest.mark.pinned
     def test_straight_corridor(self):
         belief = grid_from_rows(["#######", "#.....#", "#######"], resolution=0.5,
                                 inflation=None, inflate_costs=False)
@@ -206,6 +207,7 @@ class TestPlanPath:
             assert_valid_path(belief, path, (si, sj))
             count += 1
 
+    @pytest.mark.pinned
     def test_plans_pinned(self):
         # sha256 of 200 seeded plans. The Dijkstra oracle checks only
         # costs; this also catches a change in how ties break.

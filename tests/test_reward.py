@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import floats
 from explorebench.cli import main
 from explorebench.reward import (DISTANCE_FORMS, DegenerateDistanceError,
                                  NonFiniteRewardError, RewardConfig, StepObservation,
@@ -156,17 +157,6 @@ class TestValidation:
         # the goal would earn no goal bonus.
         with pytest.raises(ValueError):
             RewardConfig(**{field: math.nan})
-
-
-def floats(sign=False, zero=False):
-    """Floats log-uniform in magnitude from the smallest subnormal to the
-    largest finite double: a uniform binary exponent, then a mantissa in
-    [1, 2); with sign, either sign; with zero, 0.0 as well."""
-    magnitude = st.builds(math.ldexp, st.floats(1.0, 2.0, exclude_max=True),
-                          st.integers(-1074, 1023))
-    if sign:
-        magnitude = st.builds(math.copysign, magnitude, st.sampled_from([1.0, -1.0]))
-    return st.one_of(st.just(0.0), magnitude) if zero else magnitude
 
 
 # Every field of both, each with the signs and the zero its validation allows.

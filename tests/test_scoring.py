@@ -1,5 +1,4 @@
 import math
-import sys
 import tracemalloc
 
 import numpy as np
@@ -13,7 +12,7 @@ from explorebench.explorer import SelectorKind, rank_segments
 from explorebench.scoring import (HeuristicParams, InputOutOfRangeError,
                                   NegativeDistanceError, NoFrontiersError,
                                   ScoreBreakdown, distance_score, heuristic,
-                                  occupancy_score, score_segments)
+                                  occupancy_scores, score_segments)
 
 # Frozen golden values, computed with a 60-digit mpmath evaluator of
 # tanh(E * sigmoid(E * (1 - csch(d/alpha)))), E = exp(d/beta), before any
@@ -92,16 +91,6 @@ class TestDistanceScore:
                     assert math.isfinite(v)
                     assert 0.0 <= v < 1.0
 
-    def test_largest_cap_stays_finite(self):
-        # ln(DBL_MAX), the largest cap allowed, at distances far beyond
-        # beta * cap.
-        cap = math.log(sys.float_info.max)
-        params = HeuristicParams(beta=0.01, exp_arg_cap=cap)
-        for d in (20.0, 1e3 * params.beta * cap, 1e300):
-            v = distance_score(d, params)
-            assert math.isfinite(v)
-            assert 0.0 <= v < 1.0
-
 
 class TestOccupancyScore:
     def _segment(self, centroid, length, radius):
@@ -111,18 +100,18 @@ class TestOccupancyScore:
     def test_all_unknown_disk_scores_zero(self):
         belief = grid_from_rows(["?" * 9] * 9, inflate_costs=False)
         seg = self._segment(belief.cell_center(4, 4), length=2.0, radius=0.6)
-        assert occupancy_score(seg, belief, HeuristicParams()) == 0.0
+        assert occupancy_scores([seg], belief, HeuristicParams())[0] == 0.0
 
     def test_lethal_disk_hits_sech_ceiling(self):
         belief = grid_from_rows(["#" * 9] * 9)
         assert (belief.costs == COST_LETHAL).all()
         center = belief.cell_center(4, 4)
         at_zero = self._segment(center, length=0.0, radius=0.5)
-        assert occupancy_score(at_zero, belief, HeuristicParams()) == 1.0
+        assert occupancy_scores([at_zero], belief, HeuristicParams())[0] == 1.0
         longer = self._segment(center, length=1.0, radius=0.5)
         expected = 1.0 / math.cosh(1.0)
-        assert occupancy_score(longer, belief, HeuristicParams()) == pytest.approx(expected)
-        assert occupancy_score(longer, belief, HeuristicParams()) < 1.0
+        assert occupancy_scores([longer], belief, HeuristicParams())[0] == pytest.approx(expected)
+        assert occupancy_scores([longer], belief, HeuristicParams())[0] < 1.0
 
     def test_door_gap_fixture_matches_enumeration(self):
         belief = grid_from_rows([
@@ -140,14 +129,14 @@ class TestOccupancyScore:
         assert len(segments) == 1
         seg = segments[0]
         params = HeuristicParams()
-        got = occupancy_score(seg, belief, params)
+        got = occupancy_scores([seg], belief, params)[0]
         assert got == pytest.approx(brute_force_occupancy(seg, belief, params), rel=1e-12)
         assert got > 0.0
 
     def test_degenerate_radius_uses_resolution_disk(self):
         belief = grid_from_rows(["..."] * 3)
         seg = self._segment(belief.cell_center(1, 1), length=0.25, radius=0.0)
-        got = occupancy_score(seg, belief, HeuristicParams())
+        got = occupancy_scores([seg], belief, HeuristicParams())[0]
         # Disk of one resolution: center plus 4-neighbors, all free cost 0.
         expected = (1 / 255) * (1.0 / math.cosh(0.25))
         assert got == pytest.approx(expected, rel=1e-12)
@@ -163,7 +152,7 @@ class TestOccupancyScore:
                 length=float(rng.uniform(0, 4.0)),
                 radius=float(rng.uniform(0, 2.0)),
             )
-            got = occupancy_score(seg, belief, params)
+            got = occupancy_scores([seg], belief, params)[0]
             assert got == pytest.approx(brute_force_occupancy(seg, belief, params),
                                         rel=1e-12, abs=1e-15)
 
@@ -268,9 +257,8 @@ class TestHeuristic:
 class TestParamsValidation:
     @pytest.mark.parametrize("kwargs", [
         {"alpha": 0.0}, {"beta": -1.0}, {"gamma": 0.6}, {"gamma": -0.01},
-        {"af_scale": 0.0}, {"exp_arg_cap": 0.0},
+        {"af_scale": 0.0},
         {"alpha": math.nan}, {"beta": math.nan}, {"af_scale": math.nan},
-        {"exp_arg_cap": math.nextafter(math.log(sys.float_info.max), math.inf)},
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
