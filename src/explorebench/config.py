@@ -135,7 +135,7 @@ def _section(parser, section, cls):
               for f in fields(cls)}
     try:
         return cls(**kwargs)
-    except (ValueError, ArithmeticError, MapError) as e:
+    except (ValueError, ArithmeticError) as e:
         raise ConfigError(f"[{section}] {e}") from None
 
 

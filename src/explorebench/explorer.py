@@ -36,8 +36,7 @@ from .gridmap import (COST_INSCRIBED, FREE, UNKNOWN, BeamScanner, LidarModel,
 from .gridmap import to_ascii as _grid_ascii
 from .navigator import KinematicState, NoPathError, plan_path
 from .navigator import advance as kin_advance
-from .scoring import (HeuristicParams, NoFrontiersError, ScoreBreakdown,
-                      score_segments)
+from .scoring import HeuristicParams, ScoreBreakdown, score_segments
 
 SELECTOR_KINDS = ("heuristic", "nearest", "largest", "random")
 
@@ -149,10 +148,10 @@ def rank_segments(selector: SelectorKind, segments: list[FrontierSegment],
     is a shuffle seeded by the selector seed, the segment count and the
     robot cell. Score breakdowns are computed for every policy so run logs
     stay comparable across selectors; only the heuristic policy ranks by
-    them. Raises NoFrontiersError on an empty list.
+    them. Raises ValueError on an empty list.
     """
     if not segments:
-        raise NoFrontiersError("no frontier segments to select from")
+        raise ValueError("no frontier segments to select from")
     breakdowns = score_segments(segments, robot, belief, params)
     if selector.kind == "heuristic":
         order = sorted(breakdowns, key=lambda b: (b.h, b.d))

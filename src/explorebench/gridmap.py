@@ -29,31 +29,7 @@ _FOUR_CONNECTED = ndimage.generate_binary_structure(2, 1)
 
 
 class MapError(Exception):
-    """Base class for map loading and geometry errors."""
-
-
-class MalformedMapError(MapError):
-    pass
-
-
-class ZeroResolutionError(MapError):
-    pass
-
-
-class InvalidRadiiError(MapError):
-    pass
-
-
-class PoseOutOfBoundsError(MapError):
-    pass
-
-
-class PoseInsideObstacleError(MapError):
-    pass
-
-
-class StartUnreachableError(MapError):
-    pass
+    """A map file, grid or pose that cannot be used."""
 
 
 def wrap_angle(theta: float) -> float:
@@ -107,16 +83,16 @@ class InflationParams:
 
     def __post_init__(self):
         if not (0.0 < self.inscribed_radius <= self.inflation_radius):
-            raise InvalidRadiiError(
+            raise ValueError(
                 f"need 0 < inscribed_radius <= inflation_radius, got "
                 f"{self.inscribed_radius} and {self.inflation_radius}"
             )
         if not (self.decay_rate >= 0.0):  # a cost may only fall with distance
-            raise MapError(f"decay_rate must be >= 0, got {self.decay_rate}")
+            raise ValueError(f"decay_rate must be >= 0, got {self.decay_rate}")
         # The band ends within a grid's extent, whose square is finite.
         reach = min(self.inflation_radius - self.inscribed_radius, math.sqrt(np.finfo(float).max))
         if not math.isfinite(self.decay_rate * reach):
-            raise MapError(f"decay_rate {self.decay_rate} times the band's reach {reach} overflows")
+            raise ValueError(f"decay_rate {self.decay_rate} times the band's reach {reach} overflows")
 
 
 @dataclass
@@ -140,15 +116,15 @@ class OccupancyGrid:
     def __post_init__(self):
         span = (self.width + self.height) * self.resolution  # squared, bounds dx² + dy²
         if not math.isfinite(span * span):
-            raise MalformedMapError(f"resolution {self.resolution}: squared extent not finite")
+            raise MapError(f"resolution {self.resolution}: squared extent not finite")
         if self.resolution <= 0.0:
-            raise ZeroResolutionError(f"resolution must be > 0, got {self.resolution}")
+            raise MapError(f"resolution must be > 0, got {self.resolution}")
         if self.states.shape != (self.height, self.width):
-            raise MalformedMapError(
+            raise MapError(
                 f"states shape {self.states.shape} != {(self.height, self.width)}"
             )
         if self.costs.shape != self.states.shape:
-            raise MalformedMapError("costs shape differs from states shape")
+            raise MapError("costs shape differs from states shape")
 
     def in_bounds(self, i: int, j: int) -> bool:
         return 0 <= i < self.width and 0 <= j < self.height
@@ -189,26 +165,26 @@ def _parse_ascii(content: str | bytes, allow_unknown: bool):
         try:
             content = content.decode("ascii")
         except UnicodeDecodeError as e:
-            raise MalformedMapError(f"map is not ASCII text: {e}") from None
+            raise MapError(f"map is not ASCII text: {e}") from None
     lines = [ln for ln in content.splitlines() if ln.strip() != ""]
     if not lines:
-        raise MalformedMapError("empty map content")
+        raise MapError("empty map content")
     header = lines[0].split()
     if len(header) != 3:
-        raise MalformedMapError(f"header must be 'W H RES', got {lines[0]!r}")
+        raise MapError(f"header must be 'W H RES', got {lines[0]!r}")
     try:
         width, height = int(header[0]), int(header[1])
         resolution = float(header[2])
     except ValueError as e:
-        raise MalformedMapError(f"bad header numbers: {e}") from None
+        raise MapError(f"bad header numbers: {e}") from None
     if width <= 0 or height <= 0:
-        raise MalformedMapError(f"bad dimensions {width}x{height}")
+        raise MapError(f"bad dimensions {width}x{height}")
     rows = lines[1:]
     if len(rows) != height:
-        raise MalformedMapError(f"expected {height} rows, got {len(rows)}")
+        raise MapError(f"expected {height} rows, got {len(rows)}")
     for j, row in enumerate(rows):
         if len(row) != width:
-            raise MalformedMapError(f"row {j} has {len(row)} chars, expected {width}")
+            raise MapError(f"row {j} has {len(row)} chars, expected {width}")
     # Code points of every cell, compared with each state's character.
     codes = np.array(rows, dtype=f"U{width}").view(np.uint32).reshape(height, width)
     match = codes[:, :, None] == _ASCII_CHARS
@@ -216,25 +192,25 @@ def _parse_ascii(content: str | bytes, allow_unknown: bool):
     illegal = ~match.any(axis=2)
     if illegal.any():
         j, i = divmod(int(illegal.argmax()), width)
-        raise MalformedMapError(f"illegal character {rows[j][i]!r} at row {j} col {i}")
+        raise MapError(f"illegal character {rows[j][i]!r} at row {j} col {i}")
     return resolution, match.argmax(axis=2).astype(np.uint8)
 
 
 def _parse_pgm(data: bytes, occupied_threshold: int):
     header = isinstance(data, (bytes, bytearray)) and _PGM_HEADER.match(data)
     if not header:
-        raise MalformedMapError("not a binary PGM (P5) file")
+        raise MapError("not a binary PGM (P5) file")
     try:
         width, height, maxval = map(int, header.groups())
     except ValueError as e:
-        raise MalformedMapError(f"bad PGM header: {e}") from None
+        raise MapError(f"bad PGM header: {e}") from None
     if width <= 0 or height <= 0:
-        raise MalformedMapError(f"bad dimensions {width}x{height}")
+        raise MapError(f"bad dimensions {width}x{height}")
     if maxval != 255:
-        raise MalformedMapError(f"PGM maxval must be 255, got {maxval}")
+        raise MapError(f"PGM maxval must be 255, got {maxval}")
     pixels = data[header.end() : header.end() + width * height]
     if len(pixels) != width * height:
-        raise MalformedMapError(
+        raise MapError(
             f"PGM payload has {len(pixels)} bytes, expected {width * height}"
         )
     raw = np.frombuffer(pixels, dtype=np.uint8).reshape(height, width)
@@ -264,12 +240,12 @@ def load_map(source, fmt: str = "ascii", *, resolution: float | None = None,
         resolution, states = _parse_ascii(source, allow_unknown=False)
     elif fmt == "pgm":
         if resolution is None:
-            raise MalformedMapError("pgm maps need an explicit resolution")
+            raise MapError("pgm maps need an explicit resolution")
         if not 0 <= occupied_threshold <= 255:
-            raise MalformedMapError(f"occupied_threshold {occupied_threshold} is not a byte")
+            raise MapError(f"occupied_threshold {occupied_threshold} is not a byte")
         states = _parse_pgm(source, occupied_threshold)
     else:
-        raise MalformedMapError(f"unknown map format {fmt!r}")
+        raise MapError(f"unknown map format {fmt!r}")
     return grid_from_states(states, resolution, inflation)
 
 
@@ -299,17 +275,17 @@ def load_map_file(path, inflation: InflationParams = InflationParams()) -> Occup
                 if not line:
                     continue
                 if "=" not in line:
-                    raise MalformedMapError(f"bad sidecar line {line!r}")
+                    raise MapError(f"bad sidecar line {line!r}")
                 key, value = (part.strip() for part in line.split("=", 1))
                 if key not in ("resolution", "occupied_threshold"):
-                    raise MalformedMapError(f"unknown sidecar key {key!r}")
+                    raise MapError(f"unknown sidecar key {key!r}")
                 meta[key] = value
         if "resolution" not in meta:
-            raise MalformedMapError(f"sidecar for {path} lacks 'resolution'")
+            raise MapError(f"sidecar for {path} lacks 'resolution'")
         resolution = float(meta["resolution"])
         threshold = int(meta["occupied_threshold"])
     except ValueError as e:
-        raise MalformedMapError(f"sidecar for {path}: {e}") from None
+        raise MapError(f"sidecar for {path}: {e}") from None
     return load_map(data, "pgm", resolution=resolution,
                     occupied_threshold=threshold, inflation=inflation)
 
@@ -458,12 +434,15 @@ def check_pose(truth: OccupancyGrid, pose: Pose) -> None:
     """Raise unless the pose is finite and stands on an in-bounds, not
     Occupied truth cell."""
     if not all(map(math.isfinite, (pose.x, pose.y, pose.theta))):
-        raise PoseOutOfBoundsError(f"pose {pose} is not finite")
-    pi, pj = truth.world_to_cell(pose.x, pose.y)
-    if not truth.in_bounds(pi, pj):
-        raise PoseOutOfBoundsError(f"pose cell ({pi}, {pj}) outside {truth.width}x{truth.height}")
+        raise MapError(f"pose {pose} is not finite")
+    # Bounds are checked on the floats, as a huge finite pose has no int
+    # cell; floor(u) lies in [0, width) exactly when u does.
+    u, v = pose.x / truth.resolution, pose.y / truth.resolution
+    if not (0.0 <= u < truth.width and 0.0 <= v < truth.height):
+        raise MapError(f"pose ({pose.x}, {pose.y}) outside the {truth.width}x{truth.height} grid")
+    pi, pj = int(u), int(v)
     if truth.states[pj, pi] == OCCUPIED:
-        raise PoseInsideObstacleError(f"pose cell ({pi}, {pj}) is occupied")
+        raise MapError(f"pose cell ({pi}, {pj}) is occupied")
 
 
 def adjacent_to(mask: np.ndarray) -> np.ndarray:
@@ -691,7 +670,7 @@ def reachable_free_mask(truth: OccupancyGrid, start: Pose) -> np.ndarray:
     """Free truth cells 4-connected to the start cell."""
     si, sj = truth.world_to_cell(start.x, start.y)
     if not truth.in_bounds(si, sj) or truth.states[sj, si] != FREE:
-        raise StartUnreachableError(f"start cell ({si}, {sj}) is not a free truth cell")
+        raise MapError(f"start cell ({si}, {sj}) is not a free truth cell")
     free = truth.states == FREE
     labels, _ = ndimage.label(free, structure=_FOUR_CONNECTED)
     return labels == labels[sj, si]

@@ -15,8 +15,8 @@ import random
 import numpy as np
 from scipy import ndimage
 
-from .gridmap import (_FOUR_CONNECTED, FREE, OCCUPIED, InflationParams, OccupancyGrid,
-                      Pose, StartUnreachableError, grid_from_states)
+from .gridmap import (_FOUR_CONNECTED, FREE, OCCUPIED, InflationParams, MapError,
+                      OccupancyGrid, Pose, grid_from_states)
 
 _TIERS = {"low": (19, (1, 2), 3), "medium": (29, (2, 2), 5), "high": (39, (3, 3), 8)}
 TIERS = tuple(_TIERS)
@@ -98,7 +98,7 @@ def pick_start(truth: OccupancyGrid, seed: int) -> Pose:
     interior (the cells two or more from every edge), or of the whole grid
     when the interior has none. It reads one interior mask, that mask's
     per-row Free counts, and then only the row that holds the k-th cell.
-    Raises StartUnreachableError when the map has no Free cell.
+    Raises MapError when the map has no Free cell.
     """
     h, w = truth.height, truth.width
     for rows, corner in ((truth.states[2 : h - 2, 2 : w - 2], 2), (truth.states, 0)):
@@ -106,7 +106,7 @@ def pick_start(truth: OccupancyGrid, seed: int) -> Pose:
         if counts.any():
             break
     else:
-        raise StartUnreachableError("map has no free cell to start on")
+        raise MapError("map has no free cell to start on")
     ends = np.cumsum(counts)
     rng = random.Random(f"{seed}:start:{w}x{h}")
     k = rng.randrange(int(ends[-1]))

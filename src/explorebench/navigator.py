@@ -61,8 +61,9 @@ class KinematicState:
     dt: float = 0.25
 
     def __post_init__(self):
-        if not (self.v_max > 0.0 and self.w_max > 0.0 and self.dt > 0.0):
-            raise ValueError("v_max, w_max and dt must all be > 0")
+        for key in ("v_max", "w_max", "dt"):
+            if not (getattr(self, key) > 0.0):
+                raise ValueError(f"{key} must be > 0, got {getattr(self, key)}")
         turn = self.w_max * self.dt  # explorer's stall limit counts pi / turn ticks
         if not (turn > 0.0 and math.isfinite(math.pi / turn)):
             raise ValueError(f"w_max * dt = {turn!r} is too small for a half turn")

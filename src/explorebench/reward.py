@@ -17,14 +17,6 @@ from dataclasses import dataclass, fields
 DISTANCE_FORMS = ("paren_minus_one", "literal")
 
 
-class DegenerateDistanceError(ZeroDivisionError):
-    pass
-
-
-class NonFiniteRewardError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class StepObservation:
     """One control step as seen by the reward."""
@@ -83,8 +75,8 @@ def reward_terms(obs: StepObservation, cfg: RewardConfig) -> dict[str, float]:
 
     reward = r_yaw + r_angular + r_distance + r_obstacle (r_linear only when
     include_r_linear), then +5000 once within goal_threshold and -2000 once
-    lidar_min drops below collision_threshold. NonFiniteRewardError names
-    the first term, or the total, that is not finite.
+    lidar_min drops below collision_threshold. A ValueError names the
+    first term, or the total, that is not finite.
     """
     r_yaw = -abs(obs.goal_angle)
     # x * x, not x ** 2: it gives inf where ** raises OverflowError.
@@ -97,7 +89,7 @@ def reward_terms(obs: StepObservation, cfg: RewardConfig) -> dict[str, float]:
     else:
         denom = obs.d_goal_init + obs.d_goal_now - 1.0
         if denom == 0.0:
-            raise DegenerateDistanceError("d_goal_init + d_goal_now - 1 is zero")
+            raise ZeroDivisionError("d_goal_init + d_goal_now - 1 is zero")
         r_distance = 2.0 * obs.d_goal_init / denom
     r_obstacle = -50.0 if obs.lidar_min < 1.5 * cfg.collision_threshold else 0.0
     total = r_yaw + r_angular + r_distance + r_obstacle
@@ -117,7 +109,7 @@ def reward_terms(obs: StepObservation, cfg: RewardConfig) -> dict[str, float]:
     }
     for name, value in terms.items():
         if not math.isfinite(value):
-            raise NonFiniteRewardError(f"{name} is not finite: {value}")
+            raise ValueError(f"{name} is not finite: {value}")
     return terms
 
 

@@ -31,18 +31,6 @@ _ONE_BELOW_1 = float(np.nextafter(1.0, 0.0))
 _EXP_ARG_CAP = 30.0
 
 
-class NegativeDistanceError(ValueError):
-    pass
-
-
-class InputOutOfRangeError(ValueError):
-    pass
-
-
-class NoFrontiersError(Exception):
-    """Raised when selection runs on an empty segment list (exploration done)."""
-
-
 @dataclass(frozen=True)
 class HeuristicParams:
     """Tuning knobs for the waypoint scores.
@@ -59,8 +47,10 @@ class HeuristicParams:
     af_scale: float = 1.0
 
     def __post_init__(self):
-        if not (self.alpha > 0.0 and self.beta > 0.0):
-            raise ValueError(f"alpha and beta must be > 0, got {self.alpha}, {self.beta}")
+        if not (self.alpha > 0.0):
+            raise ValueError(f"alpha must be > 0, got {self.alpha}")
+        if not (self.beta > 0.0):
+            raise ValueError(f"beta must be > 0, got {self.beta}")
         if not (0.0 <= self.gamma <= 0.5):
             raise ValueError(f"gamma must lie in [0, 0.5], got {self.gamma}")
         if not (self.af_scale > 0.0):
@@ -109,7 +99,7 @@ def distance_score(d: float, params: HeuristicParams) -> float:
     the range open.
     """
     if not (d >= 0.0):
-        raise NegativeDistanceError(f"distance must be >= 0, got {d}")
+        raise ValueError(f"distance must be >= 0, got {d}")
     if d / params.alpha == 0.0:
         return 0.0
     cap = _EXP_ARG_CAP
@@ -153,7 +143,7 @@ def occupancy_scores(segments: list[FrontierSegment], belief: OccupancyGrid,
 def heuristic(D: float, O: float, params: HeuristicParams) -> float:
     """Convex blend of the two scores: D * gamma + O * (1 - gamma)."""
     if not (0.0 <= D <= 1.0) or not (0.0 <= O <= 1.0):
-        raise InputOutOfRangeError(f"scores must lie in [0, 1], got D={D}, O={O}")
+        raise ValueError(f"scores must lie in [0, 1], got D={D}, O={O}")
     return D * params.gamma + O * (1.0 - params.gamma)
 
 

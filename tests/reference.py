@@ -13,8 +13,7 @@ from scipy import ndimage
 
 from conftest import remap_cost
 from explorebench.gridmap import (COST_INSCRIBED, COST_LETHAL, COST_UNKNOWN, FREE,
-                                  OCCUPIED, REMAPPED, UNKNOWN, Pose,
-                                  StartUnreachableError)
+                                  OCCUPIED, REMAPPED, UNKNOWN, MapError, Pose)
 from explorebench.navigator import (SQRT2, NoPathError, _nearest_traversable,
                                     traversable_mask)
 
@@ -154,7 +153,7 @@ def reference_pick_start(truth, seed):
     Free cell in raster order, or the k-th of all when the interior has none."""
     free_j, free_i = np.nonzero(truth.states == FREE)
     if free_i.size == 0:
-        raise StartUnreachableError("map has no free cell to start on")
+        raise MapError("map has no free cell to start on")
     interior = ((free_i > 1) & (free_i < truth.width - 2)
                 & (free_j > 1) & (free_j < truth.height - 2))
     if interior.any():

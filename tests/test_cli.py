@@ -14,7 +14,7 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import clone_grid, floats
@@ -116,6 +116,8 @@ class TestConfig:
         ("[heuristic]\nbeta = 0.01\nexp_arg_cap = 1000\n", "[heuristic] exp_arg_cap: unknown key"),
         ("[lidar]\nmax_range = nan\n", "[lidar] max_range"),
         ("[kinematics]\ndt = inf\n", "[kinematics] dt"),
+        ("[kinematics]\ndt = 0\n", "[kinematics] dt must be > 0, got 0.0"),
+        ("[heuristic]\nbeta = 0\n", "[heuristic] beta must be > 0, got 0.0"),
         ("[kinematics]\nw_max = 1e-320\n", "[kinematics] w_max * dt"),
         ("[kinematics]\ndt = 1e308\n", "[kinematics] dt"),
         # A tick count past the largest float fails to convert, not to multiply.
@@ -337,6 +339,19 @@ FLOAT_KEYS = [(section, key) for section in _DEFAULTS.sections()
               for key, value in _DEFAULTS[section].items() if "." in value]
 
 
+@st.composite
+def float_keys(draw):
+    """Up to four float keys at once, positive and log-uniform over the whole
+    double range; in about one example in four, one of them is negated or
+    zeroed (no key accepts either, so one such key fails the config)."""
+    values = draw(st.dictionaries(st.sampled_from(FLOAT_KEYS), floats(),
+                                  min_size=1, max_size=4))
+    if draw(st.integers(0, 3)) == 0:
+        key = draw(st.sampled_from(sorted(values)))
+        values[key] = draw(st.sampled_from([-values[key], 0.0]))
+    return values
+
+
 class TestExtremeValues:
     """One `run` of a generated low map for a few dozen ticks with one or
     more keys at extreme values either fails as a config error that names
@@ -383,32 +398,32 @@ class TestExtremeValues:
             message = err.getvalue()
             assert message.startswith("config error")
             assert any(f"[{section}]" in message and key in message for section, key, _ in keys)
-            return
+            return code
         assert code in (0, 2)
         artifacts = sorted((workdir / "out").glob("*.json"))
         assert len(artifacts) == 2
         for path in artifacts:
             samples = json.loads(path.read_text(), parse_constant=_reject_constant)["samples"]
             assert samples and np.isfinite(samples).all()
+        return code
 
     @pytest.mark.parametrize("keys", CASES, ids=lambda keys: "-".join(
         part for case in keys for part in case))
     def test_ends_cleanly(self, tmp_path, keys):
         self._ends_cleanly(tmp_path, keys, 60)
 
-    # Up to four float keys at once, each of either sign (the parser reads
-    # both) and log-uniform in magnitude over the whole double range.
+    # --hypothesis-show-statistics reports the share of each exit code.
     @settings(max_examples=500, deadline=None)
-    @given(st.dictionaries(st.sampled_from(FLOAT_KEYS), floats(sign=True, zero=True),
-                           min_size=1, max_size=4))
+    @given(float_keys())
     @example({("maps", "resolution"): 1e-308, ("heuristic", "alpha"): 1e300})
     @example({("inflation", "decay_rate"): 1.7e308, ("inflation", "inflation_radius"): 1e300})
     @example({("maps", "resolution"): 1e-308})
     def test_float_keys_end_cleanly(self, values):
         with tempfile.TemporaryDirectory() as tmp:
-            self._ends_cleanly(pathlib.Path(tmp), [(section, key, repr(value))
-                                                   for (section, key), value in values.items()],
-                               40)
+            code = self._ends_cleanly(pathlib.Path(tmp), [(section, key, repr(value))
+                                                          for (section, key), value in values.items()],
+                                      40)
+        event(f"exit {code}")
 
     def test_tiny_resolution_stall_is_the_robot_outgrowing_the_map(self, tmp_path):
         # At resolution = 1e-308 half a cell is subnormal, and both runs stall
@@ -579,17 +594,21 @@ class TestCmdScore:
         assert rc == 1
         assert "resolutions" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("where", ["outside", "obstacle"])
+    @pytest.mark.parametrize("where", ["outside", "obstacle", "1e308", "-1e300"])
     def test_pose_off_free_truth_exit_1(self, tmp_path, capsys, where):
+        # 1e308 / resolution is inf, which has no int cell index; -1e300 had
+        # one of 300 digits.
         map_path, belief_path, _, cfg = self._write_scene(tmp_path)
         truth = load_map_file(map_path)
         j, i = np.argwhere(truth.states == OCCUPIED)[0]
-        x, y = (100.0, 100.0) if where == "outside" else truth.cell_center(i, j)
+        x, y = {"outside": (100.0, 100.0), "obstacle": truth.cell_center(i, j),
+                "1e308": (1e308, 1.0), "-1e300": (-1e300, 1.0)}[where]
         rc = main(["score", "--config", str(cfg), "--map", str(map_path),
-                   "--belief", str(belief_path), "--pose", f"{x},{y},0"])
+                   "--belief", str(belief_path), f"--pose={x},{y},0"])
         assert rc == 1
         captured = capsys.readouterr()
-        assert "map error" in captured.err
+        needle = "is occupied" if where == "obstacle" else f"pose ({x}, {y}) outside the "
+        assert captured.err.startswith("map error: ") and needle in captured.err
         assert captured.out == ""
 
     @pytest.mark.parametrize("pose", ["nan,0,0", "inf,0,0", "1,-inf,0",

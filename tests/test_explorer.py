@@ -17,7 +17,7 @@ from explorebench.gridmap import (FREE, UNKNOWN, InflationParams, LidarModel,
                                   OccupancyGrid, Pose, inflate, reachable_free_mask)
 from explorebench.mapgen import TIERS, generate_map, pick_start
 from explorebench.navigator import KinematicState
-from explorebench.scoring import HeuristicParams, NoFrontiersError
+from explorebench.scoring import HeuristicParams
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 LIDAR = LidarModel(beam_count=360, max_range=2.5)
@@ -82,7 +82,7 @@ class TestBaselines:
         assert self._top(kind, segments) is self._top(kind, segments)
 
     def test_empty_raises(self):
-        with pytest.raises(NoFrontiersError):
+        with pytest.raises(ValueError, match="no frontier segments"):
             rank_segments(SelectorKind("nearest"), [], Pose(0, 0),
                           self._belief(), PARAMS)
 

@@ -9,10 +9,8 @@ from reference import brute_force_occupancy, reference_occupancy
 from explorebench.frontier import FrontierSegment, cluster_segments, detect_frontiers
 from explorebench.gridmap import COST_LETHAL, FREE, UNKNOWN, OccupancyGrid, Pose
 from explorebench.explorer import SelectorKind, rank_segments
-from explorebench.scoring import (HeuristicParams, InputOutOfRangeError,
-                                  NegativeDistanceError, NoFrontiersError,
-                                  ScoreBreakdown, distance_score, heuristic,
-                                  occupancy_scores, score_segments)
+from explorebench.scoring import (HeuristicParams, ScoreBreakdown, distance_score,
+                                  heuristic, occupancy_scores, score_segments)
 
 # Frozen golden values, computed with a 60-digit mpmath evaluator of
 # tanh(E * sigmoid(E * (1 - csch(d/alpha)))), E = exp(d/beta), before any
@@ -50,12 +48,12 @@ class TestDistanceScore:
         assert distance_score(1e-300, HeuristicParams()) == 0.0
 
     def test_negative_distance_rejected(self):
-        with pytest.raises(NegativeDistanceError):
+        with pytest.raises(ValueError, match="distance must be >= 0, got -0.1"):
             distance_score(-0.1, HeuristicParams())
 
     def test_nan_distance_rejected(self):
         # NaN would compare False with every other score and rank arbitrarily.
-        with pytest.raises(NegativeDistanceError):
+        with pytest.raises(ValueError, match="distance must be >= 0, got nan"):
             distance_score(math.nan, HeuristicParams())
 
     def test_infinite_distance_one_ulp_below_one(self):
@@ -238,9 +236,9 @@ class TestHeuristic:
 
     def test_rejects_out_of_range(self):
         params = HeuristicParams()
-        with pytest.raises(InputOutOfRangeError):
+        with pytest.raises(ValueError, match="got D=1.2, O=0.5"):
             heuristic(1.2, 0.5, params)
-        with pytest.raises(InputOutOfRangeError):
+        with pytest.raises(ValueError, match="got D=0.5, O=-0.1"):
             heuristic(0.5, -0.1, params)
 
     def test_common_scale_preserves_argmin(self, rng):
@@ -275,7 +273,7 @@ def heuristic_pick(segments, robot, belief, params):
 class TestSelectWaypoint:
     def test_empty_raises(self):
         belief = grid_from_rows(["..."])
-        with pytest.raises(NoFrontiersError):
+        with pytest.raises(ValueError, match="no frontier segments"):
             rank_segments(SelectorKind("heuristic"), [], Pose(0, 0), belief,
                           HeuristicParams())
 
